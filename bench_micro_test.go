@@ -61,98 +61,50 @@ func BenchmarkSampleConditionalQuantileTable(b *testing.B) {
 
 // benchDPSolve measures a cold checkpoint-DP solve of a 4-hour job at the
 // experiments' default 2-minute resolution (the row-parallel O(n^2 * ages)
-// sweep dominates) with the given worker count and solver modes. All
+// sweep dominates) with the given worker count. Every planner runs the one
+// exact scan (saturation cap plus coarse-to-fine block skips), so the
 // variants produce bit-identical tables (see the equality gates in
 // internal/policy); only the wall clock differs.
-func benchDPSolve(b *testing.B, parallelism int, prune, coarseFine, float32Table bool) {
+func benchDPSolve(b *testing.B, parallelism int) {
 	m := benchModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := policy.NewCheckpointPlanner(m, 1.0/60, 2.0/60)
 		p.SetParallelism(parallelism)
-		p.Prune = prune
-		p.CoarseFine = coarseFine
-		p.Float32 = float32Table
 		_ = p.ExpectedMakespan(4, 0)
 	}
 }
 
-// BenchmarkDPSolve is the serial exhaustive baseline (the PR-3 headline
-// number), kept under its original name so bench.sh -compare tracks it
-// across baselines.
-func BenchmarkDPSolve(b *testing.B) { benchDPSolve(b, 1, false, false, false) }
+// BenchmarkDPSolve is the serial cold solve, kept under its original name
+// so bench.sh -compare tracks it across baselines.
+func BenchmarkDPSolve(b *testing.B) { benchDPSolve(b, 1) }
 
 // BenchmarkDPSolveP1 is the parallel solver pinned to one worker. At
 // parallelism 1, solveRows deliberately collapses to the plain serial loop
 // (no pool, no barriers), so this is the serial solver by construction and
 // must match BenchmarkDPSolve exactly; it exists under its own name so the
 // P1-vs-PMax pair reads directly off one bench run.
-func BenchmarkDPSolveP1(b *testing.B) { benchDPSolve(b, 1, false, false, false) }
+func BenchmarkDPSolveP1(b *testing.B) { benchDPSolve(b, 1) }
 
 // BenchmarkDPSolvePMax shards the per-row age loop across GOMAXPROCS
 // workers.
-func BenchmarkDPSolvePMax(b *testing.B) { benchDPSolve(b, runtime.GOMAXPROCS(0), false, false, false) }
+func BenchmarkDPSolvePMax(b *testing.B) { benchDPSolve(b, runtime.GOMAXPROCS(0)) }
 
-// BenchmarkDPSolvePruned runs the opt-in branch-and-bound candidate cuts,
-// serial, against the same cold solve. At this default shape the pruning
-// cap (the survival-zero saturation window) only binds for restart ages
-// past ~20h on a 4h job, so almost no candidates are cut and the numbers
-// track BenchmarkDPSolve; see BenchmarkDPSolvePrunedLong for a shape where
-// the cap pays. The benchmark is kept at the default shape anyway — it
-// pins the cost of *enabling* Prune where it cannot win.
-func BenchmarkDPSolvePruned(b *testing.B) { benchDPSolve(b, 1, true, false, false) }
-
-// BenchmarkDPSolvePrunedPMax combines both fast modes.
-func BenchmarkDPSolvePrunedPMax(b *testing.B) {
-	benchDPSolve(b, runtime.GOMAXPROCS(0), true, false, false)
-}
-
-// BenchmarkDPSolveCoarseFine is the coarse-to-fine guided solve (the PR-7
-// headline number): a 4x-coarser guide solve seeds per-cell candidate
-// bounds that let the fine scan skip provably-non-optimal candidates while
-// producing the exact exhaustive table.
-func BenchmarkDPSolveCoarseFine(b *testing.B) { benchDPSolve(b, 1, false, true, false) }
-
-// BenchmarkDPSolveCoarseFinePMax combines the guided scan with row
-// parallelism.
-func BenchmarkDPSolveCoarseFinePMax(b *testing.B) {
-	benchDPSolve(b, runtime.GOMAXPROCS(0), false, true, false)
-}
-
-// BenchmarkDPSolveFloat32 runs the guided solve against the float32 value
-// table (half the table bytes; values within 1e-4 relative of float64).
-func BenchmarkDPSolveFloat32(b *testing.B) { benchDPSolve(b, 1, false, true, true) }
-
-// benchDPSolveLong measures a cold solve of a 20-hour job at 5-minute
-// resolution — a long-job shape where the work axis (n=240) dominates the
-// age axis (289 cells) and the pruning cap binds from restart age ~4h
-// up, so BenchmarkDPSolvePrunedLong actually cuts candidate work (unlike
-// BenchmarkDPSolvePruned at the default shape, where the cap never
-// engages below a 20h restart age).
-func benchDPSolveLong(b *testing.B, prune, coarseFine bool) {
+// BenchmarkDPSolveLong measures a cold serial solve of a 20-hour job at
+// 5-minute resolution — a long-job shape where the work axis (n=240)
+// dominates the age axis (289 cells) and the saturation cap binds from
+// restart age ~4h up.
+func BenchmarkDPSolveLong(b *testing.B) {
 	m := benchModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := policy.NewCheckpointPlanner(m, 2.0/60, 5.0/60)
 		p.SetParallelism(1)
-		p.Prune = prune
-		p.CoarseFine = coarseFine
 		_ = p.ExpectedMakespan(20, 0)
 	}
 }
-
-func BenchmarkDPSolveLong(b *testing.B) { benchDPSolveLong(b, false, false) }
-
-// BenchmarkDPSolvePrunedLong is the pruning-favorable companion to
-// BenchmarkDPSolvePruned: on the 20h/5min shape the saturation cap fires
-// across most of the age axis.
-func BenchmarkDPSolvePrunedLong(b *testing.B) { benchDPSolveLong(b, true, false) }
-
-// BenchmarkDPSolveCoarseFineLong runs the guided scan on the long-job
-// shape.
-func BenchmarkDPSolveCoarseFineLong(b *testing.B) { benchDPSolveLong(b, false, true) }
 
 // BenchmarkDPSolveIncremental measures growing a warm half-size table to
 // the full job length — the cost a session pays when a longer job arrives —

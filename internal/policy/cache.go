@@ -227,11 +227,9 @@ func SharedPlanner(m *core.Model, delta, step float64) *CheckpointPlanner {
 	}
 	shared.stats.PlannerMisses++
 	p := NewCheckpointPlanner(m, delta, step)
-	// Shared planners serve the service's cold path: run the coarse-to-fine
-	// guided solve (exact, see checkpoint_coarse.go) and, when another
-	// cached planner models nearby hardware on the same grid, lend its
-	// solved table as a warm-start hint source.
-	p.CoarseFine = true
+	// When another cached planner models nearby hardware on the same grid,
+	// lend its solved table as a warm-start hint source for the cold solve
+	// (exact, see checkpoint_coarse.go).
 	if w := findWarmNeighbor(key); w != nil {
 		p.warm = w
 		shared.stats.PlannerWarmSeeds++

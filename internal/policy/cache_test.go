@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -165,10 +167,10 @@ func TestSharedPlannerWarmSeeding(t *testing.T) {
 	defer ResetSharedCache()
 
 	base := SharedPlanner(cacheTestModel(), 0.1, 0.25)
-	if !base.CoarseFine {
-		t.Fatal("shared planner did not enable the coarse-to-fine solve")
-	}
 	_ = base.ExpectedMakespan(2, 0) // neighbor has a solved table to lend
+	if st := base.Stats(); st.CoarseSolves != 1 {
+		t.Fatalf("shared planner ran %d guide solves, want 1", st.CoarseSolves)
+	}
 
 	// Within tolerance on every parameter, same grid: seeded.
 	nearModel := core.New(dist.NewBathtub(0.45*1.05, 1.0*0.97, 0.8*1.04, 24, 24))
@@ -182,6 +184,9 @@ func TestSharedPlannerWarmSeeding(t *testing.T) {
 	_ = near.ExpectedMakespan(2, 0)
 	if st := near.Stats(); st.WarmStarts != 1 {
 		t.Fatalf("seeded planner recorded WarmStarts = %d, want 1", st.WarmStarts)
+	}
+	if near.warm != nil {
+		t.Fatal("first build did not release the warm-start neighbor")
 	}
 
 	// Same parameters, different grid: no seed.
@@ -197,5 +202,37 @@ func TestSharedPlannerWarmSeeding(t *testing.T) {
 	}
 	if got := SharedCacheStats().PlannerWarmSeeds; got != 1 {
 		t.Fatalf("PlannerWarmSeeds = %d after off-grid/far lookups, want still 1", got)
+	}
+}
+
+// TestWarmChainReleasesEvictedPlanners pins the warm-start lifetime: each
+// warm-seeded planner lets go of its neighbor once its first build has
+// taken the hints, so a chain of near-neighbor planners does not keep the
+// ones the LRU already evicted reachable.
+func TestWarmChainReleasesEvictedPlanners(t *testing.T) {
+	SetSharedCacheCapacity(2)
+	ResetSharedCache()
+	defer func() {
+		SetSharedCacheCapacity(0)
+		ResetSharedCache()
+	}()
+
+	var first weak.Pointer[CheckpointPlanner]
+	for i := 0; i < 5; i++ {
+		// Each model is within DefaultWarmStartTolerance of the previous
+		// one, so every miss after the first is warm-seeded.
+		m := core.New(dist.NewBathtub(0.45*(1+0.02*float64(i)), 1.0, 0.8, 24, 24))
+		p := SharedPlanner(m, 0.1, 0.25)
+		if i == 0 {
+			first = weak.Make(p)
+		}
+		_ = p.ExpectedMakespan(2, 0)
+	}
+	if got := SharedCacheStats().PlannerWarmSeeds; got != 4 {
+		t.Fatalf("PlannerWarmSeeds = %d, want 4", got)
+	}
+	runtime.GC()
+	if first.Value() != nil {
+		t.Fatal("evicted planner is still reachable through the warm-start chain")
 	}
 }

@@ -30,54 +30,25 @@ var dpSolveSeconds = obs.Default().Histogram(
 // planner solves that fixed point algebraically per candidate interval
 // (DESIGN.md note 3).
 //
-// The solve is row-parallel (see SetParallelism), incremental (a cached
-// table is grown, not re-solved, when a longer job arrives), and deduped:
-// concurrent Plan calls needing the same table join one in-flight solve
-// instead of serializing behind a lock (see package doc for the structure
-// and SolveStats for observability).
+// Every planner runs one exact scan: each cell's candidate loop is capped
+// at the grid's saturation point (pruneBound) and skips candidate blocks
+// that a coarse guide solve proves cannot win (checkpoint_coarse.go), so
+// the table is bit-identical to the exhaustive recurrence. The solve is
+// row-parallel (see SetParallelism), incremental (a cached table is grown,
+// not re-solved, when a longer job arrives), and deduped: concurrent Plan
+// calls needing the same table join one in-flight solve instead of
+// serializing behind a lock (see package doc for the structure and
+// SolveStats for observability).
 type CheckpointPlanner struct {
 	Model *core.Model
 	Delta float64 // checkpoint write cost, hours
 	Step  float64 // DP time resolution, hours (e.g. 1.0/60 for one minute)
 
-	// Prune enables the branch-and-bound candidate cuts on the DP's inner
-	// interval loop (an opt-in fast mode). The cuts only discard candidates
-	// that provably cannot beat the incumbent strictly, so the pruned solve
-	// produces a table identical cell for cell to the exhaustive one (the
-	// test suite gates this). Set it before the first Plan.
-	Prune bool
-
-	// CoarseFine enables the exact coarse-to-fine bound-tightening pass: a
-	// guide solve at coarseFactor× the resolution seeds per-cell candidate
-	// bounds that let the fine scan skip candidates which provably cannot
-	// win (see checkpoint_coarse.go for the admissibility argument). Like
-	// Prune, the mode is exact — the table is identical cell for cell to
-	// the exhaustive solve — and opt-in. Set it before the first Plan.
-	CoarseFine bool
-
-	// Float32 stores the value table as float32 instead of float64,
-	// halving table memory and doubling value-row cache density. The
-	// recurrence still runs in float64 — only the stored continuation
-	// values are rounded — so divergence from the float64 reference stays
-	// within the documented tolerance (see doc.go and the property tests);
-	// the float64 layout remains the bit-exactness reference. Set it
-	// before the first Plan.
-	Float32 bool
-
-	// CoarseStep, when positive, switches the planner to an approximate
-	// preview mode: the DP is solved at CoarseStep resolution (which must
-	// be >= Step and <= the model deadline) instead of Step, with the work
-	// rounded up to cover the job. Every coarse schedule is a feasible
-	// fine schedule, so the resulting expected makespan is an upper bound
-	// on the fine optimum (exact when the checkpoint cost is a multiple of
-	// CoarseStep; otherwise the coarse grid also rounds the checkpoint
-	// cost up, keeping the estimate conservative) — see doc.go for the
-	// measured tightness at 4×. Set it before the first Plan.
-	CoarseStep float64
-
 	// warm points at a neighbor planner (nearby bathtub parameters, same
 	// delta and step) whose solved choice table seeds this planner's
-	// coarse-to-fine hints; set by the shared cache before first use.
+	// coarse-to-fine hints; set by the shared cache before first use and
+	// cleared (under mu) when the first build takes it, so a chain of
+	// warm-seeded planners never keeps evicted neighbors reachable.
 	warm *CheckpointPlanner
 
 	// par is the row-parallel worker count (0 = package default, then
@@ -120,8 +91,8 @@ type SolveStats struct {
 	LastSolveMS  float64 `json:"last_solve_ms"`
 	MaxSolveMS   float64 `json:"max_solve_ms"`
 	TotalSolveMS float64 `json:"total_solve_ms"`
-	// CoarseSolves counts guide solves run by the coarse-to-fine pass
-	// (at most one per table build with CoarseFine set).
+	// CoarseSolves counts guide solves run by the coarse-to-fine pass (one
+	// per table build, except on grids too coarse to refine further).
 	CoarseSolves uint64 `json:"coarse_solves"`
 	// WarmStarts counts table builds whose candidate bounds were seeded by
 	// a warm neighbor planner's choice table (cross-model warm starts).
@@ -215,45 +186,61 @@ func (s Schedule) NumCheckpoints() int {
 // arithmetic instead of a second pointer chase, and cache-friendly row
 // scans in the O(T^3) solve.
 type table struct {
-	step  float64
-	delta int // checkpoint cost in steps (rounded up, min 0)
-	nAges int // number of age grid points, age index a corresponds to a*step
-	nWork int // maximum job steps solved
-	// value and value32 are the two value-table layouts; exactly one is
-	// non-nil. value is the float64 reference layout; value32 is the
-	// cache-dense layout behind CheckpointPlanner.Float32.
-	value   []float64 // value[j*nAges+a] = E[M*(j steps, age a)]
-	value32 []float32
-	choice  []int32 // choice[j*nAges+a] = optimal first interval in steps
+	step   float64
+	delta  int       // checkpoint cost in steps (rounded up, min 0)
+	nAges  int       // number of age grid points, age index a corresponds to a*step
+	nWork  int       // maximum job steps solved
+	value  []float64 // value[j*nAges+a] = E[M*(j steps, age a)]
+	choice []int32   // choice[j*nAges+a] = optimal first interval in steps
 	// survival S[a] = 1 - F(a*step) and first moment M1[a] of the
 	// normalized model, precomputed on the age grid.
 	surv []float64
 	m1   []float64
-	// survZero is the smallest grid index with surv exactly zero (len(surv)
-	// when none): the saturation point the pruned candidate loop caps its
-	// scan at. Survival hits exact zero only at deadline-clamped grid
-	// points, where surv and m1 are bitwise constant, which is what makes
-	// the cap an exact optimization (see scanCell).
+	// survZero is the start of the saturated suffix of the grid — the
+	// smallest index from which surv is exactly zero and m1 bitwise
+	// constant through the end — or len(surv) when survival never reaches
+	// zero (a bathtub whose raw CDF exceeds 1 before the deadline keeps
+	// the clamped survival positive). The candidate scan caps itself at
+	// it; see pruneBound.
 	survZero int
 }
 
-// valueAt returns E[M*] for j work steps at age index a.
-func (tb *table) valueAt(j, a int) float64 {
-	if tb.value32 != nil {
-		return float64(tb.value32[j*tb.nAges+a])
+// newTable allocates an unsolved table for n work steps of the model at
+// the given checkpoint cost and resolution, with its age grid (surv, m1,
+// survZero) filled in.
+func newTable(m *core.Model, delta, step float64, n int) *table {
+	l := m.Deadline()
+	nAges := int(math.Ceil(l/step)) + 1
+	deltaSteps := int(math.Ceil(delta/step - 1e-12))
+	if delta == 0 {
+		deltaSteps = 0
 	}
-	return tb.value[j*tb.nAges+a]
+	tb := &table{
+		step:   step,
+		delta:  deltaSteps,
+		nAges:  nAges,
+		nWork:  n,
+		value:  make([]float64, (n+1)*nAges),
+		choice: make([]int32, (n+1)*nAges),
+		surv:   make([]float64, nAges+1),
+		m1:     make([]float64, nAges+1),
+	}
+	bt := m.Bathtub()
+	norm := bt.Raw(l)
+	for a := 0; a <= nAges; a++ {
+		t := math.Min(float64(a)*step, l)
+		tb.surv[a] = 1 - math.Min(bt.CDF(t)/norm, 1)
+		tb.m1[a] = bt.PartialMoment(t) / norm
+	}
+	tb.survZero = len(tb.surv)
+	for tb.survZero > 0 && tb.surv[tb.survZero-1] == 0 && tb.m1[tb.survZero-1] == tb.m1[nAges] {
+		tb.survZero--
+	}
+	return tb
 }
 
-// setValue stores a solved cell into whichever value layout the table
-// carries.
-func (tb *table) setValue(idx int, v float64) {
-	if tb.value32 != nil {
-		tb.value32[idx] = float32(v)
-		return
-	}
-	tb.value[idx] = v
-}
+// valueAt returns E[M*] for j work steps at age index a.
+func (tb *table) valueAt(j, a int) float64 { return tb.value[j*tb.nAges+a] }
 
 // choiceAt returns the optimal first interval (in steps) for state (j, a).
 func (tb *table) choiceAt(j, a int) int32 { return tb.choice[j*tb.nAges+a] }
@@ -336,31 +323,9 @@ func (p *CheckpointPlanner) ExpectedMakespan(jobLen, startAge float64) float64 {
 	return tb.valueAt(p.steps(jobLen), tb.ageIndex(startAge))
 }
 
-// resolution returns the DP grid resolution in force: Step normally,
-// CoarseStep in the approximate preview mode (validated against Step and
-// the model deadline).
-func (p *CheckpointPlanner) resolution() float64 {
-	if cs := p.CoarseStep; cs > 0 {
-		if cs < p.Step || cs > p.Model.Deadline() {
-			panic(fmt.Sprintf("policy: invalid CoarseStep %v (step %v, deadline %v)", cs, p.Step, p.Model.Deadline()))
-		}
-		return cs
-	}
-	return p.Step
-}
-
-// steps quantizes a job length onto the grid in force. The exact modes
-// round to nearest (the seed behavior); the CoarseStep preview rounds up
-// so the coarse solve covers at least the fine workload, preserving the
-// upper-bound direction of the approximation.
+// steps quantizes a job length onto the grid, rounding to nearest.
 func (p *CheckpointPlanner) steps(jobLen float64) int {
-	step := p.resolution()
-	var n int
-	if p.CoarseStep > 0 {
-		n = int(math.Ceil(jobLen/step - 1e-9))
-	} else {
-		n = int(math.Round(jobLen / step))
-	}
+	n := int(math.Round(jobLen / p.Step))
 	if n < 1 {
 		n = 1
 	}
@@ -375,7 +340,7 @@ func (p *CheckpointPlanner) OverheadPercent(jobLen, startAge float64) float64 {
 	}
 	// Quantize the job length exactly as the DP does so the overhead is
 	// measured against the work actually scheduled.
-	quantized := float64(p.steps(jobLen)) * p.resolution()
+	quantized := float64(p.steps(jobLen)) * p.Step
 	return 100 * (p.ExpectedMakespan(jobLen, startAge) - quantized) / quantized
 }
 
@@ -430,11 +395,12 @@ func (p *CheckpointPlanner) solve(jobLen float64) *table {
 	}
 	f := &solveFlight{n: n, done: make(chan struct{})}
 	p.flight = f
-	base := p.cached
+	base, warm := p.cached, p.warm
+	p.warm = nil // only the first build takes the neighbor's hints
 	p.mu.Unlock()
 
 	start := time.Now()
-	tb, notes := p.extend(base, n)
+	tb, notes := p.extend(base, warm, n)
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	dpSolveSeconds.Observe(ms / 1e3)
 
@@ -479,10 +445,11 @@ func (p *CheckpointPlanner) cachedTable() *table {
 // larger solve) and only rows base.nWork+1..n are solved; the age grid
 // (surv/m1) is shared outright since it depends only on the model and step.
 // A published *table is never mutated — extend always returns a fresh
-// struct — so readers of the previous table race with nothing.
-func (p *CheckpointPlanner) extend(base *table, n int) (*table, solveNotes) {
+// struct — so readers of the previous table race with nothing. warm, when
+// non-nil, is a neighbor planner whose solved table adds scan hints.
+func (p *CheckpointPlanner) extend(base *table, warm *CheckpointPlanner, n int) (*table, solveNotes) {
 	var tb *table
-	startRow := 1
+	lo := 1
 	if base != nil {
 		tb = &table{
 			step:     base.step,
@@ -491,56 +458,24 @@ func (p *CheckpointPlanner) extend(base *table, n int) (*table, solveNotes) {
 			nWork:    n,
 			surv:     base.surv,
 			m1:       base.m1,
+			value:    make([]float64, (n+1)*base.nAges),
 			choice:   make([]int32, (n+1)*base.nAges),
 			survZero: base.survZero,
 		}
-		// Growth inherits the base table's value layout: the mode fields
-		// are fixed before the first Plan, so the layouts agree.
-		if base.value32 != nil {
-			tb.value32 = make([]float32, (n+1)*base.nAges)
-			copy(tb.value32, base.value32)
-		} else {
-			tb.value = make([]float64, (n+1)*base.nAges)
-			copy(tb.value, base.value)
-		}
+		copy(tb.value, base.value)
 		copy(tb.choice, base.choice)
-		startRow = base.nWork + 1
+		lo = base.nWork + 1
 	} else {
-		m := p.Model
-		l := m.Deadline()
-		step := p.resolution()
-		nAges := int(math.Ceil(l/step)) + 1
-		deltaSteps := int(math.Ceil(p.Delta/step - 1e-12))
-		if p.Delta == 0 {
-			deltaSteps = 0
-		}
-		tb = &table{
-			step:   step,
-			delta:  deltaSteps,
-			nAges:  nAges,
-			nWork:  n,
-			surv:   make([]float64, nAges+1),
-			m1:     make([]float64, nAges+1),
-			choice: make([]int32, (n+1)*nAges),
-		}
-		if p.Float32 {
-			tb.value32 = make([]float32, (n+1)*nAges)
-		} else {
-			tb.value = make([]float64, (n+1)*nAges)
-		}
-		bt := m.Bathtub()
-		norm := bt.Raw(l)
-		tb.survZero = len(tb.surv)
-		for a := 0; a <= nAges; a++ {
-			t := math.Min(float64(a)*step, l)
-			tb.surv[a] = 1 - math.Min(bt.CDF(t)/norm, 1)
-			tb.m1[a] = bt.PartialMoment(t) / norm
-			if tb.surv[a] == 0 && a < tb.survZero {
-				tb.survZero = a
-			}
-		}
+		tb = newTable(p.Model, p.Delta, p.Step, n)
 	}
-	notes := p.solveRows(tb, startRow, n)
+	workers := p.Parallelism()
+	var notes solveNotes
+	g := p.newGuide(tb, warm, lo, n, workers)
+	if g != nil {
+		notes.coarseSolves = 1
+		notes.warmStart = g.warmRow != nil
+	}
+	tb.solveRows(g, lo, n, workers)
 	return tb, notes
 }
 
@@ -550,38 +485,28 @@ func (p *CheckpointPlanner) extend(base *table, n int) (*table, solveNotes) {
 // rj, so the age loop of one row is embarrassingly parallel: it is sharded
 // across a worker pool in fixed contiguous ranges, which makes the result
 // byte-identical to the serial solve at any worker count (each cell's
-// arithmetic is unchanged; only who computes it varies). With CoarseFine
-// set, a guide solve seeds per-row candidate hints (prepared serially
-// before each row is dispatched) and the per-row minima feed the skip
-// bounds of later rows — all outside the sharded cell work, so the
-// parallel structure is unchanged.
-func (p *CheckpointPlanner) solveRows(tb *table, lo, hi int) solveNotes {
+// arithmetic is unchanged; only who computes it varies). A non-nil guide
+// seeds per-row candidate hints (prepared serially before each row is
+// dispatched) and the per-row minima feed the skip bounds of later rows —
+// all outside the sharded cell work, so the parallel structure is
+// unchanged.
+func (tb *table) solveRows(g *dpGuide, lo, hi, workers int) {
 	// j = 0: nothing left to do (row stays zero).
-	var notes solveNotes
-	var g *dpGuide
-	if p.CoarseFine {
-		if g = p.newGuide(tb, lo, hi); g != nil {
-			notes.coarseSolves = 1
-			notes.warmStart = g.warmRow != nil
-		}
-	}
-	workers := p.Parallelism()
 	if workers > tb.nAges-1 {
 		workers = tb.nAges - 1
 	}
 	if workers <= 1 || hi < lo {
 		for j := lo; j <= hi; j++ {
-			rj := p.cellAge0(tb, j)
-			tb.setValue(j*tb.nAges, rj)
+			rj := tb.solveAge0(j)
 			if g != nil {
 				g.prepareRow(tb, j)
 			}
-			p.solveAgeRange(tb, g, j, rj, 1, tb.nAges)
+			tb.solveAges(g, j, rj, 1, tb.nAges)
 			if g != nil {
 				g.finishRow(tb, j)
 			}
 		}
-		return notes
+		return
 	}
 	// Persistent pool: one goroutine per fixed age range, fed a row at a
 	// time. The per-row barrier (wg) is the only synchronization rows need:
@@ -603,14 +528,13 @@ func (p *CheckpointPlanner) solveRows(tb *table, lo, hi int) solveNotes {
 		feeds[w] = feed
 		go func(aLo, aHi int) {
 			for job := range feed {
-				p.solveAgeRange(tb, g, job.j, job.rj, aLo, aHi)
+				tb.solveAges(g, job.j, job.rj, aLo, aHi)
 				wg.Done()
 			}
 		}(aLo, aHi)
 	}
 	for j := lo; j <= hi; j++ {
-		rj := p.cellAge0(tb, j)
-		tb.setValue(j*tb.nAges, rj)
+		rj := tb.solveAge0(j)
 		if g != nil {
 			g.prepareRow(tb, j)
 		}
@@ -626,7 +550,6 @@ func (p *CheckpointPlanner) solveRows(tb *table, lo, hi int) solveNotes {
 	for _, feed := range feeds {
 		close(feed)
 	}
-	return notes
 }
 
 // windowStats returns, for a segment occupying ages [a, a+w) (indices), the
@@ -671,24 +594,22 @@ func (tb *table) windowStatsFrom(sa, m1a, t float64, a, w int) (psucc, elost flo
 // the write-free final candidate i=j must then be evaluated separately.
 //
 // The cut: a checkpointed candidate i < j occupies ages [a, a+i+delta). Once
-// that window reaches tb.survZero — the first grid point with survival
-// exactly zero — its success probability is exactly 0 and its conditional
-// loss is bitwise identical for every longer window (survival hits exact
-// zero only at deadline-clamped grid points, where surv and m1 are computed
-// from the same clamped time), so all remaining checkpointed candidates
-// share one value. The exhaustive loop keeps the first minimizer, so
-// scanning the first saturated candidate and skipping its equal-valued
-// successors is exact, not approximate. The final candidate i=j omits the
-// checkpoint write (w = j, not j+delta) and must still be examined on its
-// own.
+// that window reaches tb.survZero, its (clamped) end lies in the saturated
+// suffix, where surv is exactly zero and m1 bitwise constant: its success
+// probability is exactly 0, its continuation term vanishes (0 times a
+// finite value), and its conditional loss is the same bits for every
+// longer window, so all remaining checkpointed candidates share one value.
+// The exhaustive recurrence keeps the first minimizer, so scanning the
+// first saturated candidate and skipping its equal-valued successors is
+// exact, not approximate. The final candidate i=j omits the checkpoint
+// write (w = j, not j+delta) and must still be examined on its own. Without
+// a saturated suffix there is no cut: windows clamped at the grid's end
+// share se and m1 but not their continuation values.
 func (tb *table) pruneBound(a, j int) (hi int, tail bool) {
-	i0 := tb.survZero - a - tb.delta
-	if i0 >= j {
+	if tb.survZero == len(tb.surv) {
 		return j, false
 	}
-	if i0 < 1 {
-		i0 = 1
-	}
+	i0 := max(tb.survZero-a-tb.delta, 1)
 	if i0 >= j {
 		return j, false
 	}

@@ -2,14 +2,15 @@ package policy
 
 import "math"
 
-// Coarse-to-fine bound tightening for the checkpoint DP (the CoarseFine
-// mode). A guide solve at coarseFactor× the step resolution costs ~2% of
-// the fine solve and its choice table lands near the fine optimum; the
-// fine scan then skips whole blocks of candidates that provably cannot
-// win. The pass is exact — cell for cell identical to the exhaustive scan
-// — because a block of candidates is skipped only when an *admissible
-// float lower bound* for every candidate in it exceeds a bound the scan
-// itself computed:
+// Coarse-to-fine bound tightening for the checkpoint DP, part of every
+// solve on a grid fine enough to refine. A guide solve at coarseFactor×
+// the step resolution costs ~2% of the fine solve and its choice table
+// lands near the fine optimum; the fine scan then skips whole blocks of
+// candidates that provably cannot win. The pass is exact — cell for cell
+// identical to the exhaustive recurrence (the reference solver in
+// checkpoint_flat_test.go) — because a block of candidates is skipped
+// only when an *admissible float lower bound* for every candidate in it
+// exceeds a bound the scan itself computed:
 //
 //   - The skip bound starts as the exact value of the guide's hinted
 //     candidate (evaluated by evalCell with the scan's own arithmetic, so
@@ -86,16 +87,17 @@ type dpGuide struct {
 // newGuide builds the coarse guide for a solve of rows lo..hi of tb, or
 // returns nil when the grid is too coarse to refine further. For an
 // incremental growth (lo > 1) the already-copied prefix rows feed the
-// row-minimum bounds directly.
-func (p *CheckpointPlanner) newGuide(tb *table, lo, hi int) *dpGuide {
+// row-minimum bounds directly. The guide's own solve is unguided (the
+// plain capped scan), so guides never recurse. warm, when non-nil, is a
+// neighbor planner whose same-grid table contributes a second hint.
+func (p *CheckpointPlanner) newGuide(tb *table, warm *CheckpointPlanner, lo, hi, workers int) *dpGuide {
 	stepC := tb.step * float64(coarseFactor)
 	if stepC > p.Model.Deadline() || hi < coarseFactor {
 		return nil
 	}
 	nC := (hi + coarseFactor - 1) / coarseFactor
-	cp := &CheckpointPlanner{Model: p.Model, Delta: p.Delta, Step: stepC}
-	cp.par.Store(p.par.Load())
-	guide, _ := cp.extend(nil, nC)
+	guide := newTable(p.Model, p.Delta, stepC, nC)
+	guide.solveRows(nil, 1, nC, workers)
 	g := &dpGuide{
 		factor:     coarseFactor,
 		guide:      guide,
@@ -128,8 +130,8 @@ func (p *CheckpointPlanner) newGuide(tb *table, lo, hi int) *dpGuide {
 		g.survWinMax[e] = sMax
 		g.m1WinMin[e] = mMin
 	}
-	if p.warm != nil {
-		if wt := p.warm.cachedTable(); wt != nil && wt.step == tb.step && wt.delta == tb.delta {
+	if warm != nil {
+		if wt := warm.cachedTable(); wt != nil && wt.step == tb.step && wt.delta == tb.delta {
 			g.warm = wt
 			g.warmRow = make([]int32, tb.nAges)
 		}
@@ -219,15 +221,6 @@ func (g *dpGuide) finishRow(tb *table, j int) {
 // minRow returns the minimum value in row j (including the age-0 cell).
 func (tb *table) minRow(j int) float64 {
 	row := j * tb.nAges
-	if tb.value32 != nil {
-		m := float64(tb.value32[row])
-		for _, v := range tb.value32[row+1 : row+tb.nAges] {
-			if float64(v) < m {
-				m = float64(v)
-			}
-		}
-		return m
-	}
 	m := tb.value[row]
 	for _, v := range tb.value[row+1 : row+tb.nAges] {
 		if v < m {
@@ -241,10 +234,10 @@ func (tb *table) minRow(j int) float64 {
 // Candidates i in [1, min(hi, j-1)] are covered in blocks of skipBlock; a
 // block whose admissible lower bound exceeds the running bound is skipped
 // in one ~10-flop test, and surviving blocks run the exact loop body.
-// The final candidate i=j (reached when hi == j, or via the pruned tail)
+// The final candidate i=j (reached when hi == j, or via the capped tail)
 // is always evaluated — it is a single candidate, not worth a bound.
-// hi/tail compose with the Prune cap exactly as in scanCell.
-func scanCellGuided[F tableVal](tb *table, value []F, g *dpGuide, j, a, hi int, tail bool, prevI int, rj float64) (float64, int) {
+// hi/tail are the saturation cap, exactly as in scanCell.
+func scanCellGuided(tb *table, g *dpGuide, j, a, hi int, tail bool, prevI int, rj float64) (float64, int) {
 	sa := tb.surv[a]
 	if sa <= 0 {
 		return rj, 1
@@ -252,6 +245,7 @@ func scanCellGuided[F tableVal](tb *table, value []F, g *dpGuide, j, a, hi int, 
 	invSa := 1 / sa
 	m1a := tb.m1[a]
 	t := float64(a) * tb.step
+	value := tb.value
 	nAges := tb.nAges
 	step := tb.step
 	delta := tb.delta
@@ -259,7 +253,7 @@ func scanCellGuided[F tableVal](tb *table, value []F, g *dpGuide, j, a, hi int, 
 	// coarse guide's suggestion, the previous age's winner (adjacent-age
 	// optima are nearly always within a step of each other, so this is
 	// usually the tightest of the three), and the warm neighbor's choice.
-	// A hint beyond the Prune cap is clamped onto it: the clamped
+	// A hint beyond the saturation cap is clamped onto it: the clamped
 	// candidate is still in range, so the bound stays a value the scan
 	// can produce.
 	bound := math.Inf(1)
@@ -267,13 +261,13 @@ func scanCellGuided[F tableVal](tb *table, value []F, g *dpGuide, j, a, hi int, 
 		if h > hi {
 			h = hi
 		}
-		bound = evalCell(tb, value, j, a, h, sa, invSa, m1a, t, rj)
+		bound = evalCell(tb, j, a, h, sa, invSa, m1a, t, rj)
 	}
 	if prevI >= 1 {
 		if prevI > hi {
 			prevI = hi
 		}
-		if v := evalCell(tb, value, j, a, prevI, sa, invSa, m1a, t, rj); v < bound {
+		if v := evalCell(tb, j, a, prevI, sa, invSa, m1a, t, rj); v < bound {
 			bound = v
 		}
 	}
@@ -282,7 +276,7 @@ func scanCellGuided[F tableVal](tb *table, value []F, g *dpGuide, j, a, hi int, 
 			if h > hi {
 				h = hi
 			}
-			if v := evalCell(tb, value, j, a, h, sa, invSa, m1a, t, rj); v < bound {
+			if v := evalCell(tb, j, a, h, sa, invSa, m1a, t, rj); v < bound {
 				bound = v
 			}
 		}
@@ -298,9 +292,10 @@ func scanCellGuided[F tableVal](tb *table, value []F, g *dpGuide, j, a, hi int, 
 		if iEnd > jm1 {
 			iEnd = jm1
 		}
-		// Block lower bound. wnLo[b] may cover candidates past a Prune
-		// cap (it is built for the full block up to j-1): a lower bound
-		// over a superset stays admissible for the scanned subset.
+		// Block lower bound. wnLo[b] may cover candidates past the
+		// saturation cap (it is built for the full block up to j-1): a
+		// lower bound over a superset stays admissible for the scanned
+		// subset.
 		e0 := a + i0 + delta
 		if e0 > nAges {
 			e0 = nAges
@@ -351,7 +346,7 @@ func scanCellGuided[F tableVal](tb *table, value []F, g *dpGuide, j, a, hi int, 
 			if na >= nAges {
 				na = nAges - 1
 			}
-			next := float64(value[(j-i)*nAges+na])
+			next := value[(j-i)*nAges+na]
 			ws := float64(w) * step
 			x := ws + next
 			t1 := se * x

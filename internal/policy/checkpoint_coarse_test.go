@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -9,11 +10,11 @@ import (
 	"repro/internal/dist"
 )
 
-// TestCoarseFineMatchesExhaustive is the equality gate for the
-// coarse-to-fine pass: for every model shape, for checkpoint costs below
-// and above the step, alone and combined with Prune and with the
-// row-parallel solve, the guided table must equal the exhaustive one cell
-// for cell (==, not within a tolerance).
+// TestCoarseFineMatchesExhaustive is the equality gate for the one
+// production scan (saturation cap + coarse-to-fine block skips): for every
+// model shape, for checkpoint costs zero, below and above the step, serial
+// and row-parallel, the solved table must equal the exhaustive reference
+// cell for cell (==, not within a tolerance).
 func TestCoarseFineMatchesExhaustive(t *testing.T) {
 	const jobLen = 2.0
 	n := int(math.Round(jobLen / testStep))
@@ -23,27 +24,14 @@ func TestCoarseFineMatchesExhaustive(t *testing.T) {
 	}
 	for name, m := range solverTestModels() {
 		for _, delta := range []float64{0, testDelta, 3 * testStep} {
-			exhaustive := NewCheckpointPlanner(m, delta, testStep)
-			exhaustive.SetParallelism(1)
-			want := exhaustive.solve(jobLen)
-			for _, tc := range []struct {
-				label string
-				par   int
-				prune bool
-			}{
-				{"serial", 1, false},
-				{"parallel", maxPar, false},
-				{"pruned", 1, true},
-				{"pruned-parallel", 4, true},
-			} {
+			want := refSolve(NewCheckpointPlanner(m, delta, testStep), n)
+			for _, par := range []int{1, 4, maxPar} {
 				p := NewCheckpointPlanner(m, delta, testStep)
-				p.SetParallelism(tc.par)
-				p.CoarseFine = true
-				p.Prune = tc.prune
+				p.SetParallelism(par)
 				got := p.solve(jobLen)
-				requireTablesEqual(t, name+"/coarse-fine-"+tc.label, want, got, n)
+				requireTablesEqual(t, fmt.Sprintf("%s/delta=%v/par=%d", name, delta, par), want, got, n)
 				if st := p.Stats(); st.CoarseSolves != 1 {
-					t.Fatalf("%s/%s: CoarseSolves = %d, want 1", name, tc.label, st.CoarseSolves)
+					t.Fatalf("%s/par=%d: CoarseSolves = %d, want 1", name, par, st.CoarseSolves)
 				}
 			}
 		}
@@ -51,27 +39,26 @@ func TestCoarseFineMatchesExhaustive(t *testing.T) {
 }
 
 // TestCoarseFineIncrementalGrowth pins the guided solve's incremental
-// path: growing a guided table must equal the from-scratch exhaustive
-// solve of the longer job.
+// path: growing a table must equal the exhaustive reference of the longer
+// job.
 func TestCoarseFineIncrementalGrowth(t *testing.T) {
 	const shortLen, longLen = 0.75, 2.5
 	n := int(math.Round(longLen / testStep))
 	for name, m := range solverTestModels() {
-		scratch := NewCheckpointPlanner(m, testDelta, testStep)
-		scratch.SetParallelism(1)
-		want := scratch.solve(longLen)
 		p := NewCheckpointPlanner(m, testDelta, testStep)
 		p.SetParallelism(1)
-		p.CoarseFine = true
 		_ = p.solve(shortLen)
 		got := p.solve(longLen)
-		requireTablesEqual(t, name+"/coarse-fine-grown", want, got, n)
+		requireTablesEqual(t, name+"/coarse-fine-grown", refSolve(p, n), got, n)
+		if st := p.Stats(); st.CoarseSolves != 2 {
+			t.Fatalf("%s: CoarseSolves = %d, want 2 (initial + growth)", name, st.CoarseSolves)
+		}
 	}
 }
 
 // TestWarmStartMatchesCold gates cross-model warm starts: a planner
 // seeded with a neighbor's choice table (nearby but different bathtub
-// parameters) must produce exactly the table a cold solve produces — the
+// parameters) must produce exactly the exhaustive reference table — the
 // neighbor's hints may only speed the scan up, never change it.
 func TestWarmStartMatchesCold(t *testing.T) {
 	const jobLen = 2.0
@@ -82,107 +69,15 @@ func TestWarmStartMatchesCold(t *testing.T) {
 		neighbor := core.New(dist.NewBathtub(bt.A*1.03, bt.Tau1*0.98, bt.Tau2*1.02, bt.B, bt.L))
 		np := NewCheckpointPlanner(neighbor, testDelta, testStep)
 		np.SetParallelism(1)
-		np.CoarseFine = true
 		_ = np.solve(jobLen) // neighbor has a solved table to lend
-
-		cold := NewCheckpointPlanner(m, testDelta, testStep)
-		cold.SetParallelism(1)
-		want := cold.solve(jobLen)
 
 		warm := NewCheckpointPlanner(m, testDelta, testStep)
 		warm.SetParallelism(1)
-		warm.CoarseFine = true
 		warm.warm = np
 		got := warm.solve(jobLen)
-		requireTablesEqual(t, name+"/warm-start", want, got, n)
+		requireTablesEqual(t, name+"/warm-start", refSolve(warm, n), got, n)
 		if st := warm.Stats(); st.WarmStarts != 1 {
 			t.Fatalf("%s: WarmStarts = %d, want 1", name, st.WarmStarts)
 		}
 	}
-}
-
-// TestCoarseStepUpperBound pins the CoarseStep preview's documented error
-// bound on the studied shapes: with the checkpoint cost a multiple of the
-// coarse step, every coarse schedule is a feasible fine schedule, so the
-// coarse expected makespan upper-bounds the fine one (up to float noise);
-// and at 4× the resolution the preview stays within a few percent.
-func TestCoarseStepUpperBound(t *testing.T) {
-	const jobLen = 3.0
-	fineStep := 1.0 / 60
-	coarse := 4 * fineStep
-	delta := 2 * coarse // multiple of the coarse step: exact upper bound
-	for name, m := range solverTestModels() {
-		fine := NewCheckpointPlanner(m, delta, fineStep)
-		fine.SetParallelism(1)
-		vFine := fine.ExpectedMakespan(jobLen, 0)
-		prev := NewCheckpointPlanner(m, delta, fineStep)
-		prev.SetParallelism(1)
-		prev.CoarseStep = coarse
-		vCoarse := prev.ExpectedMakespan(jobLen, 0)
-		if vCoarse < vFine*(1-1e-9) {
-			t.Fatalf("%s: coarse preview %v undercuts fine optimum %v", name, vCoarse, vFine)
-		}
-		if vCoarse > vFine*1.05 {
-			t.Fatalf("%s: coarse preview %v is more than 5%% above fine optimum %v", name, vCoarse, vFine)
-		}
-	}
-}
-
-// TestFloat32Divergence pins the float32 layout's documented tolerance:
-// values within 1e-4 relative of the float64 solve, and any choice
-// disagreement confined to near-ties (the float64 values of the two
-// choices within 1e-6 relative — differences a float32 rounding of the
-// comparison operands can flip).
-func TestFloat32Divergence(t *testing.T) {
-	const jobLen = 2.0
-	n := int(math.Round(jobLen / testStep))
-	for name, m := range solverTestModels() {
-		ref := NewCheckpointPlanner(m, testDelta, testStep)
-		ref.SetParallelism(1)
-		want := ref.solve(jobLen)
-		p := NewCheckpointPlanner(m, testDelta, testStep)
-		p.SetParallelism(1)
-		p.Float32 = true
-		p.CoarseFine = true // the dense layout composes with the guided scan
-		got := p.solve(jobLen)
-		if got.value32 == nil {
-			t.Fatalf("%s: Float32 planner built a float64 table", name)
-		}
-		ties := 0
-		for j := 0; j <= n; j++ {
-			for a := 0; a < want.nAges; a++ {
-				w, g := want.valueAt(j, a), got.valueAt(j, a)
-				if diff := math.Abs(w - g); diff > 1e-4*math.Max(1, math.Abs(w)) {
-					t.Fatalf("%s: value(%d,%d) = %v, float64 reference %v (diff %v)", name, j, a, g, w, diff)
-				}
-				if j == 0 || a == 0 {
-					continue
-				}
-				if wc, gc := want.choiceAt(j, a), got.choiceAt(j, a); wc != gc {
-					// Disagreements must be near-ties in the float64 solve.
-					rj := want.valueAt(j, 0)
-					v1 := refCellValue(want, j, a, int(wc), rj)
-					v2 := refCellValue(want, j, a, int(gc), rj)
-					if math.Abs(v1-v2) > 1e-6*math.Max(1, math.Abs(v1)) {
-						t.Fatalf("%s: choice(%d,%d) = %d (value %v), reference %d (value %v): not a near-tie",
-							name, j, a, gc, v2, wc, v1)
-					}
-					ties++
-				}
-			}
-		}
-		t.Logf("%s: %d near-tie choice flips", name, ties)
-	}
-}
-
-// refCellValue evaluates candidate i for cell (j, a>0) on a float64 table
-// — the same arithmetic as the production kernel, used to verify that
-// float32 choice flips are confined to ties.
-func refCellValue(tb *table, j, a, i int, rj float64) float64 {
-	sa := tb.surv[a]
-	if sa <= 0 {
-		return rj
-	}
-	invSa := 1 / sa
-	return evalCell(tb, tb.value, j, a, i, sa, invSa, tb.m1[a], float64(a)*tb.step, rj)
 }

@@ -49,10 +49,11 @@ func refSolve(p *CheckpointPlanner, n int) *refTable {
 	// The cell recurrence below is the division-free restructuring the
 	// production kernels use (see checkpoint_scan.go): the reference is
 	// naive in LAYOUT (nested slices, no hoisting across cells, no
-	// parallelism, no pruning), but transcribes the exact same sequence of
-	// float operations — same temporaries, same order, each multiplication
-	// isolated so no FMA contraction is possible — which is what lets the
-	// equality test demand bit-for-bit agreement.
+	// parallelism, no saturation cap, no block skips), but transcribes the
+	// exact same sequence of float operations — same temporaries, same
+	// order, each multiplication isolated so no FMA contraction is
+	// possible — which is what lets the equality test demand bit-for-bit
+	// agreement.
 	for j := 1; j <= n; j++ {
 		// Age 0 per-interval fixed point: R_j = min_i [w + next + lostNum/se].
 		best := math.Inf(1)
@@ -158,21 +159,7 @@ func TestFlatDPMatchesReferenceExactly(t *testing.T) {
 	p := NewCheckpointPlanner(paperModel(), testDelta, testStep)
 	const jobLen = 2.5
 	n := int(math.Round(jobLen / testStep))
-	ref := refSolve(p, n)
-	tb := p.solve(jobLen)
-	if tb.nAges != ref.nAges || tb.delta != ref.delta {
-		t.Fatalf("grid mismatch: nAges %d vs %d, delta %d vs %d", tb.nAges, ref.nAges, tb.delta, ref.delta)
-	}
-	for j := 0; j <= n; j++ {
-		for a := 0; a < tb.nAges; a++ {
-			if got, want := tb.valueAt(j, a), ref.value[j][a]; got != want {
-				t.Fatalf("value(%d,%d) = %v, reference %v", j, a, got, want)
-			}
-			if got, want := tb.choiceAt(j, a), ref.choice[j][a]; got != want {
-				t.Fatalf("choice(%d,%d) = %d, reference %d", j, a, got, want)
-			}
-		}
-	}
+	requireTablesEqual(t, "paper", refSolve(p, n), p.solve(jobLen), n)
 }
 
 // TestFlatDPFigure8Quantities verifies the quantities the Figure 8 tables

@@ -11,10 +11,10 @@ import (
 	"repro/internal/dist"
 )
 
-// Equality gates for the solver's fast modes: the row-parallel solve, the
-// incremental table growth, and the pruned candidate loop must all produce
-// tables identical cell for cell (==, not within a tolerance) to the
-// serial, from-scratch, exhaustive solve. Shapes beyond the paper's fitted
+// Equality gates for the solver's structure: the row-parallel solve and the
+// incremental table growth must produce tables identical cell for cell
+// (==, not within a tolerance) to the serial, from-scratch, exhaustive
+// reference (refSolve in checkpoint_flat_test.go). Shapes beyond the paper's fitted
 // bathtub are covered by driving the bathtub family into its limiting
 // regimes: an infant-mortality-dominated (Weibull-like) shape and a
 // near-linear-CDF (uniform-like) shape.
@@ -32,9 +32,9 @@ func solverTestModels() map[string]*core.Model {
 	}
 }
 
-// requireTablesEqual compares two solved tables cell for cell over the
-// first n work rows.
-func requireTablesEqual(t *testing.T, label string, want, got *table, n int) {
+// requireTablesEqual compares a solved table with the exhaustive reference
+// cell for cell over the first n work rows.
+func requireTablesEqual(t *testing.T, label string, want *refTable, got *table, n int) {
 	t.Helper()
 	if want.nAges != got.nAges || want.delta != got.delta {
 		t.Fatalf("%s: grid mismatch: nAges %d vs %d, delta %d vs %d",
@@ -42,10 +42,10 @@ func requireTablesEqual(t *testing.T, label string, want, got *table, n int) {
 	}
 	for j := 0; j <= n; j++ {
 		for a := 0; a < want.nAges; a++ {
-			if w, g := want.valueAt(j, a), got.valueAt(j, a); w != g {
+			if w, g := want.value[j][a], got.valueAt(j, a); w != g {
 				t.Fatalf("%s: value(%d,%d) = %v, want %v", label, j, a, g, w)
 			}
-			if w, g := want.choiceAt(j, a), got.choiceAt(j, a); w != g {
+			if w, g := want.choice[j][a], got.choiceAt(j, a); w != g {
 				t.Fatalf("%s: choice(%d,%d) = %d, want %d", label, j, a, g, w)
 			}
 		}
@@ -53,8 +53,8 @@ func requireTablesEqual(t *testing.T, label string, want, got *table, n int) {
 }
 
 // TestParallelSolveByteIdentical pins the row-parallel solve to the serial
-// one at worker counts 1, 2, and max(GOMAXPROCS, 8): same table, bit for
-// bit, for every model shape.
+// reference at worker counts 1, 2, and max(GOMAXPROCS, 8): same table, bit
+// for bit, for every model shape.
 func TestParallelSolveByteIdentical(t *testing.T) {
 	const jobLen = 2.0
 	maxPar := runtime.GOMAXPROCS(0)
@@ -62,10 +62,8 @@ func TestParallelSolveByteIdentical(t *testing.T) {
 		maxPar = 8 // exercise more workers than cores; correctness is the point
 	}
 	for name, m := range solverTestModels() {
-		serial := NewCheckpointPlanner(m, testDelta, testStep)
-		serial.SetParallelism(1)
-		want := serial.solve(jobLen)
 		n := int(math.Round(jobLen / testStep))
+		want := refSolve(NewCheckpointPlanner(m, testDelta, testStep), n)
 		for _, par := range []int{1, 2, maxPar} {
 			p := NewCheckpointPlanner(m, testDelta, testStep)
 			p.SetParallelism(par)
@@ -77,27 +75,21 @@ func TestParallelSolveByteIdentical(t *testing.T) {
 
 // TestIncrementalGrowthMatchesScratch verifies that growing a cached table
 // (short job first, longer job after) yields exactly the table a
-// from-scratch solve of the longer job produces, serial and parallel, with
-// and without pruning.
+// from-scratch solve of the longer job produces, serial and parallel.
 func TestIncrementalGrowthMatchesScratch(t *testing.T) {
 	const shortLen, longLen = 0.75, 2.5
 	n := int(math.Round(longLen / testStep))
 	for name, m := range solverTestModels() {
-		scratch := NewCheckpointPlanner(m, testDelta, testStep)
-		scratch.SetParallelism(1)
-		want := scratch.solve(longLen)
+		want := refSolve(NewCheckpointPlanner(m, testDelta, testStep), n)
 		for _, tc := range []struct {
 			label string
 			par   int
-			prune bool
 		}{
-			{"grown-serial", 1, false},
-			{"grown-parallel", 4, false},
-			{"grown-pruned", 1, true},
+			{"grown-serial", 1},
+			{"grown-parallel", 4},
 		} {
 			p := NewCheckpointPlanner(m, testDelta, testStep)
 			p.SetParallelism(tc.par)
-			p.Prune = tc.prune
 			small := p.solve(shortLen)
 			got := p.solve(longLen)
 			if got == small {
@@ -110,32 +102,6 @@ func TestIncrementalGrowthMatchesScratch(t *testing.T) {
 			if st := p.Stats(); st.Solves != 2 {
 				t.Fatalf("%s/%s: %d solves recorded, want 2 (initial + growth)", name, tc.label, st.Solves)
 			}
-		}
-	}
-}
-
-// TestPrunedMatchesExhaustive gates the opt-in pruned candidate loop: for
-// every model shape and for checkpoint costs both below and above the step
-// (the latter exercises the jump to the write-free final candidate), the
-// pruned table equals the exhaustive one cell for cell.
-func TestPrunedMatchesExhaustive(t *testing.T) {
-	const jobLen = 2.0
-	n := int(math.Round(jobLen / testStep))
-	for name, m := range solverTestModels() {
-		for _, delta := range []float64{0, testDelta, 3 * testStep} {
-			exhaustive := NewCheckpointPlanner(m, delta, testStep)
-			exhaustive.SetParallelism(1)
-			want := exhaustive.solve(jobLen)
-			pruned := NewCheckpointPlanner(m, delta, testStep)
-			pruned.SetParallelism(1)
-			pruned.Prune = true
-			got := pruned.solve(jobLen)
-			requireTablesEqual(t, name+"/pruned", want, got, n)
-			// And the combination: pruned + parallel.
-			both := NewCheckpointPlanner(m, delta, testStep)
-			both.SetParallelism(4)
-			both.Prune = true
-			requireTablesEqual(t, name+"/pruned-parallel", want, both.solve(jobLen), n)
 		}
 	}
 }
@@ -157,7 +123,7 @@ func TestSolveSingleflightJoins(t *testing.T) {
 		t.Fatal("solve returned before the in-flight build finished")
 	case <-time.After(20 * time.Millisecond):
 	}
-	tb, _ := p.extend(nil, 100)
+	tb, _ := p.extend(nil, nil, 100)
 	f.tb = tb
 	close(f.done)
 	select {

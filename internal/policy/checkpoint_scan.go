@@ -2,11 +2,7 @@ package policy
 
 import "math"
 
-// This file holds the DP's innermost candidate-scan kernels. They are
-// generic over the value-table element type (tableVal): the float64
-// instantiation is the bit-exact reference layout that every equality gate
-// pins, the float32 instantiation is the cache-dense option behind
-// CheckpointPlanner.Float32 (property tests bound its divergence).
+// This file holds the DP's innermost candidate-scan kernels.
 //
 // The arithmetic is the division-free restructuring of Equations 9-13.
 // With sa = S(a), se = S(a+w), pfailAbs = sa-se, mom = M1(a+w)-M1(a) and
@@ -30,17 +26,13 @@ import "math"
 // argument in checkpoint_coarse.go, which relies on per-operation rounding
 // monotonicity).
 
-// tableVal constrains the DP value-table element type.
-type tableVal interface {
-	~float32 | ~float64
-}
-
 // scanCell evaluates candidate first intervals i = 1..hi for state (j, a)
 // with a > 0, given the row's restart value rj, and returns the first
-// minimizer. tail additionally evaluates the write-free final candidate
-// i=j after the capped loop (see pruneBound); the exhaustive scan is
-// hi=j, tail=false.
-func scanCell[F tableVal](tb *table, value []F, j, a, hi int, tail bool, rj float64) (float64, int) {
+// minimizer. hi and tail are the saturation cap from pruneBound: tail
+// additionally evaluates the write-free final candidate i=j after the
+// capped loop. scanCell is the unguided scan, used when no coarse guide
+// exists and by the guide's own solve.
+func scanCell(tb *table, j, a, hi int, tail bool, rj float64) (float64, int) {
 	sa := tb.surv[a]
 	if sa <= 0 {
 		// VM certainly dead at this age: every candidate fails immediately
@@ -50,6 +42,7 @@ func scanCell[F tableVal](tb *table, value []F, j, a, hi int, tail bool, rj floa
 	invSa := 1 / sa
 	m1a := tb.m1[a]
 	t := float64(a) * tb.step
+	value := tb.value
 	nAges := tb.nAges
 	step := tb.step
 	delta := tb.delta
@@ -82,7 +75,7 @@ func scanCell[F tableVal](tb *table, value []F, j, a, hi int, tail bool, rj floa
 			if na >= nAges {
 				na = nAges - 1
 			}
-			next = float64(value[(j-i)*nAges+na])
+			next = value[(j-i)*nAges+na]
 		}
 		ws := float64(w) * step
 		x := ws + next
@@ -134,7 +127,7 @@ func scanCell[F tableVal](tb *table, value []F, j, a, hi int, tail bool, rj floa
 // by the coarse-to-fine pass to seed its skip bound with a hint
 // candidate's exact value (admissibility requires the bound to be a value
 // the scan itself could produce).
-func evalCell[F tableVal](tb *table, value []F, j, a, i int, sa, invSa, m1a, t, rj float64) float64 {
+func evalCell(tb *table, j, a, i int, sa, invSa, m1a, t, rj float64) float64 {
 	nAges := tb.nAges
 	w := i
 	if i < j {
@@ -162,7 +155,7 @@ func evalCell[F tableVal](tb *table, value []F, j, a, i int, sa, invSa, m1a, t, 
 		if na >= nAges {
 			na = nAges - 1
 		}
-		next = float64(value[(j-i)*nAges+na])
+		next = tb.value[(j-i)*nAges+na]
 	}
 	ws := float64(w) * tb.step
 	x := ws + next
@@ -179,12 +172,13 @@ func evalCell[F tableVal](tb *table, value []F, j, a, i int, sa, invSa, m1a, t, 
 // with lostNum = max(M1(w) - M1(0), 0) — the division-free form of
 // (Pfail/Psucc)*E[lost] at t=0. hi and tail are the pruneBound cap, as in
 // scanCell.
-func scanAge0[F tableVal](tb *table, value []F, j, hi int, tail bool) (float64, int) {
+func scanAge0(tb *table, j, hi int, tail bool) (float64, int) {
 	sa := tb.surv[0]
 	if sa <= 0 {
 		panic("policy: checkpoint DP has no feasible segment from age 0")
 	}
 	m1a := tb.m1[0]
+	value := tb.value
 	nAges := tb.nAges
 	step := tb.step
 	delta := tb.delta
@@ -214,7 +208,7 @@ func scanAge0[F tableVal](tb *table, value []F, j, hi int, tail bool) (float64, 
 			if na >= nAges {
 				na = nAges - 1
 			}
-			next = float64(value[(j-i)*nAges+na])
+			next = value[(j-i)*nAges+na]
 		}
 		ws := float64(w) * step
 		x := ws + next
@@ -258,62 +252,35 @@ func scanAge0[F tableVal](tb *table, value []F, j, hi int, tail bool) (float64, 
 	return best, bestI
 }
 
-// cellAge0 dispatches the age-0 solve over the table's value layout,
-// stores the choice, and returns the restart value R_j (unrounded — the
-// rest of the row consumes it at full precision even in float32 layout).
-func (p *CheckpointPlanner) cellAge0(tb *table, j int) float64 {
-	hi, tail := j, false
-	if p.Prune {
-		hi, tail = tb.pruneBound(0, j)
-	}
-	var rj float64
-	var c int
-	if tb.value32 != nil {
-		rj, c = scanAge0(tb, tb.value32, j, hi, tail)
-	} else {
-		rj, c = scanAge0(tb, tb.value, j, hi, tail)
-	}
-	tb.choice[j*tb.nAges] = int32(c)
+// solveAge0 solves row j's age-0 cell under the saturation cap, stores it,
+// and returns the restart value R_j the rest of the row consumes.
+func (tb *table) solveAge0(j int) float64 {
+	hi, tail := tb.pruneBound(0, j)
+	rj, c := scanAge0(tb, j, hi, tail)
+	row := j * tb.nAges
+	tb.value[row] = rj
+	tb.choice[row] = int32(c)
 	return rj
 }
 
-// solveAgeRange fills row j's cells for ages [aLo, aHi), dispatching over
-// the value layout once per range, not per cell.
-func (p *CheckpointPlanner) solveAgeRange(tb *table, g *dpGuide, j int, rj float64, aLo, aHi int) {
-	if tb.value32 != nil {
-		solveAges(p, tb, tb.value32, g, j, rj, aLo, aHi)
-	} else {
-		solveAges(p, tb, tb.value, g, j, rj, aLo, aHi)
-	}
-}
-
-func solveAges[F tableVal](p *CheckpointPlanner, tb *table, value []F, g *dpGuide, j int, rj float64, aLo, aHi int) {
+// solveAges fills row j's cells for ages [aLo, aHi) under the saturation
+// cap, with the guided kernel when the solve has a coarse guide and the
+// plain scan otherwise. The previous age's winner seeds the next guided
+// cell's skip bound.
+func (tb *table) solveAges(g *dpGuide, j int, rj float64, aLo, aHi int) {
 	row := j * tb.nAges
-	switch {
-	case g != nil:
-		prevI := 0
-		for a := aLo; a < aHi; a++ {
-			hi, tail := j, false
-			if p.Prune {
-				hi, tail = tb.pruneBound(a, j)
-			}
-			v, c := scanCellGuided(tb, value, g, j, a, hi, tail, prevI, rj)
-			value[row+a] = F(v)
-			tb.choice[row+a] = int32(c)
+	prevI := 0
+	for a := aLo; a < aHi; a++ {
+		hi, tail := tb.pruneBound(a, j)
+		var v float64
+		var c int
+		if g != nil {
+			v, c = scanCellGuided(tb, g, j, a, hi, tail, prevI, rj)
 			prevI = c
+		} else {
+			v, c = scanCell(tb, j, a, hi, tail, rj)
 		}
-	case p.Prune:
-		for a := aLo; a < aHi; a++ {
-			hi, tail := tb.pruneBound(a, j)
-			v, c := scanCell(tb, value, j, a, hi, tail, rj)
-			value[row+a] = F(v)
-			tb.choice[row+a] = int32(c)
-		}
-	default:
-		for a := aLo; a < aHi; a++ {
-			v, c := scanCell(tb, value, j, a, j, false, rj)
-			value[row+a] = F(v)
-			tb.choice[row+a] = int32(c)
-		}
+		tb.value[row+a] = v
+		tb.choice[row+a] = int32(c)
 	}
 }

@@ -46,26 +46,26 @@
 // pins grown == scratch cell for cell). Published tables are never
 // mutated — growth builds a fresh struct — so readers race with nothing.
 //
-// # When pruning is safe
+// # The saturation cap
 //
-// The opt-in Prune mode caps each cell's candidate scan at the grid's
-// saturation index: the first age point whose survival is exactly zero.
-// Exactness rests on a property of the normalized bathtub grid: survival
-// reaches exact zero only at deadline-clamped grid points (t = L), where
-// the survival and partial-moment arrays are computed from the same
-// clamped time and are therefore bitwise constant. Every checkpointed
-// candidate whose window reaches saturation thus evaluates to exactly
-// E[lost]+R_j — the same bits — and since the exhaustive loop keeps the
-// first minimizer, scanning one saturated candidate and skipping its
-// equal-valued successors changes nothing (TestPrunedMatchesExhaustive
-// gates this cell for cell across bathtub, Weibull-like, and
-// uniform-like shapes, including Delta > Step, which is why the
-// write-free final candidate i=j is always examined separately — its
-// window can be shorter than a checkpointed one). The cut is a per-cell
-// loop bound with no per-candidate checks: for jobs short relative to
-// the deadline it is within noise of the exhaustive loop, and it pays
-// off (~26% on a 20-hour job) when job length approaches the deadline
-// grid. The exhaustive loop remains the default and the reference.
+// Every cell's candidate scan is capped at the grid's saturated suffix:
+// the first age index from which survival is exactly zero and the first
+// partial moment bitwise constant through the end of the grid. On the
+// normalized bathtub grid survival reaches exact zero only at
+// deadline-clamped grid points (t = L), where both arrays are computed
+// from the same clamped time. Every checkpointed candidate whose window
+// reaches the suffix thus evaluates to exactly E[lost]+R_j — the same
+// bits — and since the exhaustive recurrence keeps the first minimizer,
+// scanning one saturated candidate and skipping its equal-valued
+// successors changes nothing. The write-free final candidate i=j is always
+// examined separately, because with Delta > Step its window can be
+// shorter than a checkpointed one. A bathtub whose raw CDF exceeds 1
+// before the deadline keeps the clamped survival positive everywhere; such
+// a grid has no saturated suffix and no cap (windows clamped at the grid's
+// end share survival but not their continuation values). The cap is a
+// per-cell loop bound with no per-candidate checks: for jobs short
+// relative to the deadline it costs nothing, and it pays off when job
+// length approaches the deadline grid (BenchmarkDPSolveLong).
 //
 // # Cold-miss dedup (singleflight)
 //
@@ -81,45 +81,30 @@
 //
 // # Coarse-to-fine candidate elimination (exact)
 //
-// The CoarseFine mode attacks the O(n^2 * nAges) candidate scan itself.
-// Each cell minimizes over first-interval candidates i, whose cost is
-// monotone in two precomputed per-age arrays (survival and the first
-// partial moment). Before scanning a block of skipBlock=16 consecutive
-// candidates one by one, the solver evaluates an admissible lower bound
-// for the whole block from windowed extrema of those arrays (min/max over
-// each 16-candidate window, built once per table next to the arrays
-// themselves). Blocks whose bound cannot beat the incumbent are skipped
-// without touching their cells; blocks that might win fall through to the
-// exact per-candidate loop. The bound is computed from the same float64
-// values the exact scan reads, and a skipped block is skipped only when
-// the bound proves every candidate in it is >= the incumbent, so the
-// selected minimizer — and therefore the table — is cell-for-cell
-// identical to the exhaustive scan (TestCoarseFineMatchesExhaustive and
-// the admissibility property test gate this across model shapes). At the
-// experiments' default grid the pass roughly halves the cold solve
-// (BenchmarkDPSolveCoarseFine vs BenchmarkDPSolve); the shared planner
-// cache enables it on every planner it builds.
-//
-// # Float32 table layout (opt-in, approximate)
-//
-// CheckpointPlanner.Float32 stores the solved value table as float32 in a
-// single flat structure-of-arrays slab instead of per-row float64 slices,
-// halving table memory and making row scans cache-dense. Candidate
-// arithmetic still runs in float64; only the stored cells are rounded, so
-// values drift from the exact table by no more than a few ULPs of
-// float32 (~1e-7 relative; the divergence property test bounds it). Use
-// it for memory-pressed sweeps over many models, not for the defaults —
-// the reference table is exact float64 and schedules derived from it are
-// the baseline every equality test pins.
-//
-// # CoarseStep preview (opt-in, approximate)
-//
-// CheckpointPlanner.CoarseStep solves the DP on a coarser time grid (an
-// integer multiple of Step), shrinking both n and nAges — a quadratic
-// latency win — and rounds work up to whole coarse steps, so the
-// previewed expected makespan upper-bounds the fine-grid plan. It exists
-// for interactive estimate endpoints that want a bound in microseconds,
-// never for the schedules jobs actually run against.
+// The same scan also attacks the O(n^2 * nAges) candidate loop itself.
+// Before each build, a guide solve at 4x the step resolution (unguided,
+// with only the saturation cap, so guides never recurse) suggests a
+// first interval for every cell; with the previous age's winner and an
+// optional warm-start neighbor's choice, these hints seed each cell's
+// incumbent with an exactly evaluated candidate value. Each cell
+// minimizes over first-interval candidates i, whose cost is monotone in
+// two precomputed per-age arrays (survival and the first partial moment).
+// Before scanning a block of skipBlock=16 consecutive candidates one by
+// one, the solver evaluates an admissible lower bound for the whole block
+// from windowed extrema of those arrays (min/max over each 16-candidate
+// window, built once per solve) and from the minima of the continuation
+// rows. Blocks whose bound exceeds the incumbent are skipped without
+// touching their cells; blocks that might win fall through to the exact
+// per-candidate loop. A block is skipped only when the bound proves every
+// candidate in it is strictly worse than a value the scan itself
+// produced, so the selected minimizer — and therefore the table — is
+// cell-for-cell identical to the exhaustive recurrence. The tests keep
+// that recurrence as a naive reference solver and gate the production
+// table against it bit for bit across model shapes, checkpoint costs,
+// worker counts, incremental growth, and warm starts
+// (TestCoarseFineMatchesExhaustive and FuzzCheckpointDPMatchesReference).
+// Grids too coarse to refine (a guide step past the deadline, or fewer
+// than four work steps) run the capped scan alone.
 //
 // # Cross-model warm starts
 //
@@ -134,6 +119,9 @@
 // uses its cost as the starting incumbent, which makes the coarse-to-fine
 // block bounds eliminate nearly everything when the hint is right. Hints
 // only seed incumbents — every candidate a bound cannot exclude is still
-// scanned — so warm-started tables remain exact. PlannerWarmSeeds /
-// SolveStats.WarmStarts count lends and seeded builds.
+// scanned — so warm-started tables remain exact. Only a planner's first
+// build takes the neighbor's hints; it then drops the reference, so a
+// chain of warm-seeded planners never keeps LRU-evicted neighbors (and
+// their tables) reachable. PlannerWarmSeeds / SolveStats.WarmStarts count
+// lends and seeded builds.
 package policy

@@ -97,36 +97,12 @@ func (e *FixedIntervalEvaluator) solve(jobLen float64) *fixedTable {
 }
 
 func (e *FixedIntervalEvaluator) solveN(n int) *fixedTable {
-	m := e.Model
-	l := m.Deadline()
-	step := e.Step
-	nAges := int(math.Ceil(l/step)) + 1
-	deltaSteps := int(math.Ceil(e.Delta/step - 1e-12))
-	if e.Delta == 0 {
-		deltaSteps = 0
-	}
+	tb := newTable(e.Model, e.Delta, e.Step, n)
+	nAges, step := tb.nAges, tb.step
 	ivSteps := int(math.Round(e.Interval / step))
 	if ivSteps < 1 {
 		ivSteps = 1
 	}
-
-	tb := &table{
-		step:  step,
-		delta: deltaSteps,
-		nAges: nAges,
-		nWork: n,
-		surv:  make([]float64, nAges+1),
-		m1:    make([]float64, nAges+1),
-	}
-	bt := m.Bathtub()
-	norm := bt.Raw(l)
-	for a := 0; a <= nAges; a++ {
-		t := math.Min(float64(a)*step, l)
-		tb.surv[a] = 1 - math.Min(bt.CDF(t)/norm, 1)
-		tb.m1[a] = bt.PartialMoment(t) / norm
-	}
-	tb.value = make([]float64, (n+1)*nAges)
-	tb.choice = make([]int32, (n+1)*nAges)
 
 	for j := 1; j <= n; j++ {
 		i := ivSteps

@@ -25,8 +25,8 @@
 # regression no matter what hardware recorded the baselines.
 #
 # Three benchmark groups run:
-#   - micro (root package): sampling, DP solve (serial / parallel / pruned /
-#     incremental), Monte Carlo kernels, and the online model registry
+#   - micro (root package): sampling, DP solve (serial / parallel / long
+#     job / incremental), Monte Carlo kernels, and the online model registry
 #     (observation ingest into a hot drift detector, model_ref resolution)
 #   - service (internal/serve): end-to-end sessions/sec through the
 #     multi-session manager at parallelism 1 vs GOMAXPROCS, the same

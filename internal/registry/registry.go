@@ -503,10 +503,10 @@ func (r *Registry) Refit(name, fittedAt, source string, commit func(Version) err
 		r.mu.Unlock()
 		return Version{}, fmt.Errorf("%w: model %q has no flagged change point", ErrNotReady, name)
 	}
-	if len(e.refitBuf) < e.cfg.MinRefitSamples {
+	if n := len(e.refitBuf); n < e.cfg.MinRefitSamples {
 		r.mu.Unlock()
 		return Version{}, fmt.Errorf("%w: model %q has %d post-flag observations, needs %d",
-			ErrNotReady, name, len(e.refitBuf), e.cfg.MinRefitSamples)
+			ErrNotReady, name, n, e.cfg.MinRefitSamples)
 	}
 	e.refitting = true
 	samples := append([]float64(nil), e.refitBuf...)

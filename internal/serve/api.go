@@ -152,6 +152,18 @@ func (a *API) session(w http.ResponseWriter, r *http.Request) *Session {
 	return s
 }
 
+// homed resolves the {id} path value for a handler whose next call goes to
+// the session's home shard anyway: a remote proxy the router already holds
+// is taken without a round trip, and the shard's answer to that next call
+// (404 for a session deleted behind the router, 409, 503, ...) is the
+// verdict, passed through unchanged. Anything else resolves through Get.
+func (a *API) homed(w http.ResponseWriter, r *http.Request) *Session {
+	if s := a.b.remoteProxy(r.PathValue("id")); s != nil {
+		return s
+	}
+	return a.session(w, r)
+}
+
 // createRequest is the POST /api/sessions body.
 type createRequest struct {
 	Name   string        `json:"name,omitempty"`
@@ -169,14 +181,14 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, httpCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.Status())
+	writeJSON(w, http.StatusCreated, s.knownStatus())
 }
 
 func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 	sessions, shardErrs := a.b.ListPartial()
 	out := listResponse{Sessions: []SessionStatus{}}
 	for _, s := range sessions {
-		out.Sessions = append(out.Sessions, s.Status())
+		out.Sessions = append(out.Sessions, s.knownStatus())
 	}
 	if len(shardErrs) > 0 {
 		// Partial-results contract: the reachable shards' sessions still
@@ -189,7 +201,7 @@ func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (a *API) handleGet(w http.ResponseWriter, r *http.Request) {
 	if s := a.session(w, r); s != nil {
-		writeJSON(w, http.StatusOK, s.Status())
+		writeJSON(w, http.StatusOK, s.knownStatus())
 	}
 }
 
@@ -202,7 +214,7 @@ func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
-	s := a.session(w, r)
+	s := a.homed(w, r)
 	if s == nil {
 		return
 	}
@@ -223,7 +235,7 @@ func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s := a.session(w, r)
+	s := a.homed(w, r)
 	if s == nil {
 		return
 	}
@@ -246,7 +258,7 @@ func (a *API) handleEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
-	s := a.session(w, r)
+	s := a.homed(w, r)
 	if s == nil {
 		return
 	}
@@ -261,7 +273,7 @@ func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleReport(w http.ResponseWriter, r *http.Request) {
-	s := a.session(w, r)
+	s := a.homed(w, r)
 	if s == nil {
 		return
 	}
@@ -274,7 +286,7 @@ func (a *API) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
-	s := a.session(w, r)
+	s := a.homed(w, r)
 	if s == nil {
 		return
 	}
@@ -287,7 +299,7 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleVMs(w http.ResponseWriter, r *http.Request) {
-	s := a.session(w, r)
+	s := a.homed(w, r)
 	if s == nil {
 		return
 	}

@@ -144,6 +144,24 @@
 // under injected faults via internal/faultnet, the network seam mirroring
 // internal/faultfs.
 //
+// Every edge request on a remote-homed session costs exactly one shard
+// round trip. The RemoteBackend caches a proxy per session it has seen, so
+// handlers whose next call goes to the home shard anyway (bags, estimate,
+// run, cancel, report, jobs, vms, events) resolve the session without a
+// fetch; the shard's answer to the real call — a 404 for a session deleted
+// behind the router, a 409, a 503 — is the verdict, passed through
+// unchanged. Only a cache miss pays a Get first. Responses reuse what the
+// shard already sent: a create answers with the create response's status,
+// GET /api/sessions/{id} with Get's, a cancel with the cancel response's,
+// a listing with the listed statuses. GET /api/sessions/{id}/events relays
+// the shard's own SSE stream — status code, headers and body, flushed
+// frame by frame — folding its state frames into the proxy cache; the
+// connect is an idempotent read under the breaker and retry policy, and an
+// unreachable shard gets the same 503 + Retry-After as a failed Get. The
+// relay forwards X-Trace-Id and records one client-side remote span, like
+// every other shard call. Session.Done on a proxy (sweeps, Wait) still
+// long-polls /shard/sessions/{id}/wait; Subscribe is local-only.
+//
 // In distributed mode (`batchsvc -distribute`), a Supervisor owns the
 // shard subprocesses: it spawns them, health-checks each with periodic
 // pings, SIGKILLs and respawns (with linear backoff) any that exit or stop

@@ -18,13 +18,10 @@ import (
 // channel (buffer 1, latest-wins) receives a batch.Progress per published
 // snapshot; the returned func unsubscribes (it is idempotent and must be
 // called to release the subscription). Waiting on Done alongside the
-// channel tells the consumer when the stream is over.
+// channel tells the consumer when the stream is over. Subscribe is for
+// sessions in this process: a remote proxy's stream is the shard's own,
+// relayed by the events endpoint.
 func (s *Session) Subscribe() (<-chan batch.Progress, func()) {
-	if s.remote != nil {
-		// A proxy subscribes by opening the shard's own SSE stream and
-		// relaying its frames with the same latest-wins semantics.
-		return s.remote.subscribe()
-	}
 	ch := make(chan batch.Progress, 1)
 	s.mu.Lock()
 	if s.subs == nil {
@@ -81,10 +78,15 @@ func writeSSE(w http.ResponseWriter, event string, v any) error {
 // `progress` event per published snapshot while the simulation runs, and
 // finally a closing `state` event once the session reaches a terminal state
 // (immediately, for sessions already terminal). Disconnecting the request
-// tears the subscription down.
+// tears the subscription down. A session homed on a remote shard gets the
+// shard's own stream, relayed frame by frame.
 func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s := a.session(w, r)
+	s := a.homed(w, r)
 	if s == nil {
+		return
+	}
+	if s.remote != nil {
+		s.remote.relayEvents(w, r)
 		return
 	}
 	rc := http.NewResponseController(w)
@@ -140,8 +142,10 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// Resolve the session before cancelling: a concurrent DELETE could
 	// remove it from the manager right after Cancel succeeds, and a 404
-	// then would misreport a cancel that actually took effect.
-	s := a.session(w, r)
+	// then would misreport a cancel that actually took effect. A remote
+	// Cancel folds the shard's answer into the proxy, so knownStatus is
+	// the shard's own response.
+	s := a.homed(w, r)
 	if s == nil {
 		return
 	}
@@ -149,5 +153,5 @@ func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, httpCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Status())
+	writeJSON(w, http.StatusOK, s.knownStatus())
 }

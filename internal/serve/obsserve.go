@@ -89,7 +89,7 @@ func newShardObs(shard int) *shardObs {
 	}}
 	for _, pol := range []string{PolicyReuse, PolicyMemoryless, PolicyOnDemand} {
 		so.met.scenarios[pol] = reg.Counter("batchsvc_scenario_sessions_total",
-			"Sessions created by scheduling policy: spot scenarios (reuse, memoryless) vs constrained on-demand.",
+			"Sessions created, by scheduling policy: reuse and memoryless run on constrained-preemption (preemptible) VMs; on-demand is the non-preemptible baseline.",
 			"shard", label, "policy", pol)
 	}
 	for _, st := range []State{StateDone, StateFailed, StateCancelled} {

@@ -166,11 +166,9 @@ func (rb *RemoteBackend) do(ctx context.Context, method, path string, in, out an
 
 // doTimeout issues method path with a JSON body (in, nil for none),
 // decoding a 2xx response into out (nil to discard). Each attempt runs
-// under its own deadline and must pass the circuit breaker; transport
-// failures count against the breaker and — for idempotent operations —
-// are retried with exponential backoff and jitter. An HTTP error status is
-// a shard-made decision, not a transport failure: it is returned as an
-// apiError with the shard's code and never retried.
+// under its own deadline (see retry for the breaker and retry policy). An
+// HTTP error status is a shard-made decision, not a transport failure: it
+// is returned as an apiError with the shard's code and never retried.
 func (rb *RemoteBackend) doTimeout(ctx context.Context, method, path string, in, out any, idempotent bool, timeout time.Duration) error {
 	if tid := obs.TraceID(ctx); tid != "" {
 		// One client-side span per logical call (retries included), so the
@@ -185,6 +183,16 @@ func (rb *RemoteBackend) doTimeout(ctx context.Context, method, path string, in,
 		}
 		body = raw
 	}
+	return rb.retry(ctx, idempotent, func() error {
+		return rb.attempt(ctx, method, path, body, out, timeout)
+	})
+}
+
+// retry runs one logical call's attempts. Each must pass the circuit
+// breaker; transport failures (errors wrapping ErrShardUnavailable) are
+// retried with exponential backoff and jitter when the call is idempotent,
+// and any other error — the shard's own answer — ends the call at once.
+func (rb *RemoteBackend) retry(ctx context.Context, idempotent bool, attempt func() error) error {
 	attempts := 1
 	if idempotent {
 		// Retries < 0 (an explicit "no retries" in tests) clamps to one
@@ -192,12 +200,12 @@ func (rb *RemoteBackend) doTimeout(ctx context.Context, method, path string, in,
 		attempts = max(1, 1+rb.opts.Retries)
 	}
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
+	for i := 0; i < attempts; i++ {
+		if i > 0 {
 			rb.retries.Inc()
-			// Exponential backoff with jitter: base*2^(attempt-1) plus up to
-			// half of itself again, so a thundering herd of retries spreads.
-			d := rb.opts.RetryBase << (attempt - 1)
+			// Exponential backoff with jitter: base*2^(i-1) plus up to half
+			// of itself again, so a thundering herd of retries spreads.
+			d := rb.opts.RetryBase << (i - 1)
 			d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 			select {
 			case <-time.After(d):
@@ -209,7 +217,7 @@ func (rb *RemoteBackend) doTimeout(ctx context.Context, method, path string, in,
 			lastErr = fmt.Errorf("shard %s: circuit breaker open: %w", rb.base, ErrShardUnavailable)
 			continue
 		}
-		err := rb.attempt(ctx, method, path, body, out, timeout)
+		err := attempt()
 		if err == nil {
 			return nil
 		}
@@ -229,35 +237,15 @@ func (rb *RemoteBackend) doTimeout(ctx context.Context, method, path string, in,
 	return shardUnavailable(lastErr)
 }
 
-// attempt is one transport exchange under its own deadline. It reports the
-// outcome to the circuit breaker.
+// attempt is one unary exchange under its own deadline.
 func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body []byte, out any, timeout time.Duration) error {
 	opCtx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	var reader *bytes.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	} else {
-		reader = bytes.NewReader(nil)
-	}
-	req, err := http.NewRequestWithContext(opCtx, method, rb.base+path, reader)
+	resp, err := rb.send(opCtx, method, path, body)
 	if err != nil {
-		return errf(http.StatusInternalServerError, "building %s %s: %v", method, path, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if tid := obs.TraceID(opCtx); tid != "" {
-		req.Header.Set(obs.TraceHeader, tid)
-	}
-	resp, err := rb.client.Do(req)
-	if err != nil {
-		rb.breaker.failure()
-		return fmt.Errorf("shard %s: %s %s: %v: %w", rb.base, method, path, err, ErrShardUnavailable)
+		return err
 	}
 	defer resp.Body.Close()
-	// Any HTTP status is a live shard: the transport worked.
-	rb.breaker.success()
 	if resp.StatusCode >= 400 {
 		var eb errorBody
 		msg := resp.Status
@@ -277,6 +265,29 @@ func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body 
 		}
 	}
 	return nil
+}
+
+// send issues one request, forwarding the trace ID, and reports the
+// transport outcome to the circuit breaker: any HTTP status is a live
+// shard.
+func (rb *RemoteBackend) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, rb.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, errf(http.StatusInternalServerError, "building %s %s: %v", method, path, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if tid := obs.TraceID(ctx); tid != "" {
+		req.Header.Set(obs.TraceHeader, tid)
+	}
+	resp, err := rb.client.Do(req)
+	if err != nil {
+		rb.breaker.failure()
+		return nil, fmt.Errorf("shard %s: %s %s: %v: %w", rb.base, method, path, err, ErrShardUnavailable)
+	}
+	rb.breaker.success()
+	return resp, nil
 }
 
 // proxy returns the cached session proxy for st.ID, creating it on first
@@ -307,6 +318,16 @@ func (rb *RemoteBackend) forget(id string) {
 	if s != nil {
 		s.remote.markDone()
 	}
+}
+
+// remoteProxy returns the proxy for a session this backend has already
+// seen (created, fetched or listed through it, and not deleted through
+// it); nil otherwise. The shard stays the authority: a session deleted
+// behind the proxy answers every call with the shard's own 404.
+func (rb *RemoteBackend) remoteProxy(id string) *Session {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	return rb.sessions[id]
 }
 
 // Create builds a session on the shard (the shard mints the id).
@@ -391,9 +412,18 @@ func (rb *RemoteBackend) Delete(id string) error {
 	return nil
 }
 
-// Cancel aborts a running session on the shard.
+// Cancel aborts a running session on the shard and folds the shard's
+// answer — the session's status once the run has stopped — into the
+// cached proxy.
 func (rb *RemoteBackend) Cancel(id string) error {
-	return rb.do(context.Background(), http.MethodPost, "/api/sessions/"+id+"/cancel", nil, nil, false)
+	var st SessionStatus
+	if err := rb.do(context.Background(), http.MethodPost, "/api/sessions/"+id+"/cancel", nil, &st, false); err != nil {
+		return err
+	}
+	if s := rb.remoteProxy(id); s != nil {
+		s.remote.update(st)
+	}
+	return nil
 }
 
 // Run starts the session on the shard's worker pool.
@@ -539,10 +569,11 @@ func (rb *RemoteBackend) statsPayload() map[string]any {
 }
 
 // remoteSession is the state behind a remote session proxy: the last
-// status observed from the shard and a locally-managed done channel fed by
-// a lazy long-poll watcher. Terminal statuses are cached forever — a
-// finished session's state cannot change, so proxies serve it without
-// another round trip.
+// status observed from the shard and a locally-managed done channel, closed
+// by the first terminal status seen (in any response, the events relay's
+// closing frame included) or by a lazy long-poll watcher. Terminal
+// statuses are cached forever — a finished session's state cannot change,
+// so proxies serve it without another round trip.
 type remoteSession struct {
 	rb *RemoteBackend
 	id string
@@ -578,14 +609,19 @@ func (p *remoteSession) markDone() {
 	p.mu.Unlock()
 }
 
+// known returns the status the shard last sent.
+func (p *remoteSession) known() SessionStatus {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.last
+}
+
 // status returns the session's current status: the cached copy for
 // terminal sessions, a fresh fetch otherwise — falling back to the cache
 // when the shard is unreachable, so Status (which cannot return an error)
 // degrades to last-known rather than fabricating state.
 func (p *remoteSession) status() SessionStatus {
-	p.mu.Lock()
-	last := p.last
-	p.mu.Unlock()
+	last := p.known()
 	if last.State.terminal() {
 		return last
 	}
@@ -718,65 +754,77 @@ func (p *remoteSession) watch() {
 	}
 }
 
-// subscribe opens the shard's SSE stream for this session and adapts it to
-// the local subscription shape (buffer-1 latest-wins channel, unsubscribe
-// func). The stream bypasses the breaker — it is a long-lived connection,
-// not a unary call — and a failed stream simply ends the subscription, as
-// a disconnected local subscriber would.
-func (p *remoteSession) subscribe() (<-chan batch.Progress, func()) {
-	ch := make(chan batch.Progress, 1)
-	p.mu.Lock()
-	if pr := p.last.Progress; pr != nil {
-		ch <- *pr
+// relayEvents serves GET /api/sessions/{id}/events for this session by
+// relaying the shard's own SSE stream: status code, headers and body pass
+// through unchanged, flushed frame by frame, so the client reads exactly
+// what the shard wrote — a shard-side 404 or 503 included. The relay folds
+// each `state` frame into the proxy cache; the closing one marks the proxy
+// done without a watcher. Connecting is an idempotent read (breaker and
+// retries apply), and its deadline covers only the wait for the response
+// headers: the stream lasts as long as the client stays. A shard that
+// cannot be reached gets the same 503 + Retry-After a failed Get gives.
+func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
+	rb := p.rb
+	ctx := r.Context()
+	path := "/api/sessions/" + p.id + "/events"
+	if tid := obs.TraceID(ctx); tid != "" {
+		defer obs.DefaultTracer().Span(tid, "remote", http.MethodGet+" "+path, rb.shard, "")()
 	}
-	p.mu.Unlock()
-	ctx, cancel := context.WithCancel(context.Background())
-	go p.stream(ctx, ch)
-	return ch, cancel
-}
-
-// stream reads SSE frames from the shard and fans progress into ch.
-func (p *remoteSession) stream(ctx context.Context, ch chan batch.Progress) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.rb.base+"/api/sessions/"+p.id+"/events", nil)
+	var resp *http.Response
+	stop := func() {}
+	err := rb.retry(ctx, true, func() error {
+		streamCtx, cancel := context.WithCancel(ctx)
+		timer := time.AfterFunc(rb.opts.OpTimeout, cancel)
+		res, err := rb.send(streamCtx, http.MethodGet, path, nil)
+		if err == nil && !timer.Stop() {
+			// The deadline fired as the headers arrived; the stream is dead.
+			res.Body.Close()
+			err = fmt.Errorf("shard %s: GET %s: no response within %v: %w", rb.base, path, rb.opts.OpTimeout, ErrShardUnavailable)
+		}
+		if err != nil {
+			cancel()
+			return err
+		}
+		resp, stop = res, cancel
+		return nil
+	})
 	if err != nil {
+		writeErr(w, httpCode(err), err)
 		return
 	}
-	resp, err := p.rb.client.Do(req)
-	if err != nil {
-		return
-	}
+	defer stop()
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
+
+	for k, v := range resp.Header {
+		w.Header()[k] = v
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	w.WriteHeader(resp.StatusCode)
+	rc := http.NewResponseController(w)
+	br := bufio.NewReader(resp.Body)
 	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := []byte(strings.TrimPrefix(line, "data: "))
-			switch event {
-			case "progress":
-				var prog batch.Progress
-				if json.Unmarshal(data, &prog) == nil {
-					offerLatest(ch, prog)
-				}
-			case "state":
+	for {
+		line, err := br.ReadBytes('\n')
+		if len(line) > 0 {
+			if _, werr := w.Write(line); werr != nil {
+				return
+			}
+			switch {
+			case bytes.HasPrefix(line, []byte("event: ")):
+				event = string(bytes.TrimSpace(line[len("event: "):]))
+			case event == "state" && bytes.HasPrefix(line, []byte("data: ")):
 				var st SessionStatus
-				if json.Unmarshal(data, &st) == nil {
-					if st.Progress != nil {
-						offerLatest(ch, *st.Progress)
-					}
+				if json.Unmarshal(line[len("data: "):], &st) == nil {
 					p.update(st)
-					if st.State.terminal() {
-						return
-					}
+				}
+			case len(bytes.TrimSpace(line)) == 0:
+				// A blank line ends a frame: deliver it now.
+				if rc.Flush() != nil {
+					return
 				}
 			}
+		}
+		if err != nil {
+			return
 		}
 	}
 }

@@ -44,6 +44,10 @@ type Backend interface {
 	Wait()
 	Close()
 	statsPayload() map[string]any
+	// remoteProxy returns the cached proxy of a session homed on a remote
+	// shard, without a round trip; nil when the home shard is local or the
+	// proxy is not cached (callers then resolve through Get).
+	remoteProxy(id string) *Session
 }
 
 var (
@@ -63,6 +67,9 @@ func (m *Manager) Trace(id string) []obs.Span {
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 	return spans
 }
+
+// remoteProxy on a single Manager is always nil: every session is local.
+func (m *Manager) remoteProxy(string) *Session { return nil }
 
 // listSessions adapts List to the shard-slot shape.
 func (m *Manager) listSessions() ([]*Session, error) { return m.List(), nil }
@@ -423,6 +430,15 @@ func (r *Router) CreateCtx(ctx context.Context, name string, cfg SessionConfig) 
 
 // Get resolves a session on its home shard.
 func (r *Router) Get(id string) (*Session, error) { return r.shardFor(id).Get(id) }
+
+// remoteProxy returns the home shard's cached proxy when that shard is
+// remote.
+func (r *Router) remoteProxy(id string) *Session {
+	if rb := r.remotes[placement.Shard(id, len(r.slots))]; rb != nil {
+		return rb.remoteProxy(id)
+	}
+	return nil
+}
 
 // List scatter-gathers every reachable shard's sessions and merges them
 // into global creation order (by id sequence); unreachable shards'

@@ -180,6 +180,17 @@ func (s *Session) Status() SessionStatus {
 	return st
 }
 
+// knownStatus is Status without a shard round trip: a remote proxy answers
+// with the status the shard last sent. Handlers call it right after a call
+// that brought a fresh one (create, get, list, cancel); a local session's
+// status is always current.
+func (s *Session) knownStatus() SessionStatus {
+	if s.remote != nil {
+		return s.remote.known()
+	}
+	return s.Status()
+}
+
 // validateBagRequest rejects malformed bag parameters before they reach
 // workload.NewBag (which panics on out-of-range jitter).
 func validateBagRequest(req BagRequest) (workload.App, error) {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -329,18 +331,52 @@ func TestShardProcessTracePropagation(t *testing.T) {
 		t.Fatal("no session placed on the remote shard")
 	}
 
+	// An events read under the same trace is relayed from the shard's own
+	// stream: the router records one client-side remote span for it, and
+	// the forwarded X-Trace-Id puts the shard's request span in the trace.
+	api := httptest.NewServer(NewAPI(r).Handler())
+	defer api.Close()
+	events := "/api/sessions/" + sid + "/events"
+	req, err := http.NewRequest(http.MethodGet, api.URL+events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.TraceHeader, tid)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events: %d", resp.StatusCode)
+	}
+
 	// The merged trace must hold spans from both processes: the subprocess
 	// runs its spans through its own ring, fetched over the shard protocol.
 	var spans []obs.Span
+	var relaySpans, eventRequests int
 	waitUntil(t, "merged trace to hold remote shard spans", func() bool {
 		spans = r.Trace(tid)
+		shardSpans := 0
+		relaySpans, eventRequests = 0, 0
 		for _, sp := range spans {
-			if sp.Component == "shard" && sp.Shard == 1 {
-				return true
+			switch {
+			case sp.Component == "shard" && sp.Shard == 1:
+				shardSpans++
+			case sp.Component == "remote" && sp.Name == http.MethodGet+" "+events:
+				relaySpans++
+			case sp.Component == "api" && sp.Detail == http.MethodGet+" "+events+" -> 200":
+				eventRequests++
 			}
 		}
-		return false
+		return shardSpans > 0 && eventRequests == 2
 	})
+	if relaySpans != 1 {
+		t.Errorf("trace holds %d client-side spans for the events relay, want 1", relaySpans)
+	}
 	components := map[string]bool{}
 	for _, sp := range spans {
 		components[sp.Component] = true

@@ -60,7 +60,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: CSV line %d: bad lifetime %q: %w", line, row[4], err)
 		}
-		if lifetime < 0 || lifetime > Deadline+1e-9 {
+		// Written as a positive range test so NaN (which ParseFloat accepts)
+		// is rejected too.
+		if !(lifetime >= 0 && lifetime <= Deadline+1e-9) {
 			return nil, fmt.Errorf("trace: CSV line %d: lifetime %v outside [0, %v]", line, lifetime, Deadline)
 		}
 		ds.Records = append(ds.Records, Record{

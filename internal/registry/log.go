@@ -108,8 +108,13 @@ func (l *Log) Cursor() (epoch, seq uint64) {
 // plane's epoch for this push: a new epoch invalidates the replica's
 // cursor (full resync in progress), so per-entry regression refusal is
 // suspended for it — within an epoch, an entry at a lower or equal seq
-// than the one already applied is a duplicate and is skipped.
+// than the one already applied is a duplicate and is skipped. An entry
+// with no versions is refused: every registry entry is created with v1,
+// and resolution indexes the latest version.
 func (r *Replica) ApplyEntry(epoch uint64, e LogEntry) error {
+	if len(e.Versions) == 0 {
+		return fmt.Errorf("replica: entry %q carries no versions", e.Name)
+	}
 	models := make([]*core.Model, len(e.Versions))
 	for i := range e.Versions {
 		m, err := e.Versions[i].Params.Model()

@@ -123,3 +123,38 @@ func TestReplicaRefusesVersionRegression(t *testing.T) {
 		t.Fatalf("a stale update regressed the replica to %s; latest must stay east@v2", got.Pinned)
 	}
 }
+
+// TestReplicaApplyEntryRejectsEmptyVersions pins the fix for a replication
+// entry with no versions: ApplyEntry once installed it, and the next
+// Resolve of the bare name indexed version -1 and panicked. The entry must
+// be refused and leave the replica as it was.
+func TestReplicaApplyEntryRejectsEmptyVersions(t *testing.T) {
+	rep := NewReplica()
+	if err := rep.ApplyEntry(7, LogEntry{Seq: 1, Name: "east"}); err == nil {
+		t.Fatal("ApplyEntry accepted an entry with no versions")
+	}
+	if rep.Entries() != 0 {
+		t.Fatalf("entries = %d after a refused entry, want 0", rep.Entries())
+	}
+	if epoch, seq := rep.Cursor(); epoch != 0 || seq != 0 {
+		t.Fatalf("cursor = (%d, %d) after a refused entry, want (0, 0)", epoch, seq)
+	}
+	for _, ref := range []string{"east", "east@latest", "east@v1"} {
+		if _, err := rep.Resolve(ref); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Resolve(%q) = %v, want ErrNotFound", ref, err)
+		}
+	}
+
+	// A refused entry must not wipe an entry the replica already serves.
+	u := logTestUpdate(t, "east", 1)
+	if err := rep.ApplyEntry(7, LogEntry{Seq: 2, Name: "east", Scenario: u.Scenario, Versions: u.Versions}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.ApplyEntry(7, LogEntry{Seq: 3, Name: "east", Scenario: u.Scenario}); err == nil {
+		t.Fatal("ApplyEntry accepted an entry with no versions over a live one")
+	}
+	got, err := rep.Resolve("east")
+	if err != nil || got.Pinned != "east@v1" {
+		t.Fatalf("Resolve(east) = %+v, %v; want east@v1", got, err)
+	}
+}

@@ -13,9 +13,13 @@
 // fans registry commits out to per-shard read replicas. A slot is either a
 // Manager in the router's own process or a RemoteBackend speaking the
 // shard protocol to a Manager in another process — the router cannot tell
-// the difference, and both Manager and Router implement the Backend
-// interface that API serves, so the HTTP layer is identical at any shard
-// count and any local/remote mix.
+// the difference. Manager and Router are the two implementations of the
+// Backend interface that API serves, so the HTTP layer is identical at any
+// shard count and any local/remote mix. Manager stays a Backend because
+// every shard process serves the public /api surface over its own Manager
+// (ShardHandler), and that surface is the shard protocol a RemoteBackend
+// speaks for bags, run, report and events. A RemoteBackend is only a slot:
+// it is never served by API itself.
 //
 // # Sessions
 //
@@ -130,8 +134,14 @@
 // channels, a liveness ping, a stats/cursor snapshot, and the replication
 // push.
 //
-// A RemoteBackend wraps each remote slot with the failure discipline the
-// in-process path never needed. Every operation carries a per-op deadline.
+// A RemoteBackend fills each remote slot: it implements the router's
+// slot interface (create under a router-minted id, get, list, delete,
+// cancel, run, info, wait, close) plus the trace fetch and replication
+// push the router drives, and no more — model operations never reach it,
+// because they go to the control plane on slot 0, and /api/stats is
+// aggregated by the router from every slot's info snapshot.
+// It wraps each call with the failure discipline the in-process path never
+// needed. Every operation carries a per-op deadline.
 // Idempotent operations (reads, deletes, waits) retry transient transport
 // failures with exponential backoff plus jitter; creates and other
 // non-idempotent calls never retry — the caller gets an immediate 503 with

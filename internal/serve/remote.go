@@ -17,13 +17,12 @@ import (
 	"repro/internal/batch"
 	"repro/internal/obs"
 	"repro/internal/registry"
-	"repro/internal/store"
 )
 
 // This file implements the client half of the shard protocol: a
 // RemoteBackend speaks to one shard process (a Manager behind ShardHandler,
-// see shardapi.go) and presents it as a Backend, so a Router can mix local
-// and remote shards behind the unchanged HTTP API. Every call is a
+// see shardapi.go) and fills one Router slot with it, so a Router can mix
+// local and remote shards behind the unchanged HTTP API. Every call is a
 // supervised failure domain: a per-op deadline bounds how long a hung shard
 // can hold a request, idempotent operations (reads, stats, health) retry
 // with exponential backoff and jitter, and a per-shard circuit breaker
@@ -92,16 +91,16 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	return o
 }
 
-// RemoteBackend is a Backend proxy for one shard process reachable at an
-// HTTP address. It implements the same interface a local Manager does, so
-// a Router treats local and remote shards uniformly; sessions it returns
-// are thin proxies whose methods are remote calls.
+// RemoteBackend is a Router's shard slot for one shard process reachable
+// at an HTTP address. It implements the same shardSlot interface a local
+// Manager does, so a Router treats local and remote shards uniformly;
+// sessions it returns are thin proxies whose methods are remote calls.
 type RemoteBackend struct {
 	base    string
 	client  *http.Client
 	opts    RemoteOptions
 	breaker *breaker
-	// shard is the slot index under a Router (-1 standalone), stamped on
+	// shard is the slot index under a Router (-1 outside one), stamped on
 	// the client-side spans; retries counts backoff retries for the
 	// per-shard metric (nil — a safe no-op — outside a Router).
 	shard   int
@@ -111,10 +110,8 @@ type RemoteBackend struct {
 	sessions map[string]*Session
 }
 
-var _ Backend = (*RemoteBackend)(nil)
-
-// NewRemoteBackend returns a backend proxying to the shard server at addr
-// (host:port or a full http:// URL).
+// NewRemoteBackend returns a shard slot proxying to the shard server at
+// addr (host:port or a full http:// URL).
 func NewRemoteBackend(addr string, opts *RemoteOptions) *RemoteBackend {
 	var o RemoteOptions
 	if opts != nil {
@@ -330,21 +327,6 @@ func (rb *RemoteBackend) remoteProxy(id string) *Session {
 	return rb.sessions[id]
 }
 
-// Create builds a session on the shard (the shard mints the id).
-func (rb *RemoteBackend) Create(name string, cfg SessionConfig) (*Session, error) {
-	return rb.CreateCtx(context.Background(), name, cfg)
-}
-
-// CreateCtx builds a session on the shard; the shard mints the id from its
-// own sequence. Creates are not idempotent and never retried.
-func (rb *RemoteBackend) CreateCtx(ctx context.Context, name string, cfg SessionConfig) (*Session, error) {
-	var st SessionStatus
-	if err := rb.do(ctx, http.MethodPost, "/api/sessions", createRequest{Name: name, Config: cfg}, &st, false); err != nil {
-		return nil, err
-	}
-	return rb.proxy(st), nil
-}
-
 // createSession builds a session under a router-minted id — the shard-slot
 // half of the protocol (POST /shard/sessions).
 func (rb *RemoteBackend) createSession(ctx context.Context, id, name string, cfg SessionConfig) (*Session, error) {
@@ -385,24 +367,6 @@ func (rb *RemoteBackend) listSessions() ([]*Session, error) {
 	return sessions, nil
 }
 
-// List returns the shard's sessions, empty if unreachable (use ListPartial
-// to distinguish).
-func (rb *RemoteBackend) List() []*Session {
-	sessions, _ := rb.ListPartial()
-	return sessions
-}
-
-// ListPartial returns the shard's sessions, with the failure as a
-// ShardError (index -1: a standalone RemoteBackend has no shard table)
-// when it cannot be reached.
-func (rb *RemoteBackend) ListPartial() ([]*Session, []ShardError) {
-	sessions, err := rb.listSessions()
-	if err != nil {
-		return nil, []ShardError{{Shard: -1, Error: err.Error(), Breaker: rb.BreakerState()}}
-	}
-	return sessions, nil
-}
-
 // Delete removes a session on the shard.
 func (rb *RemoteBackend) Delete(id string) error {
 	if err := rb.do(context.Background(), http.MethodDelete, "/api/sessions/"+id, nil, nil, false); err != nil {
@@ -429,48 +393,6 @@ func (rb *RemoteBackend) Cancel(id string) error {
 // Run starts the session on the shard's worker pool.
 func (rb *RemoteBackend) Run(s *Session) error {
 	return rb.do(context.Background(), http.MethodPost, "/api/sessions/"+s.ID()+"/run", nil, nil, false)
-}
-
-// SweepCtx runs the sweep grid against this shard alone.
-func (rb *RemoteBackend) SweepCtx(ctx context.Context, req SweepRequest) (SweepReport, error) {
-	return sweepCtx(ctx, rb, req)
-}
-
-// Model operations proxy to the shard's registry endpoints. Under a Router
-// these are never reached (model ops go to the local control plane); they
-// exist so a RemoteBackend is a complete Backend on its own.
-
-func (rb *RemoteBackend) RegisterModel(req ModelCreateRequest) (registry.Info, error) {
-	var info registry.Info
-	err := rb.do(context.Background(), http.MethodPost, "/api/models", req, &info, false)
-	return info, err
-}
-
-func (rb *RemoteBackend) Models() []registry.Info {
-	var out []registry.Info
-	if err := rb.do(context.Background(), http.MethodGet, "/api/models", nil, &out, true); err != nil {
-		return nil
-	}
-	return out
-}
-
-func (rb *RemoteBackend) ModelInfo(name string) (registry.Info, error) {
-	var info registry.Info
-	err := rb.do(context.Background(), http.MethodGet, "/api/models/"+name, nil, &info, true)
-	return info, err
-}
-
-func (rb *RemoteBackend) IngestObservations(name string, lifetimes []float64) (registry.IngestResult, error) {
-	var res registry.IngestResult
-	err := rb.do(context.Background(), http.MethodPost, "/api/models/"+name+"/observations",
-		ObservationsRequest{Lifetimes: lifetimes}, &res, false)
-	return res, err
-}
-
-func (rb *RemoteBackend) RefitModel(name, source string) (registry.Version, error) {
-	var v registry.Version
-	err := rb.do(context.Background(), http.MethodPost, "/api/models/"+name+"/refit", nil, &v, false)
-	return v, err
 }
 
 // shardInfo fetches the shard's health and counters (GET /shard/info).
@@ -502,13 +424,6 @@ func (rb *RemoteBackend) traceSpans(id string) ([]obs.Span, error) {
 		return nil, err
 	}
 	return out.Spans, nil
-}
-
-// Trace returns the shard's spans for one trace ID; an unreachable shard
-// contributes none (trace retrieval is best-effort by design).
-func (rb *RemoteBackend) Trace(id string) []obs.Span {
-	spans, _ := rb.traceSpans(id)
-	return spans
 }
 
 // waitPollTimeout is the long-poll window for Wait and session watches; the
@@ -554,18 +469,6 @@ func (rb *RemoteBackend) Close() {
 		s.remote.markDone()
 	}
 	rb.client.CloseIdleConnections()
-}
-
-// statsPayload proxies the shard's own stats payload.
-func (rb *RemoteBackend) statsPayload() map[string]any {
-	var out map[string]any
-	if err := rb.do(context.Background(), http.MethodGet, "/api/stats", nil, &out, true); err != nil {
-		return map[string]any{
-			"error":   err.Error(),
-			"breaker": rb.BreakerState(),
-		}
-	}
-	return out
 }
 
 // remoteSession is the state behind a remote session proxy: the last
@@ -828,6 +731,3 @@ func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
-
-// remoteStoreStats converts a ShardInfo's store block for aggregation.
-func (info ShardInfo) storeStats() *store.Stats { return info.Store }

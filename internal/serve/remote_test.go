@@ -6,13 +6,17 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/faultnet"
 	"repro/internal/ids"
 	"repro/internal/placement"
+	"repro/internal/registry"
+	"repro/internal/store"
 )
 
 // Remote-shard tests: a RemoteBackend over the shard protocol must be
@@ -309,6 +313,103 @@ func TestRouterPartialScatterGather(t *testing.T) {
 	})
 	if _, errs := r.ListPartial(); len(errs) != 0 {
 		t.Fatalf("errors after heal: %+v", errs)
+	}
+}
+
+// TestShardReplicationRejectsEmptyVersions pushes a registry log entry
+// with no versions to a shard: the shard answers 400 and its replica stays
+// empty, instead of installing an entry whose next resolve would panic.
+func TestShardReplicationRejectsEmptyVersions(t *testing.T) {
+	m, srv := startShard(t, 1)
+	body := `{"epoch":7,"entries":[{"seq":1,"name":"east","scenario":{"vm_type":"n1-highcpu-16","zone":"us-east1-b"},"versions":[]}]}`
+	resp, err := http.Post(srv.URL+"/shard/replication", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /shard/replication with no versions = %d, want 400", resp.StatusCode)
+	}
+	if n := m.replica.Entries(); n != 0 {
+		t.Fatalf("replica holds %d entries after a refused push, want 0", n)
+	}
+	if _, err := m.replica.Resolve("east"); !errors.Is(err, registry.ErrNotFound) {
+		t.Fatalf("Resolve(east) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestRouterStatsMixedShardFailure pins the health GET /api/stats serves
+// when two shards fail in different ways at once: local shard 1 degraded
+// by a failing WAL fsync and remote shard 2 partitioned away. The payload
+// is partial, the dead shard is listed as an error, and the aggregate
+// health is degraded with a reason naming the lowest-indexed failing
+// shard — the degraded local one, not the unreachable remote one.
+func TestRouterStatsMixedShardFailure(t *testing.T) {
+	_, srv := startShard(t, 2)
+	inj := faultnet.Wrap(nil)
+	r, err := NewRouterTopology([]string{"", "", srv.URL}, 2, fastRemoteOptions(inj.Client()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	root := t.TempDir()
+	stores := make([]Store, 3)
+	injectors := make([]*faultfs.Injector, 2)
+	for i := range injectors {
+		dir := store.ShardDir(root, i)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		stores[i], injectors[i] = openInjectedStore(t, dir, store.Options{})
+	}
+	if err := r.Restore(stores); err != nil {
+		t.Fatal(err)
+	}
+	defer closeStores(t, stores[:2])
+
+	// Degrade shard 1: its WAL fsync fails, so the first create homed there
+	// is refused and flips the shard to degraded mode.
+	injectors[1].Script(faultfs.Rule{Op: faultfs.OpSync, Path: "wal"})
+	for i := 1; ; i++ {
+		if i > 32 {
+			t.Fatal("no create landed on shard 1")
+		}
+		home := placement.Shard(ids.Padded("s-", i, 3), 3)
+		_, err := r.Create("", testConfig(uint64(i)))
+		if home != 1 {
+			if err != nil {
+				t.Fatalf("create on healthy shard %d: %v", home, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("create on shard 1 with a failing WAL: err = %v, want ErrDegraded", err)
+		}
+		break
+	}
+	if !r.Shard(1).Health().Degraded {
+		t.Fatal("shard 1 not degraded after its WAL fsync failed")
+	}
+	inj.Partition(hostOf(srv))
+
+	rec := httptest.NewRecorder()
+	NewAPI(r).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /api/stats = %d: %s", rec.Code, rec.Body.String())
+	}
+	var stats struct {
+		Health  Health       `json:"health"`
+		Partial bool         `json:"partial"`
+		Errors  []ShardError `json:"errors"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Partial || len(stats.Errors) != 1 || stats.Errors[0].Shard != 2 {
+		t.Fatalf("stats partial=%v errors=%+v, want partial with exactly shard 2 failing", stats.Partial, stats.Errors)
+	}
+	if !stats.Health.Degraded || !strings.HasPrefix(stats.Health.Reason, "shard 1: ") {
+		t.Fatalf("stats health = %+v, want degraded naming shard 1", stats.Health)
 	}
 }
 

@@ -18,16 +18,15 @@ import (
 )
 
 // Backend is what the HTTP API serves: either a single Manager (the
-// unsharded service) or a Router fanning requests out over several
-// shard Managers. All session and model operations, plus the lifecycle
-// hooks batchsvc drives (Wait, Close), go through it.
+// unsharded service, and the /api surface of every shard process) or a
+// Router fanning requests out over several shard slots. All session and
+// model operations the API makes go through it.
 type Backend interface {
 	CreateCtx(ctx context.Context, name string, cfg SessionConfig) (*Session, error)
 	Get(id string) (*Session, error)
-	List() []*Session
-	// ListPartial is List with partial-failure visibility: sessions from
-	// every reachable shard plus one ShardError per shard that could not
-	// answer. A single-process backend never fails partially.
+	// ListPartial lists sessions with partial-failure visibility: sessions
+	// from every reachable shard plus one ShardError per shard that could
+	// not answer. A single-process backend never fails partially.
 	ListPartial() ([]*Session, []ShardError)
 	Delete(id string) error
 	Cancel(id string) error
@@ -41,8 +40,6 @@ type Backend interface {
 	// Trace returns the recorded spans for one trace ID, oldest first; a
 	// Router merges the local ring with every remote shard's.
 	Trace(id string) []obs.Span
-	Wait()
-	Close()
 	statsPayload() map[string]any
 	// remoteProxy returns the cached proxy of a session homed on a remote
 	// shard, without a round trip; nil when the home shard is local or the
@@ -494,7 +491,8 @@ func (r *Router) Trace(id string) []obs.Span {
 	spans := obs.DefaultTracer().Spans(id)
 	for _, rb := range r.remotes {
 		if rb != nil {
-			spans = append(spans, rb.Trace(id)...)
+			remote, _ := rb.traceSpans(id)
+			spans = append(spans, remote...)
 		}
 	}
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
@@ -557,72 +555,6 @@ func (r *Router) gatherInfo() ([]ShardInfo, []ShardError) {
 		infos[i] = info
 	}
 	return infos, errs
-}
-
-// Stats sums per-state session counts across reachable shards.
-func (r *Router) Stats() Stats {
-	st := Stats{Sessions: map[State]int{
-		StateCreated: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCancelled: 0,
-	}}
-	infos, _ := r.gatherInfo()
-	for _, info := range infos {
-		for state, n := range info.Sessions {
-			st.Sessions[state] += n
-		}
-	}
-	return st
-}
-
-// Health aggregates shard health: the service reports degraded if any
-// shard is degraded or unreachable (that shard's sessions get 503s; the
-// others keep serving), with the reason naming the shard. Unpersisted
-// sessions are the union across reachable shards.
-func (r *Router) Health() Health {
-	var h Health
-	infos, errs := r.gatherInfo()
-	for _, se := range errs {
-		if !h.Degraded {
-			h.Degraded = true
-			h.Reason = fmt.Sprintf("shard %d: unreachable: %s", se.Shard, se.Error)
-		}
-	}
-	for i, info := range infos {
-		sh := info.Health
-		if sh.Degraded && !h.Degraded {
-			h.Degraded = true
-			h.Reason = fmt.Sprintf("shard %d: %s", i, sh.Reason)
-			h.Since = sh.Since
-		}
-		h.UnpersistedSessions = append(h.UnpersistedSessions, sh.UnpersistedSessions...)
-	}
-	return h
-}
-
-// StoreStats sums store counters across reachable shards (nil when no
-// shard has a store attached). Boolean fault markers are ORed: a torn tail
-// or poisoned WAL anywhere is worth surfacing at the top level.
-func (r *Router) StoreStats() *store.Stats {
-	var total *store.Stats
-	infos, _ := r.gatherInfo()
-	for _, info := range infos {
-		st := info.Store
-		if st == nil {
-			continue
-		}
-		if total == nil {
-			total = &store.Stats{}
-		}
-		total.Replayed += st.Replayed
-		total.Appended += st.Appended
-		total.Compactions += st.Compactions
-		total.TornTail = total.TornTail || st.TornTail
-		total.Segments += st.Segments
-		total.Rotations += st.Rotations
-		total.WALRecords += st.WALRecords
-		total.WALBytes += st.WALBytes
-		total.Poisoned = total.Poisoned || st.Poisoned
-	}
-	return total
 }
 
 // Wait blocks until every shard's started runs and refits have finished

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -36,8 +37,12 @@ func runFleet(t *testing.T, b Backend, n int) map[string]string {
 			t.Fatal(err)
 		}
 	}
+	sessions, errs := b.ListPartial()
+	if len(errs) > 0 {
+		t.Fatalf("listing: %v", errs)
+	}
 	out := make(map[string]string, n)
-	for _, s := range b.List() {
+	for _, s := range sessions {
 		s.Wait()
 		rep, err := s.Report()
 		if err != nil {
@@ -350,9 +355,9 @@ func TestRouterShardDegradedIsolation(t *testing.T) {
 	}
 
 	// Aggregate health names the broken shard; the others stay clean.
-	h := r.Health()
-	if !h.Degraded {
-		t.Fatal("router health not degraded with a broken shard")
+	h := r.statsPayload()["health"].(Health)
+	if !h.Degraded || !strings.HasPrefix(h.Reason, fmt.Sprintf("shard %d: ", broken)) {
+		t.Fatalf("router health = %+v, want degraded naming shard %d", h, broken)
 	}
 	for i := 0; i < nshards; i++ {
 		if got := r.Shard(i).Health().Degraded; got != (i == broken) {
@@ -362,7 +367,7 @@ func TestRouterShardDegradedIsolation(t *testing.T) {
 
 	// Heal: the broken shard's probe recovers it and creates flow again.
 	injectors[broken].Clear()
-	waitUntil(t, "broken shard to recover", func() bool { return !r.Health().Degraded })
+	waitUntil(t, "broken shard to recover", func() bool { return !r.statsPayload()["health"].(Health).Degraded })
 	for i := 0; i < 8; i++ {
 		s, err := r.Create("post-heal", testConfig(uint64(100+i)))
 		if err != nil {

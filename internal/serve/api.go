@@ -54,9 +54,9 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /api/stats", a.handleStats)
 	mux.HandleFunc("GET /api/trace/{id}", a.handleTrace)
 	// The edge middleware wraps the whole surface: it owns trace extraction
-	// and the per-route request metrics, consulting the mux for the matched
-	// pattern so the route label never echoes raw request paths.
-	return instrumentHTTP(mux, jsonErrors(mux))
+	// and the per-route request metrics, labelled by the pattern the mux
+	// matched so the route label never echoes raw request paths.
+	return instrumentHTTP(jsonErrors(mux))
 }
 
 // decodeStrict decodes one JSON value, rejecting unknown fields and

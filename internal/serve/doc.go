@@ -172,6 +172,15 @@
 // every other shard call. Session.Done on a proxy (sweeps, Wait) still
 // long-polls /shard/sessions/{id}/wait; Subscribe is local-only.
 //
+// Round trips reuse connections. Every shard reply is read to EOF before
+// its body is closed (drainClose), the bodies of run and delete replies
+// nobody needs included, because net/http returns a connection to its
+// pool only after that and otherwise dials afresh for the next call; the
+// supervisor's pings follow the same rule. The pool is the client's own:
+// the default client keeps the stdlib's idle connections per host, and an
+// injected Client its transport's. The connection-reuse tests count the
+// connections a shard accepts.
+//
 // In distributed mode (`batchsvc -distribute`), a Supervisor owns the
 // shard subprocesses: it spawns them, health-checks each with periodic
 // pings, SIGKILLs and respawns (with linear backoff) any that exit or stop

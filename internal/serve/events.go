@@ -101,6 +101,14 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if writeSSE(w, "state", s.Status()) != nil {
 		return
 	}
+	select {
+	case <-s.Done():
+		// Already over: the whole stream goes out in one write when the
+		// handler returns, with no flush per frame.
+		closeEvents(w, s, ch)
+		return
+	default:
+	}
 	if err := rc.Flush(); err != nil {
 		// The connection cannot stream (no Flush support); nothing more to
 		// deliver incrementally.
@@ -119,20 +127,23 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-s.Done():
-			// Drain any snapshot published just before the terminal
-			// transition, then close with the final state.
-			select {
-			case p := <-ch:
-				if writeSSE(w, "progress", p) != nil {
-					return
-				}
-			default:
-			}
-			_ = writeSSE(w, "state", s.Status())
-			_ = rc.Flush()
+			closeEvents(w, s, ch)
 			return
 		}
 	}
+}
+
+// closeEvents ends a finished session's stream: it writes any snapshot
+// published just before the terminal transition, then the closing state.
+func closeEvents(w http.ResponseWriter, s *Session, ch <-chan batch.Progress) {
+	select {
+	case p := <-ch:
+		if writeSSE(w, "progress", p) != nil {
+			return
+		}
+	default:
+	}
+	_ = writeSSE(w, "state", s.Status())
 }
 
 // handleCancel is POST /api/sessions/{id}/cancel: aborts a running session

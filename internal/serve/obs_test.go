@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +68,37 @@ func TestMetricsExposition(t *testing.T) {
 	for _, help := range []string{"# HELP batchsvc_sessions_created_total", "# TYPE batchsvc_dp_solve_seconds histogram"} {
 		if !strings.Contains(body, help) {
 			t.Errorf("exposition missing metadata line %q", help)
+		}
+	}
+}
+
+// TestHTTPRouteLabels pins the request metrics' route label: the pattern
+// the mux matched (even when the handler itself answers 404), and
+// "unmatched" for the mux's own 404s and 405s, so raw request paths never
+// become label values.
+func TestHTTPRouteLabels(t *testing.T) {
+	m := NewManager(1)
+	defer m.Close()
+	h := NewAPI(m).Handler()
+	requests := func(route, status string) *obs.Counter {
+		return obs.Default().Counter("batchsvc_http_requests_total", "", "route", route, "status", status)
+	}
+	for _, c := range []struct {
+		method, path, route, status string
+	}{
+		{"GET", "/api/sessions", "GET /api/sessions", "200"},
+		{"GET", "/api/sessions/s-nope", "GET /api/sessions/{id}", "404"},
+		{"GET", "/api/no-such-route", "unmatched", "404"},
+		{"DELETE", "/api/stats", "unmatched", "405"},
+	} {
+		before := requests(c.route, c.status).Value()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		if got := strconv.Itoa(rec.Code); got != c.status {
+			t.Fatalf("%s %s: status %s, want %s", c.method, c.path, got, c.status)
+		}
+		if n := requests(c.route, c.status).Value() - before; n != 1 {
+			t.Errorf("%s %s counted %d times under route %q status %s, want once", c.method, c.path, n, c.route, c.status)
 		}
 	}
 }

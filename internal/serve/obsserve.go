@@ -236,21 +236,24 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // instrumentHTTP is the API's edge middleware: it pulls the inbound
 // X-Trace-Id (minting one otherwise) into the request context, echoes it
 // on the response, and records per-route latency and status counts plus
-// one edge span per request. mux is consulted for the matched route
-// pattern so label cardinality stays bounded by the route table.
-func instrumentHTTP(mux *http.ServeMux, h http.Handler) http.Handler {
+// one edge span per request. h must hand the request it is given to a
+// ServeMux, whose matched pattern becomes the route label, so label
+// cardinality stays bounded by the route table.
+func instrumentHTTP(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, traceID := obs.TraceFromRequest(r)
 		r = r.WithContext(ctx)
 		w.Header().Set(obs.TraceHeader, traceID)
-		route := "unmatched"
-		if _, pattern := mux.Handler(r); pattern != "" {
-			route = pattern
-		}
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		h.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
+		// The mux records the matched pattern on r itself; 404s and 405s
+		// match none.
+		route := "unmatched"
+		if r.Pattern != "" {
+			route = r.Pattern
+		}
 		code := sw.code
 		if code == 0 {
 			code = http.StatusOK

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -68,6 +69,11 @@ type RemoteOptions struct {
 	// half-open probe (default 1s).
 	BreakerCooldown time.Duration
 }
+
+// maxDrainBytes bounds how much of an unread reply body drainClose
+// discards; a longer body closes the connection instead of being read
+// forever.
+const maxDrainBytes = 64 << 10
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.Client == nil {
@@ -234,7 +240,8 @@ func (rb *RemoteBackend) retry(ctx context.Context, idempotent bool, attempt fun
 	return shardUnavailable(lastErr)
 }
 
-// attempt is one unary exchange under its own deadline.
+// attempt is one unary exchange under its own deadline. The reply is read
+// to EOF on every path, so the connection goes back to the pool.
 func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body []byte, out any, timeout time.Duration) error {
 	opCtx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -242,7 +249,7 @@ func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body 
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode >= 400 {
 		var eb errorBody
 		msg := resp.Status
@@ -285,6 +292,14 @@ func (rb *RemoteBackend) send(ctx context.Context, method, path string, body []b
 	}
 	rb.breaker.success()
 	return resp, nil
+}
+
+// drainClose reads what is left of a reply body (at most maxDrainBytes)
+// and closes it, so its connection goes back to the pool ("Remote shards"
+// in doc.go says why).
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrainBytes))
+	body.Close()
 }
 
 // proxy returns the cached session proxy for st.ID, creating it on first
@@ -659,8 +674,9 @@ func (p *remoteSession) watch() {
 
 // relayEvents serves GET /api/sessions/{id}/events for this session by
 // relaying the shard's own SSE stream: status code, headers and body pass
-// through unchanged, flushed frame by frame, so the client reads exactly
-// what the shard wrote — a shard-side 404 or 503 included. The relay folds
+// through unchanged, flushed frame by frame as they arrive (frames that
+// arrived together go out together), so the client reads exactly what the
+// shard wrote — a shard-side 404 or 503 included. The relay folds
 // each `state` frame into the proxy cache; the closing one marks the proxy
 // done without a watcher. Connecting is an idempotent read (breaker and
 // retries apply), and its deadline covers only the wait for the response
@@ -719,8 +735,10 @@ func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
 				if json.Unmarshal(line[len("data: "):], &st) == nil {
 					p.update(st)
 				}
-			case len(bytes.TrimSpace(line)) == 0:
-				// A blank line ends a frame: deliver it now.
+			case len(bytes.TrimSpace(line)) == 0 && br.Buffered() == 0:
+				// A blank line ends a frame: deliver it now, unless more of
+				// the stream has already arrived — then it goes out with the
+				// frames behind it.
 				if rc.Flush() != nil {
 					return
 				}

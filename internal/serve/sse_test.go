@@ -123,7 +123,10 @@ func TestSSEStreamsProgressToCompletion(t *testing.T) {
 }
 
 // TestSSEOnTerminalSessionClosesImmediately subscribes after the run is
-// over: the stream must deliver the final state and end without hanging.
+// over: the stream must deliver state, the last progress and the final
+// state, and end without hanging. Nothing is left to stream, so the frames
+// go out in one write: the response carries a Content-Length instead of
+// being chunked flush by flush.
 func TestSSEOnTerminalSessionClosesImmediately(t *testing.T) {
 	mgr := NewManager(1)
 	srv := httptest.NewServer(NewAPI(mgr).Handler())
@@ -162,6 +165,17 @@ func TestSSEOnTerminalSessionClosesImmediately(t *testing.T) {
 	}
 	if final.State != StateDone {
 		t.Fatalf("final state = %s", final.State)
+	}
+	var names []string
+	for _, e := range events {
+		names = append(names, e.name)
+	}
+	if got := strings.Join(names, ","); got != "state,progress,state" {
+		t.Fatalf("events = %s, want state,progress,state", got)
+	}
+	if resp.ContentLength < 0 || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("finished session's stream was flushed in chunks (Content-Length %d, Transfer-Encoding %q), want one write",
+			resp.ContentLength, resp.TransferEncoding)
 	}
 }
 

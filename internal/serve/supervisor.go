@@ -174,7 +174,8 @@ func (sv *Supervisor) proc(i int) *shardProc {
 	return sv.procs[i]
 }
 
-// ping performs one /shard/ping round trip against addr.
+// ping performs one /shard/ping round trip against addr, reading the
+// reply to EOF so the next ping reuses the connection.
 func (sv *Supervisor) ping(addr string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), sv.opts.PingTimeout)
 	defer cancel()
@@ -190,7 +191,7 @@ func (sv *Supervisor) ping(addr string) error {
 	if err != nil {
 		return err
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("ping %s: %s", addr, resp.Status)
 	}

@@ -135,8 +135,7 @@ func main() {
 	parallelism := flag.Int("parallelism", runtime.GOMAXPROCS(0),
 		"max session simulations running concurrently")
 	plannerParallelism := flag.Int("planner-parallelism", 0,
-		"row-parallel worker count for cold DP checkpoint solves (0: GOMAXPROCS); "+
-			"sessions can override per config via planner_parallelism")
+		"row-parallel worker count for cold DP checkpoint solves, process-wide (0: GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "",
 		"directory for the session snapshot+WAL store (empty: in-memory only)")
 	cacheCap := flag.Int("schedule-cache-cap", policy.DefaultSharedCacheCapacity,

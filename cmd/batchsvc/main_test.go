@@ -31,6 +31,34 @@ func freePort(t *testing.T) int {
 	return port
 }
 
+// shardPortBase returns a -shard-port-base for the given number of shard
+// subprocesses. Shard i binds base+i, so it picks a base whose ports
+// base+1..base+shards all bind at once, then releases them together. This
+// narrows the window in which another process can take one of them before
+// the shards bind; it cannot close it.
+func shardPortBase(t *testing.T, shards int) int {
+	t.Helper()
+	for range 20 {
+		base := freePort(t)
+		var held []net.Listener
+		for i := 1; i <= shards; i++ {
+			ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", base+i))
+			if err != nil {
+				break
+			}
+			held = append(held, ln)
+		}
+		for _, ln := range held {
+			ln.Close()
+		}
+		if len(held) == shards {
+			return base
+		}
+	}
+	t.Fatalf("no port base with %d free ports above it", shards)
+	return 0
+}
+
 // shardProcs scans /proc for live processes running bin in shard-server
 // mode and returns their pids.
 func shardProcs(t *testing.T, bin string) []int {
@@ -74,7 +102,7 @@ func TestDistributeShutdownLeavesNoZombies(t *testing.T) {
 	}
 
 	apiPort := freePort(t)
-	base := freePort(t)
+	base := shardPortBase(t, 2)
 	cmd := exec.Command(bin,
 		"-distribute", "-shards", "3",
 		"-addr", fmt.Sprintf("127.0.0.1:%d", apiPort),

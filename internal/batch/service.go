@@ -59,11 +59,6 @@ type Config struct {
 	CheckpointDelta float64
 	// CheckpointStep is the DP resolution in hours (default 1 minute).
 	CheckpointStep float64
-	// PlannerParallelism is the row-parallel worker count for the DP
-	// checkpoint solve (0 = the process default, then GOMAXPROCS). Solved
-	// tables are byte-identical at any worker count, so sessions sharing a
-	// cached planner may request different values freely.
-	PlannerParallelism int
 	// WarningCheckpoint enables emergency checkpoints on the provider's
 	// ~30-second preemption notice (Section 2.1's "small advance
 	// warning"): the work completed on the current attempt up to the
@@ -241,9 +236,6 @@ func New(cfg Config) (*Service, error) {
 		// (model identity, delta, step) reuses one DP table, and concurrent
 		// cold solves of that table are deduplicated inside the planner.
 		s.planner = policy.SharedPlanner(cfg.Model, cfg.CheckpointDelta, cfg.CheckpointStep)
-		if cfg.PlannerParallelism > 0 {
-			s.planner.SetParallelism(cfg.PlannerParallelism)
-		}
 	}
 	mgr.OnIdle = s.onGangIdle
 	mgr.OnPlace = s.onPlace

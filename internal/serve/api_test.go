@@ -202,6 +202,22 @@ func TestStrictRequestHandling(t *testing.T) {
 		t.Fatalf("unknown field: %d %s", rec.Code, rec.Body)
 	}
 
+	// A retired config field is unknown too: the DP worker count is
+	// process-wide (-planner-parallelism), not per session.
+	var cfg map[string]any
+	raw, err := json.Marshal(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["planner_parallelism"] = 2
+	rec, out = doJSON(t, h, "POST", "/api/sessions", map[string]any{"config": cfg})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(out["error"].(string), "planner_parallelism") {
+		t.Fatalf("planner_parallelism: %d %s", rec.Code, rec.Body)
+	}
+
 	// Malformed JSON.
 	req := httptest.NewRequest("POST", "/api/sessions", strings.NewReader("{"))
 	rr := httptest.NewRecorder()

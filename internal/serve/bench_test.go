@@ -156,7 +156,7 @@ func BenchmarkServiceSessionsSharded4(b *testing.B) { benchSessionsSharded(b, 4)
 // shard across a real process boundary: a loopback shard subprocess (the
 // re-exec'd test binary, booted outside the timer) behind a RemoteBackend.
 // The timed path is therefore the shard protocol itself — JSON bodies over
-// loopback HTTP, long-poll completion waits — on top of the same planner
+// loopback HTTP, completion waits on event streams — on top of the same planner
 // work, so the gap to BenchmarkServiceSessionsSharded1 is the transport
 // cost of distribution. In-process slots pay none of it: sessions placed
 // on shard 0 never see a socket.
@@ -194,8 +194,10 @@ func BenchmarkServiceSessionsRemote(b *testing.B) {
 			}
 			sessions[j] = s
 		}
-		r.Wait()
 		for _, s := range sessions {
+			// Router.Wait covers in-process shards only; each remote
+			// session's own Done follows its stream.
+			s.Wait()
 			if _, err := s.Report(); err != nil {
 				b.Fatal(err)
 			}

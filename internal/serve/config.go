@@ -74,11 +74,6 @@ type SessionConfig struct {
 	// cost in hours; CheckpointStep is the DP resolution (default 1 min).
 	CheckpointDelta float64 `json:"checkpoint_delta,omitempty"`
 	CheckpointStep  float64 `json:"checkpoint_step,omitempty"`
-	// PlannerParallelism is the worker count for the row-parallel DP solve
-	// behind checkpointing (0 = the process default set by batchsvc's
-	// -planner-parallelism flag, then GOMAXPROCS). The solved schedule is
-	// byte-identical at any value; this only tunes cold-solve latency.
-	PlannerParallelism int `json:"planner_parallelism,omitempty"`
 	// WarningCheckpoint enables emergency checkpoints on preemption notice.
 	WarningCheckpoint bool `json:"warning_checkpoint,omitempty"`
 	// ProgressEvery is the snapshot/cancellation-check cadence in engine
@@ -159,9 +154,6 @@ func (c SessionConfig) Validate() error {
 	if c.CheckpointStep < 0 {
 		return fmt.Errorf("checkpoint_step must be non-negative")
 	}
-	if c.PlannerParallelism < 0 {
-		return fmt.Errorf("planner_parallelism must be non-negative")
-	}
 	if c.ProgressEvery < 0 {
 		return fmt.Errorf("progress_every must be non-negative")
 	}
@@ -203,18 +195,17 @@ func (c SessionConfig) Validate() error {
 // or a shard's replicated view of it) and assembles the batch.Config.
 func (c SessionConfig) build(models *modelCache, resolver modelResolver) (batch.Config, error) {
 	cfg := batch.Config{
-		VMType:             trace.VMType(c.VMType),
-		Zone:               trace.Zone(c.Zone),
-		Gangs:              c.VMs / c.GangSize,
-		GangSize:           c.GangSize,
-		Preemptible:        c.Policy != PolicyOnDemand,
-		HotSpareTTL:        *c.HotSpareTTL,
-		UseReusePolicy:     c.Policy == PolicyReuse,
-		CheckpointDelta:    c.CheckpointDelta,
-		CheckpointStep:     c.CheckpointStep,
-		PlannerParallelism: c.PlannerParallelism,
-		WarningCheckpoint:  c.WarningCheckpoint,
-		Seed:               c.Seed,
+		VMType:            trace.VMType(c.VMType),
+		Zone:              trace.Zone(c.Zone),
+		Gangs:             c.VMs / c.GangSize,
+		GangSize:          c.GangSize,
+		Preemptible:       c.Policy != PolicyOnDemand,
+		HotSpareTTL:       *c.HotSpareTTL,
+		UseReusePolicy:    c.Policy == PolicyReuse,
+		CheckpointDelta:   c.CheckpointDelta,
+		CheckpointStep:    c.CheckpointStep,
+		WarningCheckpoint: c.WarningCheckpoint,
+		Seed:              c.Seed,
 	}
 	if c.Model != nil {
 		m, err := c.Model.model()

@@ -130,22 +130,21 @@
 // shard protocol is the public /api surface itself — every proxied session
 // operation hits exactly the handlers a client would — plus a small /shard
 // namespace for what the public API deliberately lacks: creates under a
-// router-minted id, bounded long-polls standing in for the local Wait
-// channels, a liveness ping, a stats/cursor snapshot, and the replication
-// push.
+// router-minted id, a liveness ping, a stats/cursor snapshot, and the
+// replication push.
 //
 // A RemoteBackend fills each remote slot: it implements the router's
 // slot interface (create under a router-minted id, get, list, delete,
-// cancel, run, info, wait, close) plus the trace fetch and replication
+// cancel, run, info, close) plus the trace fetch and replication
 // push the router drives, and no more — model operations never reach it,
 // because they go to the control plane on slot 0, and /api/stats is
 // aggregated by the router from every slot's info snapshot.
 // It wraps each call with the failure discipline the in-process path never
 // needed. Every operation carries a per-op deadline.
-// Idempotent operations (reads, deletes, waits) retry transient transport
-// failures with exponential backoff plus jitter; creates and other
-// non-idempotent calls never retry — the caller gets an immediate 503 with
-// Retry-After and decides. A per-shard circuit breaker trips open after a
+// Idempotent operations (reads, deletes, event-stream connects) retry
+// transient transport failures with exponential backoff plus jitter;
+// creates and other non-idempotent calls never retry — the caller gets an
+// immediate 503 with Retry-After and decides. A per-shard circuit breaker trips open after a
 // run of consecutive transport failures, fails calls fast without touching
 // the network while open, and re-admits one probe after a cooldown
 // (half-open) — success closes it, failure re-opens it. Only transport
@@ -169,8 +168,13 @@
 // connect is an idempotent read under the breaker and retry policy, and an
 // unreachable shard gets the same 503 + Retry-After as a failed Get. The
 // relay forwards X-Trace-Id and records one client-side remote span, like
-// every other shard call. Session.Done on a proxy (sweeps, Wait) still
-// long-polls /shard/sessions/{id}/wait; Subscribe is local-only.
+// every other shard call. Session.Done on a proxy (sweeps, Wait) follows
+// the same stream through the same connect and parse path, one window of
+// at most 30 s at a time, dropping the progress frames; a 404 or 410 ends
+// the wait, and so does a shard unreachable past a give-up budget.
+// Subscribe is local-only. Router.Wait waits for in-process shards only:
+// a shard process drains its own runs on the SIGTERM Supervisor.Stop
+// sends.
 //
 // Round trips reuse connections. Every shard reply is read to EOF before
 // its body is closed (drainClose), the bodies of run and delete replies

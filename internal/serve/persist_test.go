@@ -306,3 +306,44 @@ func TestDeletedSessionIDNeverReused(t *testing.T) {
 		t.Fatalf("deleted session id %s was reused after compaction", s2.ID())
 	}
 }
+
+// TestRetiredConfigFieldStillRestores replays a create record written
+// while session configs still carried "planner_parallelism": the API now
+// rejects the field (strict decoding), but WAL replay decodes leniently, so
+// the old session restores and runs.
+func TestRetiredConfigFieldStillRestores(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	raw, err := json.Marshal(createRecord{Name: "old", Config: ckptConfig(1).withDefaults()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["config"].(map[string]any)["planner_parallelism"] = 2
+	if _, err := st.Append("create", "s-001", rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append("bag", "s-001", BagRequest{App: "shapes", Jobs: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	m := NewManager(1)
+	if err := m.Restore(openStore(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Get("s-001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	s.Wait()
+	if got := s.Status(); got.State != StateDone {
+		t.Fatalf("restored session ran to %s (%s), want done", got.State, got.Error)
+	}
+}

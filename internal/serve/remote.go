@@ -54,7 +54,7 @@ type RemoteOptions struct {
 	// inject a faultnet-wrapped one here).
 	Client *http.Client
 	// OpTimeout is the per-attempt deadline for unary operations (default
-	// 5s). Long-polls and event streams set their own.
+	// 5s); on an event stream it bounds only the wait for the headers.
 	OpTimeout time.Duration
 	// Retries is how many times idempotent operations are retried after a
 	// transport failure (default 3; mutations never retry).
@@ -162,17 +162,12 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// do issues one unary call with the default per-op timeout.
+// do issues method path with a JSON body (in, nil for none), decoding a
+// 2xx response into out (nil to discard). Each attempt runs under its own
+// OpTimeout deadline (see retry for the breaker and retry policy). An HTTP
+// error status is a shard-made decision, not a transport failure: it is
+// returned as an apiError with the shard's code and never retried.
 func (rb *RemoteBackend) do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
-	return rb.doTimeout(ctx, method, path, in, out, idempotent, rb.opts.OpTimeout)
-}
-
-// doTimeout issues method path with a JSON body (in, nil for none),
-// decoding a 2xx response into out (nil to discard). Each attempt runs
-// under its own deadline (see retry for the breaker and retry policy). An
-// HTTP error status is a shard-made decision, not a transport failure: it
-// is returned as an apiError with the shard's code and never retried.
-func (rb *RemoteBackend) doTimeout(ctx context.Context, method, path string, in, out any, idempotent bool, timeout time.Duration) error {
 	if tid := obs.TraceID(ctx); tid != "" {
 		// One client-side span per logical call (retries included), so the
 		// trace shows the router-to-shard hop and its total cost.
@@ -187,7 +182,7 @@ func (rb *RemoteBackend) doTimeout(ctx context.Context, method, path string, in,
 		body = raw
 	}
 	return rb.retry(ctx, idempotent, func() error {
-		return rb.attempt(ctx, method, path, body, out, timeout)
+		return rb.attempt(ctx, method, path, body, out)
 	})
 }
 
@@ -242,8 +237,8 @@ func (rb *RemoteBackend) retry(ctx context.Context, idempotent bool, attempt fun
 
 // attempt is one unary exchange under its own deadline. The reply is read
 // to EOF on every path, so the connection goes back to the pool.
-func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body []byte, out any, timeout time.Duration) error {
-	opCtx, cancel := context.WithTimeout(ctx, timeout)
+func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body []byte, out any) error {
+	opCtx, cancel := context.WithTimeout(ctx, rb.opts.OpTimeout)
 	defer cancel()
 	resp, err := rb.send(opCtx, method, path, body)
 	if err != nil {
@@ -441,36 +436,6 @@ func (rb *RemoteBackend) traceSpans(id string) ([]obs.Span, error) {
 	return out.Spans, nil
 }
 
-// waitPollTimeout is the long-poll window for Wait and session watches; the
-// per-attempt client deadline adds OpTimeout of slack on top.
-const waitPollTimeout = 30 * time.Second
-
-// Wait blocks until the shard reports its started runs have finished, or
-// until it has been unreachable for several polls (a dead shard has nothing
-// left to wait for in this process).
-func (rb *RemoteBackend) Wait() {
-	failures := 0
-	for {
-		var out struct {
-			Idle bool `json:"idle"`
-		}
-		path := fmt.Sprintf("/shard/wait?timeout_ms=%d", waitPollTimeout.Milliseconds())
-		err := rb.doTimeout(context.Background(), http.MethodGet, path, nil, &out, true, waitPollTimeout+rb.opts.OpTimeout)
-		if err != nil {
-			failures++
-			if failures >= 3 {
-				return
-			}
-			time.Sleep(rb.opts.BreakerCooldown)
-			continue
-		}
-		failures = 0
-		if out.Idle {
-			return
-		}
-	}
-}
-
 // Close releases client resources and ends session watches. The shard
 // process itself is owned by its supervisor, not the backend.
 func (rb *RemoteBackend) Close() {
@@ -488,19 +453,21 @@ func (rb *RemoteBackend) Close() {
 
 // remoteSession is the state behind a remote session proxy: the last
 // status observed from the shard and a locally-managed done channel, closed
-// by the first terminal status seen (in any response, the events relay's
-// closing frame included) or by a lazy long-poll watcher. Terminal
-// statuses are cached forever — a finished session's state cannot change,
-// so proxies serve it without another round trip.
+// by the first terminal status seen (in any response, a `state` frame of
+// the shard's event stream included — relayed to a client or followed by
+// the lazy watcher behind Done). Terminal statuses are cached forever — a
+// finished session's state cannot change, so proxies serve it without
+// another round trip.
 type remoteSession struct {
 	rb *RemoteBackend
 	id string
 
-	mu       sync.Mutex
-	last     SessionStatus
-	closed   bool
-	watching bool
-	done     chan struct{}
+	mu     sync.Mutex
+	last   SessionStatus
+	closed bool
+	// stopWatch ends the watcher behind Done; nil until one is started.
+	stopWatch context.CancelFunc
+	done      chan struct{}
 }
 
 // update folds a fresher status into the cache; a terminal state closes
@@ -517,12 +484,15 @@ func (p *remoteSession) update(st SessionStatus) {
 	}
 }
 
-// markDone closes the done channel once.
+// markDone closes the done channel once and ends the watcher, if any.
 func (p *remoteSession) markDone() {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
 		close(p.done)
+		if p.stopWatch != nil {
+			p.stopWatch()
+		}
 	}
 	p.mu.Unlock()
 }
@@ -605,21 +575,25 @@ func (p *remoteSession) vms() ([]VMState, error) {
 	return vms, err
 }
 
-// doneChan returns the done channel, starting the long-poll watcher on
-// first use — most sessions are created, run, and polled without anyone
-// ever blocking on completion, so the watch connection is lazy.
+// doneChan returns the done channel, starting the watcher on first use —
+// most sessions are created, run, and polled without anyone ever blocking
+// on completion, so the watch stream is lazy.
 func (p *remoteSession) doneChan() <-chan struct{} {
 	p.mu.Lock()
-	start := !p.watching && !p.closed
-	if start {
-		p.watching = true
+	var ctx context.Context
+	if p.stopWatch == nil && !p.closed {
+		ctx, p.stopWatch = context.WithCancel(context.Background())
 	}
 	p.mu.Unlock()
-	if start {
-		go p.watch()
+	if ctx != nil {
+		go p.watch(ctx)
 	}
 	return p.done
 }
+
+// watchWindow bounds one watch stream: a shard that stops writing without
+// closing the connection is caught at the next connect.
+const watchWindow = 30 * time.Second
 
 // watchGiveUpAfter bounds consecutive watch failures before the proxy
 // declares the wait over: a waiter must not hang forever on a shard that
@@ -627,71 +601,68 @@ func (p *remoteSession) doneChan() <-chan struct{} {
 // fetch its report get the shard's own answer (or a 503).
 const watchGiveUpAfter = 20
 
-// watch long-polls the shard until the session is terminal, the session
-// disappears, or the shard stays unreachable past the give-up budget.
-func (p *remoteSession) watch() {
+// watch follows the shard's event stream, one window at a time, until the
+// session is terminal (a closing `state` frame, or any other path to
+// markDone, which cancels ctx), the session disappears, or the shard stays
+// unreachable past the give-up budget.
+func (p *remoteSession) watch(ctx context.Context) {
 	failures := 0
 	for {
-		p.mu.Lock()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
+		windowCtx, cancel := context.WithTimeout(ctx, watchWindow)
+		code := p.watchStream(windowCtx)
+		quiet := windowCtx.Err() != nil
+		cancel()
+		switch {
+		case ctx.Err() != nil:
 			return
-		}
-		var out struct {
-			Done   bool           `json:"done"`
-			Status *SessionStatus `json:"status,omitempty"`
-		}
-		path := fmt.Sprintf("/shard/sessions/%s/wait?timeout_ms=%d", p.id, waitPollTimeout.Milliseconds())
-		err := p.rb.doTimeout(context.Background(), http.MethodGet, path, nil, &out, true, waitPollTimeout+p.rb.opts.OpTimeout)
-		if err != nil {
-			if code := httpCode(err); code == http.StatusNotFound || code == http.StatusGone {
-				// The session is gone (deleted, or lost with a shard store):
-				// the wait is over even though no terminal state was seen.
-				p.markDone()
-				return
-			}
-			failures++
-			if failures >= watchGiveUpAfter {
-				p.markDone()
-				return
-			}
-			// An open breaker fails fast; pace the loop so it doesn't spin.
-			d := p.rb.opts.RetryBase << min(failures, 5)
-			time.Sleep(min(d, 2*time.Second))
+		case code == http.StatusNotFound || code == http.StatusGone:
+			// The session is gone (deleted, or lost with a shard store):
+			// the wait is over even though no terminal state was seen.
+			p.markDone()
+			return
+		case code == http.StatusOK && quiet:
+			// The window closed on a live stream: the run is still going.
+			failures = 0
 			continue
 		}
-		failures = 0
-		if out.Done {
-			if out.Status != nil {
-				p.update(*out.Status)
-			}
+		// The connect failed, or the stream ended without a terminal frame.
+		failures++
+		if failures >= watchGiveUpAfter {
 			p.markDone()
+			return
+		}
+		// An open breaker fails fast; pace the loop so it doesn't spin.
+		d := p.rb.opts.RetryBase << min(failures, 5)
+		select {
+		case <-time.After(min(d, 2*time.Second)):
+		case <-ctx.Done():
 			return
 		}
 	}
 }
 
-// relayEvents serves GET /api/sessions/{id}/events for this session by
-// relaying the shard's own SSE stream: status code, headers and body pass
-// through unchanged, flushed frame by frame as they arrive (frames that
-// arrived together go out together), so the client reads exactly what the
-// shard wrote — a shard-side 404 or 503 included. The relay folds
-// each `state` frame into the proxy cache; the closing one marks the proxy
-// done without a watcher. Connecting is an idempotent read (breaker and
-// retries apply), and its deadline covers only the wait for the response
-// headers: the stream lasts as long as the client stays. A shard that
-// cannot be reached gets the same 503 + Retry-After a failed Get gives.
-func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
-	rb := p.rb
-	ctx := r.Context()
-	path := "/api/sessions/" + p.id + "/events"
-	if tid := obs.TraceID(ctx); tid != "" {
-		defer obs.DefaultTracer().Span(tid, "remote", http.MethodGet+" "+path, rb.shard, "")()
+// watchStream follows one connection to the shard's event stream, reading
+// and dropping everything but its `state` frames, and returns the shard's
+// status code (0 when the connect failed).
+func (p *remoteSession) watchStream(ctx context.Context) int {
+	resp, stop, err := p.openEvents(ctx)
+	if err != nil {
+		return 0
 	}
-	var resp *http.Response
-	stop := func() {}
-	err := rb.retry(ctx, true, func() error {
+	defer stop()
+	defer resp.Body.Close()
+	p.follow(resp.Body, io.Discard, func() error { return nil })
+	return resp.StatusCode
+}
+
+// openEvents connects to the shard's SSE stream for this session.
+// Connecting is an idempotent read (breaker and retries apply), and its
+// deadline covers only the wait for the response headers: the stream
+// lasts as long as ctx. The caller closes the body, then calls stop.
+func (p *remoteSession) openEvents(ctx context.Context) (resp *http.Response, stop context.CancelFunc, err error) {
+	rb := p.rb
+	path := "/api/sessions/" + p.id + "/events"
+	err = rb.retry(ctx, true, func() error {
 		streamCtx, cancel := context.WithCancel(ctx)
 		timer := time.AfterFunc(rb.opts.OpTimeout, cancel)
 		res, err := rb.send(streamCtx, http.MethodGet, path, nil)
@@ -707,19 +678,16 @@ func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
 		resp, stop = res, cancel
 		return nil
 	})
-	if err != nil {
-		writeErr(w, httpCode(err), err)
-		return
-	}
-	defer stop()
-	defer resp.Body.Close()
+	return resp, stop, err
+}
 
-	for k, v := range resp.Header {
-		w.Header()[k] = v
-	}
-	w.WriteHeader(resp.StatusCode)
-	rc := http.NewResponseController(w)
-	br := bufio.NewReader(resp.Body)
+// follow reads the shard's event stream to its end, copying every line to
+// w and folding each `state` frame into the proxy cache; the closing one
+// marks the proxy done. A blank line ends a frame: flush delivers it now,
+// unless more of the stream has already arrived — then it goes out with
+// the frames behind it. A failed write or flush ends the stream.
+func (p *remoteSession) follow(body io.Reader, w io.Writer, flush func() error) {
+	br := bufio.NewReader(body)
 	event := ""
 	for {
 		line, err := br.ReadBytes('\n')
@@ -736,10 +704,7 @@ func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
 					p.update(st)
 				}
 			case len(bytes.TrimSpace(line)) == 0 && br.Buffered() == 0:
-				// A blank line ends a frame: deliver it now, unless more of
-				// the stream has already arrived — then it goes out with the
-				// frames behind it.
-				if rc.Flush() != nil {
+				if flush() != nil {
 					return
 				}
 			}
@@ -748,4 +713,30 @@ func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// relayEvents serves GET /api/sessions/{id}/events for this session by
+// relaying the shard's own SSE stream: status code, headers and body pass
+// through unchanged, flushed frame by frame as they arrive (see follow),
+// so the client reads exactly what the shard wrote — a shard-side 404 or
+// 503 included. A shard that cannot be reached gets the same 503 +
+// Retry-After a failed Get gives.
+func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
+	ctx := r.Context()
+	if tid := obs.TraceID(ctx); tid != "" {
+		defer obs.DefaultTracer().Span(tid, "remote", http.MethodGet+" /api/sessions/"+p.id+"/events", p.rb.shard, "")()
+	}
+	resp, stop, err := p.openEvents(ctx)
+	if err != nil {
+		writeErr(w, httpCode(err), err)
+		return
+	}
+	defer stop()
+	defer resp.Body.Close()
+
+	for k, v := range resp.Header {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(resp.StatusCode)
+	p.follow(resp.Body, w, http.NewResponseController(w).Flush)
 }

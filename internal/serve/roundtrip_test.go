@@ -303,3 +303,85 @@ func TestRemoteShardStaysAuthoritative(t *testing.T) {
 		t.Fatalf("open breaker still hit the transport (%d -> %d trips)", before, after)
 	}
 }
+
+// TestRemoteWaitFollowsEventStream pins how a remote-homed proxy learns its
+// session has ended: Wait follows the shard's event stream — one GET of the
+// events endpoint for a whole run — ends as soon as the session is deleted
+// on the shard behind the router, and gives up on a partitioned shard
+// after its failure budget instead of hanging.
+func TestRemoteWaitFollowsEventStream(t *testing.T) {
+	m, srv := startShard(t, 2)
+	ct := &countingTransport{}
+	r, err := NewRouterTopology([]string{"", srv.URL}, 2, &RemoteOptions{Client: &http.Client{Transport: ct}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	createRemote := func(rt *Router) *Session {
+		t.Helper()
+		for {
+			s, err := rt.Create("", testConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if placement.Shard(s.ID(), 2) == 1 {
+				return s
+			}
+		}
+	}
+
+	s := createRemote(r)
+	if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: 8, Jitter: 0.01, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	ct.take()
+	s.Wait()
+	want := "GET /api/sessions/" + s.ID() + "/events"
+	if calls := ct.take(); len(calls) != 1 || calls[0] != want {
+		t.Errorf("Run then Wait made shard requests %q, want the one %q", calls, want)
+	}
+	if st := s.Status(); st.State != StateDone {
+		t.Errorf("after Wait the proxy reports %s, want done", st.State)
+	}
+
+	// A session deleted on the shard, behind the router, ends a pending
+	// Wait: its stream closes on the cancelled state the delete leaves.
+	s = createRemote(r)
+	ct.take()
+	done := s.Done()
+	waitUntil(t, "the watch stream to connect", func() bool {
+		for _, c := range ct.take() {
+			if strings.HasSuffix(c, "/events") {
+				return true
+			}
+		}
+		return false
+	})
+	if err := m.Delete(s.ID()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Wait on a session deleted behind the router did not return within 1s")
+	}
+
+	// With the shard partitioned, Wait ends once the watcher's failure
+	// budget is spent.
+	inj := faultnet.Wrap(nil)
+	pr, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	s = createRemote(pr)
+	inj.Partition(hostOf(srv))
+	select {
+	case <-s.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait on a partitioned shard's session did not give up within 10s")
+	}
+}

@@ -83,7 +83,6 @@ type shardSlot interface {
 	Delete(id string) error
 	Cancel(id string) error
 	Run(s *Session) error
-	Wait()
 	Close()
 }
 
@@ -557,12 +556,14 @@ func (r *Router) gatherInfo() ([]ShardInfo, []ShardError) {
 	return infos, errs
 }
 
-// Wait blocks until every shard's started runs and refits have finished
-// (remote shards are long-polled; an unreachable shard is skipped after a
-// few attempts — a dead process has nothing running in it to wait for).
+// Wait blocks until every in-process shard's started runs and refits have
+// finished. A remote shard drains its own runs on the SIGTERM its
+// supervisor sends (see Supervisor.Stop).
 func (r *Router) Wait() {
-	for _, sl := range r.slots {
-		sl.Wait()
+	for _, m := range r.locals {
+		if m != nil {
+			m.Wait()
+		}
 	}
 }
 

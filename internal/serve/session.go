@@ -395,8 +395,8 @@ func (s *Session) Wait() {
 
 // Done returns a channel closed when the session reaches a terminal state
 // (sessions restored from the store in a terminal state are born closed).
-// For remote proxies the channel is fed by a long-poll watcher started on
-// first use.
+// For remote proxies the channel is fed by a watcher, started on first
+// use, that follows the session's event stream on its shard.
 func (s *Session) Done() <-chan struct{} {
 	if s.remote != nil {
 		return s.remote.doneChan()

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -13,12 +11,12 @@ import (
 // This file implements the server half of the shard protocol: a single
 // Manager exposed over HTTP to a Router in another process. The protocol
 // is the public /api surface — so every session operation a RemoteBackend
-// proxies hits exactly the handlers a client would — plus a small /shard
+// proxies hits exactly the handlers a client would, completion included (a
+// proxy's Done follows the session's event stream) — plus a small /shard
 // namespace for what the public API deliberately lacks: creates under a
-// router-minted id, long-poll completion waits (Wait and Done are channel
-// operations locally; over the wire they become bounded polls), liveness
-// pings for the supervisor, a stats/cursor snapshot for scatter-gather
-// aggregation, and the registry replication log's push endpoint.
+// router-minted id, liveness pings for the supervisor, a stats/cursor
+// snapshot for scatter-gather aggregation, and the registry replication
+// log's push endpoint.
 
 // NewShardManager returns a Manager configured as a remote executor shard:
 // it resolves model references against a replication-fed replica instead
@@ -105,10 +103,8 @@ func ShardHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/api/", NewAPI(m).Handler())
 	mux.HandleFunc("POST /shard/sessions", sa.handleCreate)
-	mux.HandleFunc("GET /shard/sessions/{id}/wait", sa.handleSessionWait)
 	mux.HandleFunc("GET /shard/ping", sa.handlePing)
 	mux.HandleFunc("GET /shard/info", sa.handleInfo)
-	mux.HandleFunc("GET /shard/wait", sa.handleIdleWait)
 	mux.HandleFunc("POST /shard/replication", sa.handleReplication)
 	// The shard process serves its own metrics, so a fleet is scraped
 	// per-process; withShardTrace threads the router's X-Trace-Id into the
@@ -135,35 +131,6 @@ func (sa *shardAPI) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.Status())
 }
 
-// pollWindow parses the timeout_ms query parameter, bounded to [1ms, 60s].
-func pollWindow(r *http.Request) time.Duration {
-	d := waitPollTimeout
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-		if ms, err := strconv.Atoi(raw); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
-		}
-	}
-	return min(d, time.Minute)
-}
-
-// handleSessionWait is GET /shard/sessions/{id}/wait: a bounded long-poll
-// on the session's terminal transition — the wire form of Session.Wait.
-func (sa *shardAPI) handleSessionWait(w http.ResponseWriter, r *http.Request) {
-	s, err := sa.m.Get(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, httpCode(err), err)
-		return
-	}
-	select {
-	case <-s.Done():
-		st := s.Status()
-		writeJSON(w, http.StatusOK, map[string]any{"done": true, "status": st})
-	case <-time.After(pollWindow(r)):
-		writeJSON(w, http.StatusOK, map[string]any{"done": false})
-	case <-r.Context().Done():
-	}
-}
-
 // handlePing is GET /shard/ping: the supervisor's liveness check. It
 // answers from memory only — a degraded (read-only) shard is alive.
 func (sa *shardAPI) handlePing(w http.ResponseWriter, r *http.Request) {
@@ -173,24 +140,6 @@ func (sa *shardAPI) handlePing(w http.ResponseWriter, r *http.Request) {
 func (sa *shardAPI) handleInfo(w http.ResponseWriter, r *http.Request) {
 	info, _ := sa.m.shardInfo()
 	writeJSON(w, http.StatusOK, info)
-}
-
-// handleIdleWait is GET /shard/wait: a bounded long-poll until every
-// started run and refit has finished — the wire form of Manager.Wait,
-// polled by a router draining remote shards at shutdown.
-func (sa *shardAPI) handleIdleWait(w http.ResponseWriter, r *http.Request) {
-	idle := make(chan struct{})
-	go func() {
-		sa.m.Wait()
-		close(idle)
-	}()
-	select {
-	case <-idle:
-		writeJSON(w, http.StatusOK, map[string]any{"idle": true})
-	case <-time.After(pollWindow(r)):
-		writeJSON(w, http.StatusOK, map[string]any{"idle": false})
-	case <-r.Context().Done():
-	}
 }
 
 // handleReplication is POST /shard/replication: the control plane pushes

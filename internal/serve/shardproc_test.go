@@ -37,8 +37,8 @@ func TestMain(m *testing.M) {
 
 // runShardProcess is the subprocess body: a shard Manager behind
 // ShardHandler on addr, warm-started from dir's WAL when set, shut down
-// gracefully on SIGTERM. It mirrors `batchsvc -shard-server` without
-// needing a second binary on disk.
+// gracefully on SIGTERM — in-flight runs drain before it exits. It mirrors
+// `batchsvc -shard-server` without needing a second binary on disk.
 func runShardProcess(addr, dir string) {
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "shard process: %v\n", err)
@@ -71,6 +71,7 @@ func runShardProcess(addr, dir string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx)
+	m.Wait()
 	m.Close()
 	os.Exit(0)
 }
@@ -122,7 +123,6 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		PingFailures:   3,
 		RestartBackoff: 300 * time.Millisecond,
 		ReadyTimeout:   15 * time.Second,
-		Logf:           t.Logf,
 	})
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)
@@ -280,6 +280,73 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 	})
 }
 
+// TestRemoteRunsDrainAtShutdown pins the shutdown order with a remote
+// shard: Router.Wait waits for in-process shards only, so a remote-homed
+// run is still going when it returns; Supervisor.Stop's SIGTERM then lets
+// the shard process drain it, and a respawned shard replays it from its
+// WAL as done, not as a run the crash interrupted.
+func TestRemoteRunsDrainAtShutdown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test")
+	}
+	addr := freeAddr(t)
+	spawn := shardSpawn(addr, store.ShardDir(t.TempDir(), 1))
+	opts := &SupervisorOptions{PingInterval: 50 * time.Millisecond, ReadyTimeout: 15 * time.Second}
+	sup := NewSupervisor([]string{addr}, spawn, opts)
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Kill()
+	r, err := NewRouterTopology([]string{"", addr}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var s *Session
+	for s == nil {
+		c, err := r.Create("drain", slowConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placement.Shard(c.ID(), 2) == 1 {
+			s = c
+		}
+	}
+	if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: slowSessionJobs / 4, Jitter: 0.02, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "remote run to start", func() bool { return s.Status().State == StateRunning })
+	r.Wait()
+	if got := s.Status().State; got != StateRunning {
+		t.Fatalf("remote session %s is %s when Router.Wait returns, want still running", s.ID(), got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sup.Stop(ctx)
+
+	sup = NewSupervisor([]string{addr}, spawn, opts)
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Kill()
+	var st SessionStatus
+	waitUntil(t, "respawned shard to serve the session", func() bool {
+		got, err := r.Get(s.ID())
+		if err == nil {
+			st = got.Status()
+		}
+		return err == nil
+	})
+	if st.State != StateDone {
+		t.Fatalf("respawned shard serves %s as %s (%s), want done", s.ID(), st.State, st.Error)
+	}
+}
+
 // TestShardProcessTracePropagation proves a trace crosses the process
 // boundary: a traced create routed to a real shard subprocess must come
 // back from Router.Trace as one merged timeline holding this process's
@@ -294,7 +361,6 @@ func TestShardProcessTracePropagation(t *testing.T) {
 	sup := NewSupervisor([]string{addr}, shardSpawn(addr, store.ShardDir(t.TempDir(), 1)), &SupervisorOptions{
 		PingInterval: 50 * time.Millisecond,
 		ReadyTimeout: 15 * time.Second,
-		Logf:         t.Logf,
 	})
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)
@@ -408,7 +474,6 @@ func TestSupervisorRestartsUnresponsiveShard(t *testing.T) {
 		PingFailures:   3,
 		RestartBackoff: 100 * time.Millisecond,
 		ReadyTimeout:   15 * time.Second,
-		Logf:           t.Logf,
 	})
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)

@@ -40,10 +40,6 @@ type SupervisorOptions struct {
 	// ReadyTimeout bounds how long Start waits for each shard's first
 	// successful ping (default 15s).
 	ReadyTimeout time.Duration
-	// Logf receives supervision events rendered as text. When nil (the
-	// default), events go to the structured logger with shard, pid, and
-	// restart-count fields instead.
-	Logf func(format string, args ...any)
 }
 
 func (o SupervisorOptions) withDefaults() SupervisorOptions {
@@ -146,24 +142,13 @@ func (sv *Supervisor) Pid(i int) int {
 	return 0
 }
 
-// event reports one supervision event for shard i, with the shard's
-// address, pid, and restart count attached: through Logf as rendered text
-// when one is configured, otherwise through the structured logger. It must
-// not be called with sv.mu held (Pid and Restarts take it).
+// event reports one supervision event for shard i through the structured
+// logger, with the shard's address, pid, and restart count attached. It
+// must not be called with sv.mu held (Pid and Restarts take it).
 func (sv *Supervisor) event(i int, msg string, args ...any) {
 	all := append([]any{
 		"shard", i, "addr", sv.addrs[i], "pid", sv.Pid(i), "restart_count", sv.Restarts(i),
 	}, args...)
-	if sv.opts.Logf != nil {
-		var b strings.Builder
-		b.WriteString("serve: supervisor: ")
-		b.WriteString(msg)
-		for j := 0; j+1 < len(all); j += 2 {
-			fmt.Fprintf(&b, " %v=%v", all[j], all[j+1])
-		}
-		sv.opts.Logf("%s", b.String())
-		return
-	}
 	obs.Logger("supervisor").Info(msg, all...)
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // Connection-reuse tests: every shard-protocol exchange hands its
-// connection back to the client's pool, so the router dials a shard a
-// bounded number of times however many requests it sends.
+// connection back to the shard transport's pool, so the router dials a
+// shard a bounded number of times however many requests it sends.
 
 // connCount counts the TCP connections a test server accepts and closes.
 type connCount struct {
@@ -43,12 +43,13 @@ func countConns(t *testing.T, h http.Handler) (*httptest.Server, *connCount) {
 // they are drained, each such exchange costs the connection, and the shard
 // sees about two new connections per remote-homed session. Kept alive, the
 // lifecycles share one connection. The replication loop may need a second
-// when it runs beside a request, and a third when the transport hands the
-// lifecycle's freed connection to the loop's waiting request and the next
-// lifecycle call dials while the loop's own dial is still open. The count
-// stays at that constant bound after every lifecycle, whatever K is.
+// when it runs beside a request. The shard transport dials only for a
+// caller that finds the pool empty, and that caller uses the connection it
+// dialed, so connections never outnumber calls in flight: one lifecycle
+// call plus one replication call. The count stays at that bound after
+// every lifecycle, whatever K is.
 func TestRemoteLifecyclesReuseShardConnections(t *testing.T) {
-	const k, maxConns = 20, 3
+	const k, maxConns = 20, 2
 	m := NewShardManager(2)
 	m.SetShardIndex(1)
 	t.Cleanup(m.Close)

@@ -176,14 +176,29 @@
 // a shard process drains its own runs on the SIGTERM Supervisor.Stop
 // sends.
 //
-// Round trips reuse connections. Every shard reply is read to EOF before
-// its body is closed (drainClose), the bodies of run and delete replies
-// nobody needs included, because net/http returns a connection to its
-// pool only after that and otherwise dials afresh for the next call; the
-// supervisor's pings follow the same rule. The pool is the client's own:
-// the default client keeps the stdlib's idle connections per host, and an
-// injected Client its transport's. The connection-reuse tests count the
-// connections a shard accepts.
+// Round trips reuse connections. The default client of each RemoteBackend
+// and of the Supervisor runs on its own shard transport (transport.go),
+// which makes each exchange on the calling goroutine: it takes an idle
+// keep-alive connection for the shard (or dials one under the request's
+// context), writes the request, and reads the reply from the connection's
+// buffered reader — no per-connection read and write loops, so no thread
+// handoff per hop. A connection goes back to the idle stack, capped at
+// maxIdlePerShard per address, only when its reply body was read to EOF
+// with nothing buffered behind it, neither side asked to close, and the
+// request's context had not fired; its deadline, a caller's cancel and a
+// relayed stream's end close it through context.AfterFunc. Before an idle
+// connection is reused, a non-blocking MSG_PEEK read checks it: EOF (the
+// shard closed it, or restarted), stray bytes or an error discard it. A
+// request is never resent once a connection was handed out for it — it
+// may have reached the shard — so mutations still apply at most once, and
+// only retry repeats calls, idempotent ones. Since only a reply read to
+// EOF returns its connection, every shard reply is drained before its
+// body is closed (drainClose), the bodies of run and delete replies
+// nobody needs and the supervisor's pings included. Closing a backend
+// closes only its own idle connections. An
+// injected RemoteOptions.Client keeps its transport's pool. The
+// connection-reuse and transport tests count the connections a shard
+// accepts.
 //
 // In distributed mode (`batchsvc -distribute`), a Supervisor owns the
 // shard subprocesses: it spawns them, health-checks each with periodic

@@ -50,8 +50,11 @@ type ShardError struct {
 // RemoteOptions tunes a RemoteBackend's failure handling. The zero value
 // of any field selects its default.
 type RemoteOptions struct {
-	// Client issues the HTTP requests (default: a dedicated client; tests
-	// inject a faultnet-wrapped one here).
+	// Client issues the HTTP requests. The default is a client of the
+	// backend's own shard transport (transport.go): each exchange runs on
+	// the calling goroutine over a pooled keep-alive connection, an idle
+	// connection is checked alive before reuse, and a request is never
+	// resent once written. Tests inject a faultnet-wrapped one here.
 	Client *http.Client
 	// OpTimeout is the per-attempt deadline for unary operations (default
 	// 5s); on an event stream it bounds only the wait for the headers.
@@ -77,7 +80,7 @@ const maxDrainBytes = 64 << 10
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.Client == nil {
-		o.Client = &http.Client{}
+		o.Client = &http.Client{Transport: &shardTransport{}}
 	}
 	if o.OpTimeout <= 0 {
 		o.OpTimeout = 5 * time.Second

@@ -100,7 +100,7 @@ func TestRemoteShardReportsByteIdentical(t *testing.T) {
 // through transient transport faults; creates never do.
 func TestRemoteRetriesIdempotentOnly(t *testing.T) {
 	_, srv := startShard(t, 2)
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	opts := fastRemoteOptions(inj.Client())
 	opts.Retries = 3
 	rb := NewRemoteBackend(srv.URL, opts)
@@ -162,7 +162,7 @@ func TestRemoteRetriesIdempotentOnly(t *testing.T) {
 // it once the shard is back.
 func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 	_, srv := startShard(t, 2)
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	rb := NewRemoteBackend(srv.URL, fastRemoteOptions(inj.Client()))
 	defer rb.Close()
 
@@ -207,7 +207,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 // creates on live shards proceed.
 func TestRouterPartialScatterGather(t *testing.T) {
 	_, srv := startShard(t, 2)
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	r, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestShardReplicationRejectsEmptyVersions(t *testing.T) {
 // shard — the degraded local one, not the unreachable remote one.
 func TestRouterStatsMixedShardFailure(t *testing.T) {
 	_, srv := startShard(t, 2)
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	r, err := NewRouterTopology([]string{"", "", srv.URL}, 2, fastRemoteOptions(inj.Client()))
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +419,7 @@ func TestRouterStatsMixedShardFailure(t *testing.T) {
 // survivors.
 func TestRouterSweepPartial(t *testing.T) {
 	_, srv := startShard(t, 2)
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	r, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +492,7 @@ func TestRouterSweepPartial(t *testing.T) {
 // homed on the remote shard resolve the reference through their replica.
 func TestRouterReplicationCatchUp(t *testing.T) {
 	sm, srv := startShard(t, 2)
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	r, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,13 @@ import (
 // stays the authority over sessions the router only caches.
 
 // countingTransport records the session-scoped requests a RemoteBackend
-// sends. The router's background reconciliation (/shard/info,
-// /shard/replication) is not a per-request cost and is left out.
+// sends, then passes each to the shard transport the default client uses.
+// The router's background reconciliation (/shard/info, /shard/replication)
+// is not a per-request cost and is left out.
 type countingTransport struct {
-	mu   sync.Mutex
-	reqs []string
+	inner shardTransport
+	mu    sync.Mutex
+	reqs  []string
 }
 
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -35,7 +37,7 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 		c.reqs = append(c.reqs, req.Method+" "+req.URL.Path)
 		c.mu.Unlock()
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	return c.inner.RoundTrip(req)
 }
 
 // take returns the requests recorded since the last take and resets.
@@ -220,7 +222,7 @@ func TestRemoteSessionOneRoundTripPerRequest(t *testing.T) {
 // breaker is open it does so without touching the network.
 func TestRemoteShardStaysAuthoritative(t *testing.T) {
 	m, srv := startShard(t, 2)
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	opts := fastRemoteOptions(inj.Client())
 	opts.BreakerCooldown = time.Minute // no half-open probe mid-test
 	r, err := NewRouterTopology([]string{"", srv.URL}, 2, opts)
@@ -371,7 +373,7 @@ func TestRemoteWaitFollowsEventStream(t *testing.T) {
 
 	// With the shard partitioned, Wait ends once the watcher's failure
 	// budget is spent.
-	inj := faultnet.Wrap(nil)
+	inj := faultnet.Wrap(&shardTransport{})
 	pr, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
 	if err != nil {
 		t.Fatal(err)

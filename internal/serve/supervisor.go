@@ -120,7 +120,7 @@ func NewSupervisor(addrs []string, spawn func(i int, addr string) *exec.Cmd, opt
 		procs:    make([]*shardProc, len(addrs)),
 		restarts: make([]int, len(addrs)),
 		stopCh:   make(chan struct{}),
-		client:   &http.Client{},
+		client:   &http.Client{Transport: &shardTransport{}},
 	}
 }
 
@@ -322,6 +322,7 @@ func (sv *Supervisor) Stop(ctx context.Context) {
 	sv.mu.Unlock()
 	close(sv.stopCh)
 	sv.wg.Wait()
+	sv.client.CloseIdleConnections() // the health loops are done pinging
 	sv.mu.Lock()
 	procs := append([]*shardProc(nil), sv.procs...)
 	sv.mu.Unlock()

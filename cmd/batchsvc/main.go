@@ -43,12 +43,12 @@
 //	  -d '{"lifetimes": [0.5, 2.25, 23.1]}'
 //	curl -X POST localhost:8080/api/models/n1-highcpu-16-us-east1-b/refit
 //
-// With -data-dir, the session lifecycle is durable: configs, bags, state
-// transitions, completed reports, and the model registry (versions,
-// observation high-water marks, detector state) are written to a
-// snapshot+WAL store, and a restart resumes every non-running session —
-// and the registry — exactly where it was (sessions that were mid-run
-// recover as failed with a diagnostic).
+// With -data-dir, the session lifecycle is durable: configs, bags, run
+// starts, cancels, deletes, and the model registry (versions, observation
+// high-water marks, detector state) are written to a snapshot+WAL store,
+// and a restart recomputes every session — and restores the registry —
+// exactly where it was (a session that was mid-run is re-run from its
+// inputs, so it comes back as an uncrashed run would have finished).
 //
 // POST /api/sweep fans a scenario grid (VM types x zones x policies,
 // optionally x model_refs) out across sessions and aggregates the
@@ -414,9 +414,9 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("shutdown failed", "err", err)
 	}
-	// Let running simulations finish so their reports land in the store (or
-	// at least in the final log lines). A session still running when the
-	// drain window closes will recover as failed on the next boot.
+	// Let running simulations finish before exiting. A session still
+	// running when the drain window closes is re-run from its logged
+	// inputs on the next boot.
 	done := make(chan struct{})
 	go func() { mgr.Wait(); close(done) }()
 	select {

@@ -27,8 +27,9 @@ type Report struct {
 	MeanAttempts float64 `json:"mean_attempts"`
 	// TraceID links the report back to the request trace that created its
 	// session (GET /api/trace/{id}), when the session arrived through the
-	// traced HTTP edge. The serving layer sets it before the report is
-	// persisted, so a restored session's report carries the same trace.
+	// traced HTTP edge. The serving layer sets it whenever a run settles,
+	// a restored session's replayed run included, so the trace survives
+	// restarts.
 	TraceID string `json:"trace_id,omitempty"`
 }
 

@@ -200,6 +200,16 @@ func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleGet(w http.ResponseWriter, r *http.Request) {
+	if s := a.b.remoteProxy(r.PathValue("id")); s != nil {
+		// One traced round trip to the home shard, whose answer stands.
+		st, err := s.remote.fetch(r.Context())
+		if err != nil {
+			writeErr(w, httpCode(err), err)
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
+		return
+	}
 	if s := a.session(w, r); s != nil {
 		writeJSON(w, http.StatusOK, s.knownStatus())
 	}
@@ -223,7 +233,7 @@ func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n, mean, err := s.SubmitBag(req)
+	n, mean, err := s.submitBagCtx(r.Context(), req)
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -244,7 +254,7 @@ func (a *API) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	est, err := s.Estimate(req)
+	est, err := s.estimateCtx(r.Context(), req)
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -277,7 +287,7 @@ func (a *API) handleReport(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	rep, err := s.Report()
+	rep, err := s.reportCtx(r.Context())
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -290,7 +300,7 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	jobs, err := s.Jobs()
+	jobs, err := s.jobsCtx(r.Context())
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -303,7 +313,7 @@ func (a *API) handleVMs(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	vms, err := s.VMs()
+	vms, err := s.vmsCtx(r.Context())
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return

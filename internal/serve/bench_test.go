@@ -236,8 +236,8 @@ func waitShardReady(b *testing.B, addr string) {
 
 // BenchmarkStoreRestore measures crash-recovery speed: a data directory is
 // seeded once with completed sessions, then each iteration boots a fresh
-// manager from it (replay + service rebuild + bag resubmission + snapshot
-// compaction). The custom metric is sessions restored per second — the
+// manager from it (replay + service rebuild + bag resubmission + re-run +
+// snapshot compaction). The custom metric is sessions restored per second — the
 // boot-time cost of durability.
 func BenchmarkStoreRestore(b *testing.B) {
 	const sessions = 16

@@ -61,9 +61,10 @@ func retryAfterOf(err error) int {
 // TestDegradedFlipServesReadOnlyAndRecovers is the headline robustness
 // guarantee: a persistent WAL append failure flips the live service into
 // degraded read-only mode — mutating endpoints 503 with Retry-After and
-// the stable "error" body, in-flight sessions finish in memory flagged
-// unpersisted — and once the disk heals, the probe recovers the store,
-// re-persists the missed state, and a restart sees all of it.
+// the stable "error" body, an in-flight session cancelled meanwhile stops
+// in memory flagged unpersisted — and once the disk heals, the probe
+// recovers the store, re-persists the missed cancel, and a restart sees
+// all of it.
 func TestDegradedFlipServesReadOnlyAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	st, inj := openInjectedStore(t, dir, store.Options{})
@@ -108,6 +109,22 @@ func TestDegradedFlipServesReadOnlyAndRecovers(t *testing.T) {
 		t.Fatal("degraded error carries no Retry-After hint")
 	}
 
+	// The in-flight session is cancelled while degraded: it stops in
+	// memory, flagged unpersisted, since its stop point could not be
+	// logged. (A run that finishes while degraded needs no record: its
+	// inputs were durable before it started.)
+	if err := m.Cancel(s2.ID()); err != nil {
+		t.Fatal(err)
+	}
+	status := s2.Status()
+	if status.State != StateCancelled {
+		t.Fatalf("in-flight session ended %s (%s), want cancelled", status.State, status.Error)
+	}
+	if !status.Unpersisted {
+		t.Fatal("session cancelled while degraded is not flagged unpersisted")
+	}
+	want := viewOf(t, s2)
+
 	// Over HTTP: stable "error" body, Retry-After header, degraded health.
 	body, _ := json.Marshal(createRequest{Config: testConfig(4)})
 	resp, err := http.Post(srv.URL+"/api/sessions", "application/json", bytes.NewReader(body))
@@ -150,16 +167,6 @@ func TestDegradedFlipServesReadOnlyAndRecovers(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// The in-flight session finishes in memory, flagged unpersisted.
-	s2.Wait()
-	status := s2.Status()
-	if status.State != StateDone {
-		t.Fatalf("in-flight session ended %s (%s), want done", status.State, status.Error)
-	}
-	if !status.Unpersisted {
-		t.Fatal("session finished while degraded is not flagged unpersisted")
-	}
-
 	// Heal the disk: the probe recovers, re-persists via compaction, and
 	// clears both the degraded flag and the unpersisted markers.
 	inj.Clear()
@@ -170,7 +177,7 @@ func TestDegradedFlipServesReadOnlyAndRecovers(t *testing.T) {
 		t.Fatalf("create after recovery: %v", err)
 	}
 
-	// Restart: the session that finished while degraded is fully durable.
+	// Restart: the cancel made while degraded is fully durable.
 	m.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -185,12 +192,13 @@ func TestDegradedFlipServesReadOnlyAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("session %s lost across restart: %v", s2.ID(), err)
 	}
-	if got := rs.Status(); got.State != StateDone || got.Unpersisted {
-		t.Fatalf("restored session = %s unpersisted=%v, want done/false", got.State, got.Unpersisted)
+	if got := rs.Status(); got.State != StateCancelled || got.Unpersisted {
+		t.Fatalf("restored session = %s unpersisted=%v, want cancelled/false", got.State, got.Unpersisted)
 	}
-	if _, err := rs.Report(); err != nil {
-		t.Fatalf("restored report: %v", err)
-	}
+	// The live view was taken while flagged; the flag is the one expected
+	// difference, and viewOf would otherwise compare it.
+	want.status = strings.Replace(want.status, `,"unpersisted":true`, "", 1)
+	requireView(t, "session cancelled while degraded", want, viewOf(t, rs))
 	for _, id := range []string{s1.ID(), s5.ID()} {
 		if _, err := m2.Get(id); err != nil {
 			t.Fatalf("session %s lost across restart: %v", id, err)
@@ -247,9 +255,10 @@ func TestRunPanicBecomesFailedSession(t *testing.T) {
 	}
 }
 
-// TestRunPanicPersistsFailure runs the panic through a stored manager: the
-// failed terminal state must be durable, so a restart shows the same
-// diagnosed failure.
+// TestRunPanicPersistsFailure runs the panic through a stored manager. The
+// log keeps inputs only, so a restart whose worker panics the same way
+// reproduces the same diagnosed failure from them — and one whose worker
+// runs clean recovers the session as done.
 func TestRunPanicPersistsFailure(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -279,10 +288,10 @@ func TestRunPanicPersistsFailure(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	m2 := NewManager(1)
+	m2.runHook = m.runHook
 	if err := m2.Restore(st2); err != nil {
 		t.Fatal(err)
 	}
-	defer m2.Close()
 	rs, err := m2.Get(s.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -290,6 +299,23 @@ func TestRunPanicPersistsFailure(t *testing.T) {
 	got := rs.Status()
 	if got.State != StateFailed || !strings.Contains(got.Error, "durable panic") {
 		t.Fatalf("restored state = %s (%q), want the diagnosed failure", got.State, got.Error)
+	}
+	m2.Close()
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m3 := NewManager(1)
+	if err := m3.Restore(openStore(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	rs, err = m3.Get(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Status(); got.State != StateDone {
+		t.Fatalf("restored without the panicking worker: %s (%q), want done", got.State, got.Error)
 	}
 }
 
@@ -458,8 +484,8 @@ func TestSSETerminalFrameOnPanic(t *testing.T) {
 	})
 }
 
-// TestSSETerminalFrameWhileDegraded streams a session that finishes while
-// the store is degraded: the client still gets the terminal frame (with the
+// TestSSETerminalFrameWhileDegraded streams a session cancelled while the
+// store is degraded: the client still gets the terminal frame (with the
 // unpersisted marker), and the stream closes.
 func TestSSETerminalFrameWhileDegraded(t *testing.T) {
 	dir := t.TempDir()
@@ -486,6 +512,9 @@ func TestSSETerminalFrameWhileDegraded(t *testing.T) {
 	if _, err := m.Create("tripwire", testConfig(9)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("tripwire create = %v, want ErrDegraded", err)
 	}
+	if err := m.Cancel(s.ID()); err != nil {
+		t.Fatal(err)
+	}
 
 	events := readSSE(t, bufio.NewReader(resp.Body), 100_000)
 	if len(events) == 0 {
@@ -495,8 +524,8 @@ func TestSSETerminalFrameWhileDegraded(t *testing.T) {
 	if err := json.Unmarshal([]byte(events[len(events)-1].data), &final); err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone {
-		t.Fatalf("terminal frame = %s (%q), want done", final.State, final.Error)
+	if final.State != StateCancelled {
+		t.Fatalf("terminal frame = %s (%q), want cancelled", final.State, final.Error)
 	}
 	if !final.Unpersisted {
 		t.Fatal("terminal frame while degraded lacks the unpersisted marker")

@@ -2,9 +2,10 @@ package serve
 
 // Degraded-mode machinery: when a durable append fails persistently, the
 // service flips read-only instead of dying — mutating endpoints return 503
-// with Retry-After, in-flight sessions finish in memory (flagged
-// unpersisted), and a background probe recovers the store and heals the
-// missed records by rewriting the snapshot from live state.
+// with Retry-After, in-flight sessions finish in memory (a cancel made
+// meanwhile is flagged unpersisted), and a background probe recovers the
+// store and heals the missed records by rewriting the snapshot from live
+// state.
 
 import (
 	"errors"
@@ -71,8 +72,8 @@ type Health struct {
 	Degraded bool   `json:"degraded"`
 	Reason   string `json:"reason,omitempty"`
 	Since    string `json:"since,omitempty"`
-	// UnpersistedSessions lists sessions whose terminal state could not be
-	// appended while degraded; the recovery compaction heals them.
+	// UnpersistedSessions lists sessions whose cancel could not be appended
+	// while degraded; the recovery compaction heals them.
 	UnpersistedSessions []string `json:"unpersisted_sessions,omitempty"`
 }
 
@@ -126,7 +127,7 @@ func (m *Manager) enterDegraded(cause error) {
 }
 
 // markUnpersisted flags a session whose applied state could not be
-// persisted (a terminal transition during degraded mode).
+// persisted (a cancel during degraded mode).
 func (m *Manager) markUnpersisted(s *Session) {
 	s.mu.Lock()
 	s.unpersisted = true

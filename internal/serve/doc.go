@@ -211,13 +211,18 @@
 // # Persistence
 //
 // Attaching a Store (internal/store: a JSON snapshot + append-only WAL) via
-// Manager.Restore makes the lifecycle durable: session creation, bag
-// submissions, state transitions, and completed reports are logged, and a
-// restarting process replays the log — created sessions come back runnable,
-// done sessions serve byte-identical reports and job listings, and sessions
-// that were mid-run when the process died recover as failed with a
-// diagnostic (their simulation state is gone by design; re-run them). The
-// store is compacted at boot so replay cost tracks live state, not history.
+// Manager.Restore makes the lifecycle durable. The log holds inputs only:
+// session creation, bag submissions, run starts, cancels (with the stop
+// point) and deletes. Outcomes are recomputed — the simulation is a pure
+// function of the config, the bags and the pinned model — so a restarting
+// process replays the log and re-runs every logged run before it serves:
+// created sessions come back runnable, run sessions serve byte-identical
+// reports, statuses and job listings, sessions that were mid-run when the
+// process died recover as whatever their inputs produce (normally done),
+// and a cancelled session's replay stops at the progress boundary its
+// record names. Logs written before this schema also hold done/failed
+// records; replay ignores them. The store is compacted at boot so replay
+// cost tracks live state, not history.
 //
 // A Router takes one store per shard (Router.Restore): shard 0's store is
 // the data-dir root itself — the pre-sharding layout, so old data dirs boot
@@ -271,8 +276,9 @@
 // If the attached store starts failing persistently (disk full, I/O
 // errors), the owning shard degrades rather than dies: mutating endpoints
 // routed to it return 503 with a Retry-After header while reads keep
-// serving, running sessions finish in memory with their status flagged
-// unpersisted, and /api/stats reports the degraded health. Degraded mode is
+// serving, running sessions finish in memory (their inputs are already
+// durable), a session cancelled meanwhile is flagged unpersisted until its
+// stop point is logged, and /api/stats reports the degraded health. Degraded mode is
 // per shard — with several shards, sessions hashed to healthy shards keep
 // accepting writes while the broken shard recovers, and the aggregate
 // health names the degraded shard. A background probe retries the

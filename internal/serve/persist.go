@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,10 +30,14 @@ type Store interface {
 	Stats() store.Stats
 }
 
-// Record kinds. A session's durable history is
-// create (bag)* [run [done|failed|cancelled]] [delete]; a manager-level
-// seq record preserves the id counter across compactions that erase
-// deleted sessions' history. A model entry's live history is
+// Record kinds. A session's durable history is its inputs alone:
+// create (bag)* [run [cancelled]] [delete]. A run's outcome is not logged —
+// the simulation is a pure function of the config, the bags and the pinned
+// model, so Restore recomputes it (see replayRun); only a cancel, whose
+// timing no input determines, records where the run stopped. Logs written
+// before this schema also carry done/failed records; replay ignores them.
+// A manager-level seq record preserves the id counter across compactions
+// that erase deleted sessions' history. A model entry's live history is
 // model_create (model_obs | model_version)*, with the record ID carrying
 // the entry name; compaction collapses each entry to one model_state
 // record (versions + detector state + refit buffer), so boot replay never
@@ -41,8 +46,6 @@ const (
 	kindCreate    = "create"
 	kindBag       = "bag"
 	kindRun       = "run"
-	kindDone      = "done"
-	kindFailed    = "failed"
 	kindCancelled = "cancelled"
 	kindDelete    = "delete"
 	kindSeq       = "seq"
@@ -103,32 +106,26 @@ type createRecord struct {
 	TraceID string        `json:"trace_id,omitempty"`
 }
 
-// terminalRecord is the payload of done/failed/cancelled records. Done
-// records carry the full report and final per-job statuses so a restart can
-// serve them without re-running anything; failure records carry the error.
-type terminalRecord struct {
-	Report   *batch.Report     `json:"report,omitempty"`
-	Jobs     []batch.JobStatus `json:"jobs,omitempty"`
-	Progress *batch.Progress   `json:"progress,omitempty"`
-	Error    string            `json:"error,omitempty"`
-	// JobsElided marks that the per-job listing exceeded
-	// maxPersistedJobStatuses and was deliberately dropped.
-	JobsElided bool `json:"jobs_elided,omitempty"`
+// cancelRecord is the payload of a kindCancelled record: the diagnostic
+// and the progress at the stop point. Its engine_steps is the one input the
+// log cannot re-derive — the progress boundary where the run noticed the
+// cancel — and replay stops there (0 or absent: the run never stepped).
+// Records that still carry the per-job listing parse unchanged; the extra
+// keys are ignored.
+type cancelRecord struct {
+	Progress *batch.Progress `json:"progress,omitempty"`
+	Error    string          `json:"error,omitempty"`
 }
 
-// maxPersistedJobStatuses bounds the per-job listing embedded in a terminal
-// record (~65MB of JSON at ~130 B/status), keeping every WAL line far below
-// the store's 256MB scan bound — a single enormous session must never make
-// the data dir unbootable. Larger sessions persist with JobsElided set; the
-// report and progress summary are kept regardless.
-const maxPersistedJobStatuses = 500_000
-
-// boundJobs applies the maxPersistedJobStatuses cap.
-func boundJobs(jobs []batch.JobStatus) ([]batch.JobStatus, bool) {
-	if len(jobs) > maxPersistedJobStatuses {
-		return nil, true
+// cancelRecord builds the session's cancelled record from its live state.
+// Call with s.mu held.
+func (s *Session) cancelRecord() cancelRecord {
+	rec := cancelRecord{Error: s.runErr.Error()}
+	if s.hasSnap {
+		p := s.snap.Progress
+		rec.Progress = &p
 	}
-	return jobs, false
+	return rec
 }
 
 // persist appends one record for this session, mapping store failures to a
@@ -178,49 +175,19 @@ func (m *Manager) persistModel(kind, name string, v any) error {
 	return nil
 }
 
-// persistTerminal records the session's terminal state. It runs on the run
-// goroutine after svc.Run returned, so reading the service is safe. Store
+// persistCancel records a cancelled run's stop point. It runs on the run
+// goroutine after the run returned; a done or failed run writes nothing,
+// since its outcome is recomputed from the inputs on restore. Store
 // failures here have no client to report to; they are logged — and while
 // degraded the session is flagged unpersisted so the recovery compaction
 // knows to re-capture it.
-func (m *Manager) persistTerminal(s *Session, svc *batch.Service) {
-	if s.store == nil {
-		return
-	}
+func (m *Manager) persistCancel(s *Session) {
 	defer s.rlockGate()()
 	s.mu.Lock()
-	state := s.state
-	report := s.report
-	var errMsg string
-	if s.runErr != nil {
-		errMsg = s.runErr.Error()
-	}
-	var prog *batch.Progress
-	if s.hasSnap {
-		p := s.snap.Progress
-		prog = &p
-	}
+	rec := s.cancelRecord()
 	s.mu.Unlock()
-
-	var kind string
-	// Every terminal record carries the final per-job statuses, so a
-	// restart can answer /jobs for cancelled and failed sessions too (a
-	// cancelled run's partial attempts are real, observed state).
-	rec := terminalRecord{Progress: prog}
-	rec.Jobs, rec.JobsElided = boundJobs(svc.JobStatuses())
-	switch state {
-	case StateDone:
-		kind = kindDone
-		rec.Report = &report
-	case StateCancelled:
-		kind = kindCancelled
-		rec.Error = errMsg
-	default:
-		kind = kindFailed
-		rec.Error = errMsg
-	}
-	if err := s.persist(kind, rec); err != nil {
-		m.slogger().Error("terminal persist failed",
+	if err := s.persist(kindCancelled, rec); err != nil {
+		m.slogger().Error("cancel persist failed",
 			"session", s.id, "trace_id", s.traceID, "err", err)
 		if errors.Is(err, ErrDegraded) {
 			m.markUnpersisted(s)
@@ -230,13 +197,12 @@ func (m *Manager) persistTerminal(s *Session, svc *batch.Service) {
 
 // pendingSession accumulates one session's records during replay.
 type pendingSession struct {
-	name       string
-	cfg        SessionConfig
-	traceID    string
-	bags       []BagRequest
-	state      State
-	wasRunning bool
-	term       *terminalRecord
+	name      string
+	cfg       SessionConfig
+	traceID   string
+	bags      []BagRequest
+	ran       bool
+	cancelled *cancelRecord
 }
 
 // parsedStore is the decoded content of one store's records: the live
@@ -289,8 +255,10 @@ func parseStoreRecords(recs []store.Record) (*parsedStore, error) {
 			if err := json.Unmarshal(rec.Data, &cr); err != nil {
 				return nil, fmt.Errorf("serve: corrupt create record for %s: %w", rec.ID, err)
 			}
-			ps.sessions[rec.ID] = &pendingSession{name: cr.Name, cfg: cr.Config, traceID: cr.TraceID, state: StateCreated}
-			ps.order = append(ps.order, rec.ID)
+			if p == nil {
+				ps.order = append(ps.order, rec.ID)
+			}
+			ps.sessions[rec.ID] = &pendingSession{name: cr.Name, cfg: cr.Config, traceID: cr.TraceID}
 			// Track the id sequence across every session ever created —
 			// including ones later deleted — so new ids never collide.
 			var n int
@@ -304,21 +272,13 @@ func parseStoreRecords(recs []store.Record) (*parsedStore, error) {
 			}
 			p.bags = append(p.bags, bag)
 		case kindRun:
-			p.wasRunning = true
-		case kindDone, kindFailed, kindCancelled:
-			var term terminalRecord
-			if err := json.Unmarshal(rec.Data, &term); err != nil {
-				return nil, fmt.Errorf("serve: corrupt %s record for %s: %w", rec.Kind, rec.ID, err)
+			p.ran = true
+		case kindCancelled:
+			var c cancelRecord
+			if err := json.Unmarshal(rec.Data, &c); err != nil {
+				return nil, fmt.Errorf("serve: corrupt cancelled record for %s: %w", rec.ID, err)
 			}
-			p.term = &term
-			switch rec.Kind {
-			case kindDone:
-				p.state = StateDone
-			case kindFailed:
-				p.state = StateFailed
-			case kindCancelled:
-				p.state = StateCancelled
-			}
+			p.cancelled = &c
 		case kindDelete:
 			delete(ps.sessions, rec.ID)
 			for i, id := range ps.order {
@@ -510,14 +470,15 @@ func (m *Manager) startMaintenance(st Store) {
 // Restore attaches a store to an empty manager and rebuilds every session
 // from its records: configs are re-built (models re-fitted or fetched from
 // cache — deterministic in the persisted recipe), bags re-submitted, and
-// lifecycle states re-applied. Sessions that were running when the process
-// died are recovered as failed with a diagnostic, since their in-flight
-// simulation state is gone by design (the paper's own lesson: recover from
-// the last durable checkpoint, discard the torn attempt). After replay the
-// store is compacted, so each boot replays the snapshot of live state plus
-// only the WAL records appended since the previous boot. A Router restores
-// its shards from the same pieces (see Router.Restore), routing each parsed
-// session to its hash-placed home shard instead of rebuilding in place.
+// every logged run executed again before Restore returns (see replayRun).
+// The log holds inputs only, so a session that was mid-run when the
+// process died recovers as whatever its inputs produce — normally done —
+// exactly as a finished one does; only a recorded cancel stops a replay
+// early, at its recorded stop point. After replay the store is compacted,
+// so each boot replays the snapshot of live state plus only the WAL
+// records appended since the previous boot. A Router restores its shards
+// from the same pieces (see Router.Restore), routing each parsed session
+// to its hash-placed home shard instead of rebuilding in place.
 func (m *Manager) Restore(st Store) error {
 	if st == nil {
 		return nil
@@ -578,46 +539,63 @@ func (m *Manager) rebuild(id string, p *pendingSession) (*Session, error) {
 		traceID:  p.traceID,
 		shard:    m.shard,
 	}
-	// Replay bags with no store attached: the records already exist.
+	// Replay bags and the run with no store attached: the records already
+	// exist.
 	for _, bag := range p.bags {
 		if _, _, err := s.SubmitBag(bag); err != nil {
 			return nil, fmt.Errorf("replaying bag: %w", err)
 		}
 	}
-	switch {
-	case p.state == StateDone && p.term != nil && p.term.Report != nil:
-		s.state = StateDone
-		s.report = *p.term.Report
-	case p.state == StateFailed || p.state == StateCancelled:
-		s.state = p.state
-		msg := "unknown failure"
-		if p.term != nil && p.term.Error != "" {
-			msg = p.term.Error
-		}
-		s.runErr = fmt.Errorf("%s", msg)
-	case p.wasRunning:
-		// Running at crash time: the simulation state died with the process.
-		s.state = StateFailed
-		s.runErr = fmt.Errorf("process exited while session was running; partial run discarded on recovery")
-	}
-	if p.term != nil {
-		// All terminal records carry the final job statuses; crash-recovered
-		// sessions (no terminal record) have none, and their Jobs listing
-		// shows the replayed submissions as pending — the in-flight progress
-		// died with the process.
-		s.restoredJobs = p.term.Jobs
-		s.restoredJobsElided = p.term.JobsElided
-		if p.term.Progress != nil {
-			s.snap.Progress = *p.term.Progress
-			s.hasSnap = true
-		}
-	}
-	if s.state.terminal() {
-		close(s.done)
+	if p.ran {
+		m.replayRun(s, p.cancelled)
 	}
 	s.store = m.store
 	s.gate = &m.persistGate
 	return s, nil
+}
+
+// replayRun executes a restored session's logged run on its rebuilt
+// service, on the caller's goroutine, through runSession's panic isolation
+// and with publishSnapshot installed, so status, progress, report and job
+// listings come out as the live run left them — or, for a run the process
+// died in, as it would have left them. A recorded cancel stops the replay
+// at the same progress boundary the live run stopped at: the engine checks
+// the context before each boundary's snapshot, so cancelling from the
+// snapshot one interval short of the recorded engine_steps lands exactly
+// there. Replay is not a new run: it writes no record, bumps no counter and
+// emits no span.
+func (m *Manager) replayRun(s *Session, cancelled *cancelRecord) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stop int64
+	if cancelled != nil && cancelled.Progress != nil {
+		stop = cancelled.Progress.EngineSteps
+	}
+	every := int64(s.svc.ProgressEvery)
+	if every <= 0 {
+		every = 4096 // the engine's default cadence
+	}
+	s.svc.OnSnapshot = func(snap batch.Snapshot) {
+		s.publishSnapshot(snap)
+		if stop > 0 && snap.Progress.EngineSteps+every >= stop {
+			cancel()
+		}
+	}
+	s.svc.SnapshotDetail = func() bool { return false }
+	var rep batch.Report
+	var err error
+	if cancelled == nil || stop > 0 {
+		m.sem <- struct{}{}
+		rep, err = m.runSession(ctx, s.svc)
+	}
+	if cancelled != nil {
+		// The cancel's own diagnostic stands: it names the instant the live
+		// run stopped, and a queued cancel never ran at all.
+		s.state, s.runErr = StateCancelled, errors.New(cancelled.Error)
+	} else {
+		s.settle(rep, err)
+	}
+	close(s.done)
 }
 
 // CompactStore rewrites the store's snapshot from live state, pruning
@@ -640,104 +618,59 @@ func (m *Manager) CompactStore() error {
 	m.mu.Lock()
 	seq := m.seq
 	m.mu.Unlock()
+	// add captures one record; the first encoding error sticks and fails
+	// the compaction before the store is touched.
 	var recs []store.Record
-	appendRec := func(kind, id string, v any) error {
+	var encErr error
+	add := func(kind, id string, v any) {
 		var data json.RawMessage
-		if v != nil {
-			raw, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			data = raw
+		if v != nil && encErr == nil {
+			data, encErr = json.Marshal(v)
 		}
 		recs = append(recs, store.Record{Kind: kind, ID: id, Data: data})
-		return nil
 	}
 	// The id counter survives compaction even when the deleted sessions
 	// that advanced it do not, so their ids are never minted again.
-	if err := appendRec(kindSeq, "", seqRecord{Max: seq}); err != nil {
-		return err
-	}
+	add(kindSeq, "", seqRecord{Max: seq})
 	// Each model entry collapses to one state record: versions with their
 	// provenance, the detector's high-water mark and partial window, and
 	// the refit buffer — everything the live ingest history built, without
 	// the history itself. Models precede sessions so a replay that applied
 	// records strictly in order would still resolve every pinned ref.
 	for _, st := range m.registry.Snapshot() {
-		if err := appendRec(kindModelState, st.Name, st); err != nil {
-			return err
-		}
+		add(kindModelState, st.Name, st)
 	}
 	// A remote shard's replicated registry view compacts to one record per
 	// entry at the replica's current cursor.
 	if m.replica != nil {
 		epoch, entries := m.replica.Snapshot()
 		for _, e := range entries {
-			if err := appendRec(kindReplica, e.Name, replicaRecord{Epoch: epoch, Entry: e}); err != nil {
-				return err
-			}
+			add(kindReplica, e.Name, replicaRecord{Epoch: epoch, Entry: e})
 		}
 	}
+	// Each session collapses to its inputs: create, bags, and the run and
+	// cancel it went through.
 	for _, s := range m.List() {
 		s.mu.Lock()
-		if s.deleted {
-			// Claimed by a concurrent Delete (its record is durable; the
-			// session just hasn't left the listing yet). Re-capturing it
-			// would resurrect an acknowledged deletion on the next boot.
-			s.mu.Unlock()
-			continue
-		}
-		if err := appendRec(kindCreate, s.id, createRecord{Name: s.name, Config: s.cfg, TraceID: s.traceID}); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		for _, bag := range s.bags {
-			if err := appendRec(kindBag, s.id, bag); err != nil {
-				s.mu.Unlock()
-				return err
+		// A session claimed by a concurrent Delete is skipped (its record is
+		// durable; it just hasn't left the listing yet): re-capturing it
+		// would resurrect an acknowledged deletion on the next boot.
+		if !s.deleted {
+			add(kindCreate, s.id, createRecord{Name: s.name, Config: s.cfg, TraceID: s.traceID})
+			for _, bag := range s.bags {
+				add(kindBag, s.id, bag)
 			}
-		}
-		state := s.state
-		if state != StateCreated {
-			if err := appendRec(kindRun, s.id, nil); err != nil {
-				s.mu.Unlock()
-				return err
+			if s.state != StateCreated {
+				add(kindRun, s.id, nil)
 			}
-		}
-		if state.terminal() {
-			rec := terminalRecord{}
-			if s.hasSnap {
-				p := s.snap.Progress
-				rec.Progress = &p
-			}
-			// Preserve the job statuses every terminal record carries. For
-			// restored sessions the rebuilt service never ran, so the log's
-			// listing (possibly nil for crash recoveries) is the truth.
-			if s.restored {
-				rec.Jobs, rec.JobsElided = s.restoredJobs, s.restoredJobsElided
-			} else {
-				rec.Jobs, rec.JobsElided = boundJobs(s.svc.JobStatuses())
-			}
-			kind := kindFailed
-			switch state {
-			case StateDone:
-				kind = kindDone
-				report := s.report
-				rec.Report = &report
-			case StateCancelled:
-				kind = kindCancelled
-				rec.Error = s.runErr.Error()
-			default:
-				if s.runErr != nil {
-					rec.Error = s.runErr.Error()
-				}
-			}
-			if err := appendRec(kind, s.id, rec); err != nil {
-				s.mu.Unlock()
-				return err
+			if s.state == StateCancelled {
+				add(kindCancelled, s.id, s.cancelRecord())
 			}
 		}
 		s.mu.Unlock()
+	}
+	if encErr != nil {
+		return encErr
 	}
 	return st.Compact(recs)
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -161,73 +163,129 @@ func TestRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrashWhileRunningRecoversAsFailed simulates a kill -9 between the
-// run record and any terminal record: on restore the session must surface
-// as failed with a diagnostic, not as created or silently done.
-func TestCrashWhileRunningRecoversAsFailed(t *testing.T) {
+// view is a session's client-visible state, marshaled: status (with the
+// restored flag cleared — the one allowed difference across a restart),
+// report or its error, job listing and VM listing.
+type view struct{ status, report, jobs, vms string }
+
+func viewOf(t *testing.T, s *Session) view {
+	t.Helper()
+	marshal := func(v any, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	st := s.Status()
+	st.Restored = false
+	rep, repErr := s.Report()
+	jobs, jobsErr := s.Jobs()
+	vms, vmsErr := s.VMs()
+	return view{
+		status: marshal(st, nil),
+		report: marshal(rep, repErr),
+		jobs:   marshal(jobs, jobsErr),
+		vms:    marshal(vms, vmsErr),
+	}
+}
+
+// requireView fails unless got matches want field by field.
+func requireView(t *testing.T, what string, want, got view) {
+	t.Helper()
+	for _, f := range []struct{ name, want, got string }{
+		{"status", want.status, got.status},
+		{"report", want.report, got.report},
+		{"jobs", want.jobs, got.jobs},
+		{"vms", want.vms, got.vms},
+	} {
+		if f.want != f.got {
+			t.Fatalf("%s: %s diverged:\n want: %.400s\n got:  %.400s", what, f.name, f.want, f.got)
+		}
+	}
+}
+
+// uncrashedView runs one session of the given inputs to completion on a
+// fresh, storeless manager and returns its view: what a restored session
+// with the same inputs must serve.
+func uncrashedView(t *testing.T, name string, cfg SessionConfig, bags ...BagRequest) view {
+	t.Helper()
+	m := NewManager(1)
+	s, err := m.Create(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bag := range bags {
+		if _, _, err := s.SubmitBag(bag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	s.Wait()
+	return viewOf(t, s)
+}
+
+// TestCrashWhileRunningRecoversByRerun simulates a kill -9 after the run
+// record: the log holds the session's inputs only, so restore re-runs it
+// and the session must serve exactly what an uncrashed run of the same
+// inputs serves — across a second restart too, whose log is the first
+// boot's compaction.
+func TestCrashWhileRunningRecoversByRerun(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	cfg := testConfig(1).withDefaults()
+	bag := BagRequest{App: "shapes", Jobs: 4, Seed: 1}
 	if _, err := st.Append("create", "s-001", createRecord{Name: "crashed", Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Append("bag", "s-001", BagRequest{App: "shapes", Jobs: 4, Seed: 1}); err != nil {
+	if _, err := st.Append("bag", "s-001", bag); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Append("run", "s-001", nil); err != nil {
 		t.Fatal(err)
 	}
-	// No terminal record: the process died mid-run. Reopen the store (the
-	// "restart") so the records are replayed.
+	// Nothing after the run record: the process died mid-run. Reopen the
+	// store (the "restart") so the records are replayed.
 	st.Close()
+	want := uncrashedView(t, "crashed", cfg, bag)
 
-	m := NewManager(1)
-	st2 := openStore(t, dir)
-	if err := m.Restore(st2); err != nil {
-		t.Fatal(err)
-	}
-	s, err := m.Get("s-001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	status := s.Status()
-	if status.State != StateFailed {
-		t.Fatalf("state = %s, want failed", status.State)
-	}
-	if status.Error == "" {
-		t.Fatal("crashed session recovered without a diagnostic")
-	}
-	// Terminal: report conflicts, rerun conflicts, Done is closed.
-	if _, err := s.Report(); err == nil {
-		t.Fatal("crashed session served a report")
-	}
-	if err := m.Run(s); err == nil {
-		t.Fatal("crashed session was runnable")
-	}
-	select {
-	case <-s.Done():
-	default:
-		t.Fatal("restored terminal session's Done channel is open")
-	}
-
-	// The recovery is itself durable: a second restart (whose boot-time
-	// compaction rewrote the snapshot) sees the same failed state.
-	st2.Close()
-	m2 := NewManager(1)
-	if err := m2.Restore(openStore(t, dir)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := m2.Get("s-001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Status().State; got != StateFailed {
-		t.Fatalf("second restart state = %s, want failed", got)
+	for boot := 1; boot <= 2; boot++ {
+		m := NewManager(1)
+		st := openStore(t, dir)
+		if err := m.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.Get("s-001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Status(); got.State != StateDone || !got.Restored {
+			t.Fatalf("boot %d: state = %s restored=%v (%q), want a restored done session", boot, got.State, got.Restored, got.Error)
+		}
+		requireView(t, fmt.Sprintf("boot %d", boot), want, viewOf(t, s))
+		// Terminal: a rerun conflicts, Done is closed.
+		if err := m.Run(s); err == nil {
+			t.Fatalf("boot %d: recovered session was runnable", boot)
+		}
+		select {
+		case <-s.Done():
+		default:
+			t.Fatalf("boot %d: restored terminal session's Done channel is open", boot)
+		}
+		m.Close()
+		st.Close()
 	}
 }
 
 // TestCancelledStatePersists cancels a running session, restarts, and
-// expects the cancelled state (with its diagnostic) to survive.
+// expects the restored session to serve byte-identical status, error, job
+// and VM listings: the cancelled record keeps only the stop point, and the
+// replay stops the recomputed run exactly there.
 func TestCancelledStatePersists(t *testing.T) {
 	dir := t.TempDir()
 	m1 := NewManager(1)
@@ -235,6 +293,9 @@ func TestCancelledStatePersists(t *testing.T) {
 	if err := m1.Restore(st1); err != nil {
 		t.Fatal(err)
 	}
+	// Closing the managers ends their maintenance goroutines, which would
+	// otherwise keep both 120k-job sessions reachable after the test.
+	defer m1.Close()
 	s := startSlowSession(t, m1, slowSessionJobs)
 	waitForProgress(t, s)
 	if err := m1.Cancel(s.ID()); err != nil {
@@ -243,12 +304,14 @@ func TestCancelledStatePersists(t *testing.T) {
 	if got := s.Status().State; got != StateCancelled {
 		t.Fatalf("state after cancel = %s", got)
 	}
+	want := viewOf(t, s)
 
 	st1.Close()
 	m2 := NewManager(1)
 	if err := m2.Restore(openStore(t, dir)); err != nil {
 		t.Fatal(err)
 	}
+	defer m2.Close()
 	s2, err := m2.Get(s.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +322,98 @@ func TestCancelledStatePersists(t *testing.T) {
 	}
 	if status.Error == "" {
 		t.Fatal("restored cancelled session lost its diagnostic")
+	}
+	requireView(t, "restored cancelled session", want, viewOf(t, s2))
+}
+
+// TestLegacyDataDirBoots replays a log in the format written before the
+// WAL kept only inputs: a done record carrying the report and job listing,
+// a failed record, and a cancelled record carrying the job listing. It must
+// boot; the done and failed sessions are re-run from their inputs (the
+// failed one's inputs run clean, so it recovers done), and the cancelled
+// one serves what its record holds.
+func TestLegacyDataDirBoots(t *testing.T) {
+	// Reference runs on a storeless manager: ids s-001..s-003 match the
+	// hand-written log below.
+	ref := NewManager(1)
+	runRef := func(cfg SessionConfig, bag BagRequest) *Session {
+		s, err := ref.Create("legacy", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.SubmitBag(bag); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Run(s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	doneBag := BagRequest{App: "shapes", Jobs: 12, Jitter: 0.02, Seed: 3}
+	failedBag := BagRequest{App: "nanoconfinement", Jobs: 6, Seed: 2}
+	slowBag := BagRequest{App: "shapes", Jobs: slowSessionJobs, Jitter: 0.02, Seed: 3}
+	done := runRef(testConfig(1), doneBag)
+	done.Wait()
+	failed := runRef(testConfig(2), failedBag)
+	failed.Wait()
+	cancelled := runRef(slowConfig(3), slowBag)
+	waitForProgress(t, cancelled)
+	if err := ref.Cancel(cancelled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]view{done.ID(): viewOf(t, done), failed.ID(): viewOf(t, failed), cancelled.ID(): viewOf(t, cancelled)}
+
+	// The older terminal payload: the job listing and progress, plus the
+	// report on a done record and the diagnostic otherwise.
+	payload := func(s *Session, withReport bool, errMsg string) map[string]any {
+		out := map[string]any{"jobs": json.RawMessage(want[s.ID()].jobs), "progress": s.Status().Progress}
+		if withReport {
+			out["report"] = json.RawMessage(want[s.ID()].report)
+		}
+		if errMsg != "" {
+			out["error"] = errMsg
+		}
+		return out
+	}
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	for _, r := range []struct {
+		kind, id string
+		v        any
+	}{
+		{"create", done.ID(), createRecord{Name: "legacy", Config: testConfig(1).withDefaults()}},
+		{"bag", done.ID(), doneBag},
+		{"run", done.ID(), nil},
+		{"done", done.ID(), payload(done, true, "")},
+		{"create", failed.ID(), createRecord{Name: "legacy", Config: testConfig(2).withDefaults()}},
+		{"bag", failed.ID(), failedBag},
+		{"run", failed.ID(), nil},
+		{"failed", failed.ID(), payload(failed, false, "batch: session run panicked: injected")},
+		{"create", cancelled.ID(), createRecord{Name: "legacy", Config: slowConfig(3).withDefaults()}},
+		{"bag", cancelled.ID(), slowBag},
+		{"run", cancelled.ID(), nil},
+		{"cancelled", cancelled.ID(), payload(cancelled, false, cancelled.Status().Error)},
+	} {
+		if _, err := st.Append(r.kind, r.id, r.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	m := NewManager(1)
+	if err := m.Restore(openStore(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for id, w := range want {
+		s, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireView(t, "legacy session "+id, w, viewOf(t, s))
+	}
+	if got := want[failed.ID()].status; !strings.Contains(got, `"state":"done"`) {
+		t.Fatalf("failed session's inputs did not run clean: %s", got)
 	}
 }
 

@@ -516,20 +516,31 @@ func (p *remoteSession) status() SessionStatus {
 	if last.State.terminal() {
 		return last
 	}
-	var st SessionStatus
-	if err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id, nil, &st, true); err != nil {
+	st, err := p.fetch(context.Background())
+	if err != nil {
 		return last
 	}
-	p.update(st)
 	return st
 }
 
-func (p *remoteSession) submitBag(req BagRequest) (int, float64, error) {
+// fetch reads the session's status from the shard and folds it into the
+// cache; the shard's error (a 404 for a session deleted behind the proxy)
+// passes through.
+func (p *remoteSession) fetch(ctx context.Context) (SessionStatus, error) {
+	var st SessionStatus
+	if err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id, nil, &st, true); err != nil {
+		return SessionStatus{}, err
+	}
+	p.update(st)
+	return st, nil
+}
+
+func (p *remoteSession) submitBag(ctx context.Context, req BagRequest) (int, float64, error) {
 	var out struct {
 		Submitted   int     `json:"submitted"`
 		MeanRuntime float64 `json:"mean_runtime"`
 	}
-	err := p.rb.do(context.Background(), http.MethodPost, "/api/sessions/"+p.id+"/bags", req, &out, false)
+	err := p.rb.do(ctx, http.MethodPost, "/api/sessions/"+p.id+"/bags", req, &out, false)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -539,7 +550,7 @@ func (p *remoteSession) submitBag(req BagRequest) (int, float64, error) {
 	return out.Submitted, out.MeanRuntime, nil
 }
 
-func (p *remoteSession) estimate(req BagRequest) (batch.Estimate, error) {
+func (p *remoteSession) estimate(ctx context.Context, req BagRequest) (batch.Estimate, error) {
 	// The estimate endpoint's payload maps the struct by hand (the batch
 	// type carries no tags), so the proxy reverses the same four keys.
 	var out struct {
@@ -548,7 +559,7 @@ func (p *remoteSession) estimate(req BagRequest) (batch.Estimate, error) {
 		PerJobFailureProb float64 `json:"per_job_failure_prob"`
 		ExpectedCost      float64 `json:"expected_cost_usd"`
 	}
-	err := p.rb.do(context.Background(), http.MethodPost, "/api/sessions/"+p.id+"/estimate", req, &out, false)
+	err := p.rb.do(ctx, http.MethodPost, "/api/sessions/"+p.id+"/estimate", req, &out, false)
 	if err != nil {
 		return batch.Estimate{}, err
 	}
@@ -560,21 +571,21 @@ func (p *remoteSession) estimate(req BagRequest) (batch.Estimate, error) {
 	}, nil
 }
 
-func (p *remoteSession) report() (batch.Report, error) {
+func (p *remoteSession) report(ctx context.Context) (batch.Report, error) {
 	var rep batch.Report
-	err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id+"/report", nil, &rep, true)
+	err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id+"/report", nil, &rep, true)
 	return rep, err
 }
 
-func (p *remoteSession) jobs() ([]batch.JobStatus, error) {
+func (p *remoteSession) jobs(ctx context.Context) ([]batch.JobStatus, error) {
 	var jobs []batch.JobStatus
-	err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id+"/jobs", nil, &jobs, true)
+	err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id+"/jobs", nil, &jobs, true)
 	return jobs, err
 }
 
-func (p *remoteSession) vms() ([]VMState, error) {
+func (p *remoteSession) vms(ctx context.Context) ([]VMState, error) {
 	var vms []VMState
-	err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id+"/vms", nil, &vms, true)
+	err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id+"/vms", nil, &vms, true)
 	return vms, err
 }
 

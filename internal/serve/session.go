@@ -107,12 +107,8 @@ type Session struct {
 	// the refresh instead of serving data from run start.
 	wantDetail atomic.Bool
 	detailWait chan struct{}
-	// restored marks a session rebuilt from the store after a restart; its
-	// terminal job statuses come from the log, not the (never-run) service.
-	// restoredJobsElided marks a listing too large to have been persisted.
-	restored           bool
-	restoredJobs       []batch.JobStatus
-	restoredJobsElided bool
+	// restored marks a session rebuilt from the store after a restart.
+	restored bool
 	// deleted marks a session already claimed by a Delete, so a concurrent
 	// second Delete reports not-found instead of double-logging.
 	deleted bool
@@ -125,9 +121,9 @@ type Session struct {
 	// with the edge request, including after a restore from the store.
 	traceID string
 	shard   int
-	// unpersisted marks a session whose terminal state could not be
-	// appended while the store was degraded; cleared once the recovery
-	// compaction captures it.
+	// unpersisted marks a session whose cancel could not be appended while
+	// the store was degraded; cleared once the recovery compaction captures
+	// it.
 	unpersisted bool
 }
 
@@ -142,8 +138,8 @@ type SessionStatus struct {
 	Error         string          `json:"error,omitempty"`
 	// Restored marks sessions recovered from the store at boot.
 	Restored bool `json:"restored,omitempty"`
-	// Unpersisted marks a session that finished while the store was
-	// degraded; its terminal state lives only in memory until recovery.
+	// Unpersisted marks a session cancelled while the store was degraded;
+	// its stop point lives only in memory until recovery.
 	Unpersisted bool `json:"unpersisted,omitempty"`
 	// TraceID is the request trace that created the session, when it came
 	// through the traced HTTP edge (GET /api/trace/{id} retrieves the spans).
@@ -224,8 +220,14 @@ func (s *Session) rlockGate() func() {
 
 // SubmitBag adds a bag of jobs; only valid before the session runs.
 func (s *Session) SubmitBag(req BagRequest) (int, float64, error) {
+	return s.submitBagCtx(context.Background(), req)
+}
+
+// submitBagCtx is SubmitBag under a request context: a remote proxy
+// forwards its trace to the shard (every ctx twin below does the same).
+func (s *Session) submitBagCtx(ctx context.Context, req BagRequest) (int, float64, error) {
 	if s.remote != nil {
-		return s.remote.submitBag(req)
+		return s.remote.submitBag(ctx, req)
 	}
 	app, err := validateBagRequest(req)
 	if err != nil {
@@ -262,8 +264,12 @@ func (s *Session) SubmitBag(req BagRequest) (int, float64, error) {
 // Estimate quotes a bag against the session's configuration without
 // running anything.
 func (s *Session) Estimate(req BagRequest) (batch.Estimate, error) {
+	return s.estimateCtx(context.Background(), req)
+}
+
+func (s *Session) estimateCtx(ctx context.Context, req BagRequest) (batch.Estimate, error) {
 	if s.remote != nil {
-		return s.remote.estimate(req)
+		return s.remote.estimate(ctx, req)
 	}
 	app, err := validateBagRequest(req)
 	if err != nil {
@@ -280,8 +286,12 @@ func (s *Session) Estimate(req BagRequest) (batch.Estimate, error) {
 // Report returns the final report; an apiError with 404 until the run
 // completes.
 func (s *Session) Report() (batch.Report, error) {
+	return s.reportCtx(context.Background())
+}
+
+func (s *Session) reportCtx(ctx context.Context) (batch.Report, error) {
 	if s.remote != nil {
-		return s.remote.report()
+		return s.remote.report(ctx)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -324,24 +334,20 @@ func (s *Session) awaitDetail() {
 
 // Jobs returns per-job statuses. While the simulation is running they come
 // from a detail refresh at the run loop's next progress interval (at most
-// one interval old when served); for sessions restored from the store they
-// come from the log.
+// one interval old when served).
 func (s *Session) Jobs() ([]batch.JobStatus, error) {
+	return s.jobsCtx(context.Background())
+}
+
+func (s *Session) jobsCtx(ctx context.Context) ([]batch.JobStatus, error) {
 	if s.remote != nil {
-		return s.remote.jobs()
+		return s.remote.jobs(ctx)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.deleted {
 		// The backing service was recycled when the delete landed.
 		return nil, errf(http.StatusNotFound, "no session %q", s.id)
-	}
-	if s.restored && s.state.terminal() && s.restoredJobsElided {
-		return nil, errf(http.StatusGone,
-			"session %s finished with a per-job listing too large to retain across restarts; its report and progress summary are still available", s.id)
-	}
-	if s.restored && s.state.terminal() && s.restoredJobs != nil {
-		return append([]batch.JobStatus(nil), s.restoredJobs...), nil
 	}
 	if s.state == StateRunning {
 		s.awaitDetail()
@@ -364,17 +370,17 @@ type VMState = batch.VMInfo
 // listing comes from a detail refresh at the run loop's next progress
 // interval.
 func (s *Session) VMs() ([]VMState, error) {
+	return s.vmsCtx(context.Background())
+}
+
+func (s *Session) vmsCtx(ctx context.Context) ([]VMState, error) {
 	if s.remote != nil {
-		return s.remote.vms()
+		return s.remote.vms(ctx)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.deleted {
 		return nil, errf(http.StatusNotFound, "no session %q", s.id)
-	}
-	if s.restored && s.state.terminal() {
-		// A terminal run has drained its cluster; nothing is live.
-		return []VMState{}, nil
 	}
 	if s.state == StateRunning {
 		s.awaitDetail()
@@ -847,23 +853,7 @@ func (m *Manager) Run(s *Session) error {
 			// Cancelled while still queued for a worker slot: nothing ran.
 			err = fmt.Errorf("batch: run cancelled while queued: %w", ctx.Err())
 		}
-		s.mu.Lock()
-		switch {
-		case err == nil:
-			s.state = StateDone
-			// Stamp the report with the create trace before publishing, so
-			// the persisted done record (and a restart's replay) carry it.
-			rep.TraceID = s.traceID
-			s.report = rep
-		case errors.Is(err, context.Canceled):
-			s.state = StateCancelled
-			s.runErr = err
-		default:
-			s.state = StateFailed
-			s.runErr = err
-		}
-		state := s.state
-		s.mu.Unlock()
+		state := s.settle(rep, err)
 		m.met.terminal[state].Inc()
 		if s.traceID != "" {
 			obs.DefaultTracer().Emit(obs.Span{
@@ -872,12 +862,33 @@ func (m *Manager) Run(s *Session) error {
 				DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
 			})
 		}
-		// The run goroutine owns svc again now that Run has returned, so
-		// reading final job statuses for the durable record is safe.
-		m.persistTerminal(s, svc)
+		if state == StateCancelled {
+			m.persistCancel(s)
+		}
 		close(s.done)
 	}()
 	return nil
+}
+
+// settle applies a finished run's outcome to the session and returns the
+// terminal state: done with the report (stamped with the create trace, so
+// a restored session's report carries it too), cancelled, or failed.
+func (s *Session) settle(rep batch.Report, err error) State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case err == nil:
+		s.state = StateDone
+		rep.TraceID = s.traceID
+		s.report = rep
+	case errors.Is(err, context.Canceled):
+		s.state = StateCancelled
+		s.runErr = err
+	default:
+		s.state = StateFailed
+		s.runErr = err
+	}
+	return s.state
 }
 
 // runSession executes one simulation on an acquired worker slot, isolating

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -102,13 +103,14 @@ func shardSpawn(addr, dir string) func(int, string) *exec.Cmd {
 	}
 }
 
-// TestShardProcessKillRestartWALReplay is the end-to-end chaos walk from
-// the issue's acceptance bar: kill -9 one shard subprocess mid-service and
-// check, in order, that (1) the other shard keeps serving and reads go
-// partial, (2) the dead shard's operations fail fast with 503 + Retry-After
-// and the breaker opens, (3) the supervisor restarts it and WAL replay
-// brings every one of its sessions back byte-identically, and (4) the
-// registry replica catches up to the control plane's cursor.
+// TestShardProcessKillRestartWALReplay is the end-to-end chaos walk: kill
+// -9 one shard subprocess mid-run and check, in order, that (1) the other
+// shard keeps serving and reads go partial, (2) the dead shard's
+// operations fail fast with 503 + Retry-After and the breaker opens, (3)
+// the supervisor restarts it and WAL replay brings every one of its
+// sessions back byte-identically — the run the kill interrupted included,
+// re-run from its inputs to the report an uncrashed run gives — and (4)
+// the registry replica catches up to the control plane's cursor.
 func TestShardProcessKillRestartWALReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -171,6 +173,32 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		t.Fatalf("placement split local=%d remote=%d; chaos needs both", len(localIDs), len(remoteIDs))
 	}
 
+	// A long run on the remote shard is mid-simulation when the kill lands.
+	slowBag := BagRequest{App: "shapes", Jobs: slowSessionJobs, Jitter: 0.02, Seed: 3}
+	var slow *Session
+	for slow == nil {
+		s, err := r.Create("slow", slowConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placement.Shard(s.ID(), 2) == 1 {
+			slow = s
+		}
+	}
+	if _, _, err := slow.SubmitBag(slowBag); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(slow); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the remote run to publish progress", func() bool {
+		st := slow.Status()
+		if st.State.terminal() {
+			t.Fatalf("remote run ended %s before the kill; it must outlast it", st.State)
+		}
+		return st.Progress != nil
+	})
+
 	pid := sup.Pid(0)
 	if pid <= 0 {
 		t.Fatalf("supervisor has no pid for the shard (got %d)", pid)
@@ -230,6 +258,25 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 			t.Errorf("session %s: post-replay report differs:\n  %s\nvs\n  %s", id, raw, before[id])
 		}
 	}
+	// The interrupted run came back done, with an uncrashed run's report.
+	rs, err := r.Get(slow.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rs.Status(); st.State != StateDone {
+		t.Fatalf("interrupted run restored as %s (%s), want done", st.State, st.Error)
+	}
+	rep, err := rs.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uncrashedView(t, "slow", slowConfig(1), slowBag).report; string(raw) != want {
+		t.Errorf("interrupted run's report differs from an uncrashed run's:\n  %s\nvs\n  %s", raw, want)
+	}
 
 	// Registry catch-up: the fresh process replays its persisted replica
 	// records and one sync converges it to the control plane's cursor.
@@ -283,8 +330,7 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 // TestRemoteRunsDrainAtShutdown pins the shutdown order with a remote
 // shard: Router.Wait waits for in-process shards only, so a remote-homed
 // run is still going when it returns; Supervisor.Stop's SIGTERM then lets
-// the shard process drain it, and a respawned shard replays it from its
-// WAL as done, not as a run the crash interrupted.
+// the shard process drain it, and a respawned shard serves it as done.
 func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -348,10 +394,11 @@ func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 }
 
 // TestShardProcessTracePropagation proves a trace crosses the process
-// boundary: a traced create routed to a real shard subprocess must come
-// back from Router.Trace as one merged timeline holding this process's
-// router/remote spans and the subprocess's shard/wal spans — the
-// X-Trace-Id header is the only thing connecting the two rings.
+// boundary: a traced create, bag submission, report read and events read
+// routed to a real shard subprocess must come back from Router.Trace as
+// one merged timeline holding this process's router/remote spans and the
+// subprocess's shard/wal/request spans — the X-Trace-Id header is the
+// only thing connecting the two rings.
 func TestShardProcessTracePropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -376,6 +423,7 @@ func TestShardProcessTracePropagation(t *testing.T) {
 	// Mint ids until one places on the remote shard; each create carries its
 	// own trace so only the remote-homed one is inspected.
 	var tid, sid string
+	var remote *Session
 	for i := 0; i < 8 && sid == ""; i++ {
 		ctx := obs.WithTrace(context.Background(), obs.NewTraceID())
 		s, err := r.CreateCtx(ctx, "traced", testConfig(uint64(i+1)))
@@ -383,65 +431,98 @@ func TestShardProcessTracePropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if placement.Shard(s.ID(), 2) == 1 {
-			tid, sid = obs.TraceID(ctx), s.ID()
-			if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: 5, Jitter: 0.01, Seed: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Run(s); err != nil {
-				t.Fatal(err)
-			}
-			s.Wait()
+			tid, sid, remote = obs.TraceID(ctx), s.ID(), s
 		}
 	}
 	if sid == "" {
 		t.Fatal("no session placed on the remote shard")
 	}
 
-	// An events read under the same trace is relayed from the shard's own
-	// stream: the router records one client-side remote span for it, and
-	// the forwarded X-Trace-Id puts the shard's request span in the trace.
+	// The bag submission, report read and events read go through the API
+	// under the same trace. Each is one router-to-shard call: the router
+	// records one client-side remote span for it (the events read is
+	// relayed from the shard's own stream), and the forwarded X-Trace-Id
+	// puts the shard's request span in the trace.
 	api := httptest.NewServer(NewAPI(r).Handler())
 	defer api.Close()
-	events := "/api/sessions/" + sid + "/events"
-	req, err := http.NewRequest(http.MethodGet, api.URL+events, nil)
-	if err != nil {
+	base := "/api/sessions/" + sid
+	traced := func(method, path string, body any, wantCode int) {
+		t.Helper()
+		var buf bytes.Buffer
+		if body != nil {
+			if err := json.NewEncoder(&buf).Encode(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := http.NewRequest(method, api.URL+path, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.TraceHeader, tid)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != wantCode {
+			t.Fatalf("%s %s: %d, want %d", method, path, resp.StatusCode, wantCode)
+		}
+	}
+	traced(http.MethodPost, base+"/bags", BagRequest{App: "shapes", Jobs: 5, Jitter: 0.01, Seed: 1}, http.StatusAccepted)
+	if err := r.Run(remote); err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(obs.TraceHeader, tid)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events: %d", resp.StatusCode)
-	}
+	remote.Wait()
+	traced(http.MethodGet, base+"/report", nil, http.StatusOK)
+	traced(http.MethodGet, base+"/events", nil, http.StatusOK)
 
 	// The merged trace must hold spans from both processes: the subprocess
 	// runs its spans through its own ring, fetched over the shard protocol.
+	calls := []struct {
+		method, path string
+		code         int
+	}{
+		{http.MethodPost, base + "/bags", http.StatusAccepted},
+		{http.MethodGet, base + "/report", http.StatusOK},
+		{http.MethodGet, base + "/events", http.StatusOK},
+	}
 	var spans []obs.Span
-	var relaySpans, eventRequests int
+	remoteSpans := make([]int, len(calls))
+	requests := make([]int, len(calls))
 	waitUntil(t, "merged trace to hold remote shard spans", func() bool {
 		spans = r.Trace(tid)
 		shardSpans := 0
-		relaySpans, eventRequests = 0, 0
+		clear(remoteSpans)
+		clear(requests)
 		for _, sp := range spans {
-			switch {
-			case sp.Component == "shard" && sp.Shard == 1:
+			if sp.Component == "shard" && sp.Shard == 1 {
 				shardSpans++
-			case sp.Component == "remote" && sp.Name == http.MethodGet+" "+events:
-				relaySpans++
-			case sp.Component == "api" && sp.Detail == http.MethodGet+" "+events+" -> 200":
-				eventRequests++
+			}
+			for i, c := range calls {
+				switch {
+				case sp.Component == "remote" && sp.Name == c.method+" "+c.path:
+					remoteSpans[i]++
+				case sp.Component == "api" && sp.Detail == fmt.Sprintf("%s %s -> %d", c.method, c.path, c.code):
+					requests[i]++
+				}
 			}
 		}
-		return shardSpans > 0 && eventRequests == 2
+		// Each request shows up twice: at this process's edge and as the
+		// shard process's own request span.
+		for _, n := range requests {
+			if n != 2 {
+				return false
+			}
+		}
+		return shardSpans > 0
 	})
-	if relaySpans != 1 {
-		t.Errorf("trace holds %d client-side spans for the events relay, want 1", relaySpans)
+	for i, c := range calls {
+		if remoteSpans[i] != 1 {
+			t.Errorf("trace holds %d client-side spans for %s %s, want 1", remoteSpans[i], c.method, c.path)
+		}
 	}
 	components := map[string]bool{}
 	for _, sp := range spans {

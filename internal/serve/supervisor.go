@@ -240,12 +240,16 @@ func (sv *Supervisor) Start() error {
 
 // monitor keeps shard i alive: it watches for process exit and for ping
 // failures (a hung process holds its port, so it is killed and takes the
-// exit path), restarting with linear backoff until Stop.
+// exit path), restarting with linear backoff until Stop. A respawned shard
+// is starting, not hung, until its first answered ping or ReadyTimeout —
+// the same grace Start gives — since its WAL replay re-runs every logged
+// session before it listens.
 func (sv *Supervisor) monitor(i int) {
 	defer sv.wg.Done()
 	ticker := time.NewTicker(sv.opts.PingInterval)
 	defer ticker.Stop()
 	pingFailures := 0
+	var startingUntil time.Time
 	for {
 		p := sv.proc(i)
 		select {
@@ -263,8 +267,12 @@ func (sv *Supervisor) monitor(i int) {
 				return
 			}
 			pingFailures = 0
+			startingUntil = time.Now().Add(sv.opts.ReadyTimeout)
 		case <-ticker.C:
 			if err := sv.ping(sv.addrs[i]); err != nil {
+				if time.Now().Before(startingUntil) {
+					continue
+				}
 				pingFailures++
 				if pingFailures < sv.opts.PingFailures {
 					continue
@@ -279,6 +287,7 @@ func (sv *Supervisor) monitor(i int) {
 				continue
 			}
 			pingFailures = 0
+			startingUntil = time.Time{}
 		}
 	}
 }

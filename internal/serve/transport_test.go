@@ -103,7 +103,7 @@ func TestShardTransportStaleConnection(t *testing.T) {
 				srv.CloseClientConnections()
 			}
 
-			if _, _, err := s.remote.submitBag(testBag); err != nil {
+			if _, _, err := s.remote.submitBag(context.Background(), testBag); err != nil {
 				t.Fatalf("bag submission after a stale pooled connection: %v", err)
 			}
 			if n := bags.Load(); n != 1 {
@@ -147,7 +147,7 @@ func TestShardTransportNeverResends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.remote.submitBag(testBag)
+	_, _, err = s.remote.submitBag(context.Background(), testBag)
 	if !errors.Is(err, ErrShardUnavailable) || httpCode(err) != http.StatusServiceUnavailable {
 		t.Fatalf("submission on a cut connection: err = %v, want a 503 wrapping ErrShardUnavailable", err)
 	}

@@ -35,16 +35,16 @@ func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/sessions", a.handleCreate)
 	mux.HandleFunc("GET /api/sessions", a.handleList)
-	mux.HandleFunc("GET /api/sessions/{id}", a.handleGet)
-	mux.HandleFunc("DELETE /api/sessions/{id}", a.handleDelete)
-	mux.HandleFunc("POST /api/sessions/{id}/bags", a.handleBags)
-	mux.HandleFunc("POST /api/sessions/{id}/estimate", a.handleEstimate)
-	mux.HandleFunc("POST /api/sessions/{id}/run", a.handleRun)
-	mux.HandleFunc("POST /api/sessions/{id}/cancel", a.handleCancel)
-	mux.HandleFunc("GET /api/sessions/{id}/events", a.handleEvents)
-	mux.HandleFunc("GET /api/sessions/{id}/report", a.handleReport)
-	mux.HandleFunc("GET /api/sessions/{id}/jobs", a.handleJobs)
-	mux.HandleFunc("GET /api/sessions/{id}/vms", a.handleVMs)
+	mux.HandleFunc("GET /api/sessions/{id}", a.homed(a.handleGet))
+	mux.HandleFunc("DELETE /api/sessions/{id}", a.homed(a.handleDelete))
+	mux.HandleFunc("POST /api/sessions/{id}/bags", a.homed(a.handleBags))
+	mux.HandleFunc("POST /api/sessions/{id}/estimate", a.homed(a.handleEstimate))
+	mux.HandleFunc("POST /api/sessions/{id}/run", a.homed(a.handleRun))
+	mux.HandleFunc("POST /api/sessions/{id}/cancel", a.homed(a.handleCancel))
+	mux.HandleFunc("GET /api/sessions/{id}/events", a.homed(a.handleEvents))
+	mux.HandleFunc("GET /api/sessions/{id}/report", a.homed(a.handleReport))
+	mux.HandleFunc("GET /api/sessions/{id}/jobs", a.homed(a.handleJobs))
+	mux.HandleFunc("GET /api/sessions/{id}/vms", a.homed(a.handleVMs))
 	mux.HandleFunc("POST /api/models", a.handleModelCreate)
 	mux.HandleFunc("GET /api/models", a.handleModelList)
 	mux.HandleFunc("GET /api/models/{name}", a.handleModelGet)
@@ -152,16 +152,17 @@ func (a *API) session(w http.ResponseWriter, r *http.Request) *Session {
 	return s
 }
 
-// homed resolves the {id} path value for a handler whose next call goes to
-// the session's home shard anyway: a remote proxy the router already holds
-// is taken without a round trip, and the shard's answer to that next call
-// (404 for a session deleted behind the router, 409, 503, ...) is the
-// verdict, passed through unchanged. Anything else resolves through Get.
-func (a *API) homed(w http.ResponseWriter, r *http.Request) *Session {
-	if s := a.b.remoteProxy(r.PathValue("id")); s != nil {
-		return s
+// homed wraps a session-scoped handler: a session whose home shard is
+// remote has the request forwarded there as-is, and the shard's reply is
+// the answer; h serves sessions that live in this process.
+func (a *API) homed(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if rb := a.b.remoteHome(r.PathValue("id")); rb != nil {
+			rb.forward(w, r)
+			return
+		}
+		h(w, r)
 	}
-	return a.session(w, r)
 }
 
 // createRequest is the POST /api/sessions body.
@@ -200,18 +201,8 @@ func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleGet(w http.ResponseWriter, r *http.Request) {
-	if s := a.b.remoteProxy(r.PathValue("id")); s != nil {
-		// One traced round trip to the home shard, whose answer stands.
-		st, err := s.remote.fetch(r.Context())
-		if err != nil {
-			writeErr(w, httpCode(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
 	if s := a.session(w, r); s != nil {
-		writeJSON(w, http.StatusOK, s.knownStatus())
+		writeJSON(w, http.StatusOK, s.Status())
 	}
 }
 
@@ -224,7 +215,7 @@ func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
-	s := a.homed(w, r)
+	s := a.session(w, r)
 	if s == nil {
 		return
 	}
@@ -233,7 +224,7 @@ func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n, mean, err := s.submitBagCtx(r.Context(), req)
+	n, mean, err := s.SubmitBag(req)
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -245,7 +236,7 @@ func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s := a.homed(w, r)
+	s := a.session(w, r)
 	if s == nil {
 		return
 	}
@@ -254,7 +245,7 @@ func (a *API) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	est, err := s.estimateCtx(r.Context(), req)
+	est, err := s.Estimate(req)
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -268,7 +259,7 @@ func (a *API) handleEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
-	s := a.homed(w, r)
+	s := a.session(w, r)
 	if s == nil {
 		return
 	}
@@ -283,11 +274,11 @@ func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleReport(w http.ResponseWriter, r *http.Request) {
-	s := a.homed(w, r)
+	s := a.session(w, r)
 	if s == nil {
 		return
 	}
-	rep, err := s.reportCtx(r.Context())
+	rep, err := s.Report()
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -296,11 +287,11 @@ func (a *API) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
-	s := a.homed(w, r)
+	s := a.session(w, r)
 	if s == nil {
 		return
 	}
-	jobs, err := s.jobsCtx(r.Context())
+	jobs, err := s.Jobs()
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -309,11 +300,11 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleVMs(w http.ResponseWriter, r *http.Request) {
-	s := a.homed(w, r)
+	s := a.session(w, r)
 	if s == nil {
 		return
 	}
-	vms, err := s.vmsCtx(r.Context())
+	vms, err := s.VMs()
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return

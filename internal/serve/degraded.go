@@ -226,11 +226,7 @@ func (m *Manager) exitDegraded() {
 		s.mu.Unlock()
 	}
 	m.slogger().Info("store recovered; leaving degraded mode", "healed_sessions", len(healed))
-	for _, info := range m.registry.List() {
-		if info.AutoRefit && info.Flagged && info.RefitBuffered >= info.MinRefitSamples {
-			m.startAutoRefit(info.Name)
-		}
-	}
+	m.rearmAutoRefits()
 }
 
 // maintain is the online-compaction worker: it drains the store's

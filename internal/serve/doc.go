@@ -141,10 +141,11 @@
 // aggregated by the router from every slot's info snapshot.
 // It wraps each call with the failure discipline the in-process path never
 // needed. Every operation carries a per-op deadline.
-// Idempotent operations (reads, deletes, event-stream connects) retry
-// transient transport failures with exponential backoff plus jitter;
-// creates and other non-idempotent calls never retry — the caller gets an
-// immediate 503 with Retry-After and decides. A per-shard circuit breaker trips open after a
+// Reads (status, report, listing, info, trace fetches, event-stream
+// connects) and the idempotent replication push retry transient transport
+// failures with exponential backoff plus jitter; creates, runs, cancels,
+// deletes and other mutations never retry — the caller gets an immediate
+// 503 with Retry-After and decides. A per-shard circuit breaker trips open after a
 // run of consecutive transport failures, fails calls fast without touching
 // the network while open, and re-admits one probe after a cooldown
 // (half-open) — success closes it, failure re-opens it. Only transport
@@ -154,27 +155,34 @@
 // internal/faultfs.
 //
 // Every edge request on a remote-homed session costs exactly one shard
-// round trip. The RemoteBackend caches a proxy per session it has seen, so
-// handlers whose next call goes to the home shard anyway (bags, estimate,
-// run, cancel, report, jobs, vms, events) resolve the session without a
-// fetch; the shard's answer to the real call — a 404 for a session deleted
-// behind the router, a 409, a 503 — is the verdict, passed through
-// unchanged. Only a cache miss pays a Get first. Responses reuse what the
-// shard already sent: a create answers with the create response's status,
-// GET /api/sessions/{id} with Get's, a cancel with the cancel response's,
-// a listing with the listed statuses. GET /api/sessions/{id}/events relays
-// the shard's own SSE stream — status code, headers and body, flushed
-// frame by frame — folding its state frames into the proxy cache; the
-// connect is an idempotent read under the breaker and retry policy, and an
-// unreachable shard gets the same 503 + Retry-After as a failed Get. The
-// relay forwards X-Trace-Id and records one client-side remote span, like
-// every other shard call. Session.Done on a proxy (sweeps, Wait) follows
-// the same stream through the same connect and parse path, one window of
-// at most 30 s at a time, dropping the progress frames; a 404 or 410 ends
-// the wait, and so does a shard unreachable past a give-up budget.
-// Subscribe is local-only. Router.Wait waits for in-process shards only:
-// a shard process drains its own runs on the SIGTERM Supervisor.Stop
-// sends.
+// round trip. The session-scoped routes (GET and DELETE
+// /api/sessions/{id} and its bags, estimate, run, cancel, events, report,
+// jobs and vms) ask the backend for the session's home by placement alone
+// — no lookup, no state — and when that shard is remote the router
+// forwards the request as-is: same method, path, body and X-Trace-Id, one
+// client-side remote span, the shard's status, headers and body copied
+// back. The shard's answer is the verdict — a 404 for a session deleted
+// behind the router, a 409, a 503 — so the router keeps no per-session
+// state for remote sessions. A forwarded GET retries like any read; a
+// forwarded mutation does not. A unary reply stays under the per-op
+// deadline until its body is copied; GET /api/sessions/{id}/events is the
+// shard's own SSE stream, flushed as its frames arrive, and its deadline
+// covers only the wait for the headers. An unreachable shard gets 503 +
+// Retry-After, the open breaker's fast path included.
+//
+// The router is still the shard's client where it needs a session value
+// itself: creates (under a router-minted id), listings, Router.Get and
+// sweeps get proxy sessions built from the status the shard just sent, and
+// a create or listing answers with those statuses instead of fetching them
+// again. A proxy's SubmitBag, Report, Wait and Status are wire calls;
+// Estimate, Jobs and VMs are served by the shard's API and refuse on a
+// proxy, and Subscribe is local-only. Session.Done on a proxy (sweeps,
+// Wait) follows the shard's event stream, one window of at most 30 s at a
+// time, folding its state frames into the proxy and dropping the progress
+// frames; a terminal frame, a 404 or 410, a shard unreachable past a
+// give-up budget, or closing the backend ends the wait. Router.Wait waits
+// for in-process shards only: a shard process drains its own runs on the
+// SIGTERM Supervisor.Stop sends.
 //
 // Round trips reuse connections. The default client of each RemoteBackend
 // and of the Supervisor runs on its own shard transport (transport.go),
@@ -186,7 +194,7 @@
 // maxIdlePerShard per address, only when its reply body was read to EOF
 // with nothing buffered behind it, neither side asked to close, and the
 // request's context had not fired; its deadline, a caller's cancel and a
-// relayed stream's end close it through context.AfterFunc. Before an idle
+// forwarded stream's end close it through context.AfterFunc. Before an idle
 // connection is reused, a non-blocking MSG_PEEK read checks it: EOF (the
 // shard closed it, or restarted), stray bytes or an error discard it. A
 // request is never resent once a connection was handed out for it — it
@@ -194,7 +202,8 @@
 // only retry repeats calls, idempotent ones. Since only a reply read to
 // EOF returns its connection, every shard reply is drained before its
 // body is closed (drainClose), the bodies of run and delete replies
-// nobody needs and the supervisor's pings included. Closing a backend
+// nobody needs and the supervisor's pings included; a forwarded reply is
+// copied to its end. Closing a backend
 // closes only its own idle connections. An
 // injected RemoteOptions.Client keeps its transport's pool. The
 // connection-reuse and transport tests count the connections a shard

@@ -20,7 +20,7 @@ import (
 // called to release the subscription). Waiting on Done alongside the
 // channel tells the consumer when the stream is over. Subscribe is for
 // sessions in this process: a remote proxy's stream is the shard's own,
-// relayed by the events endpoint.
+// forwarded by the events endpoint.
 func (s *Session) Subscribe() (<-chan batch.Progress, func()) {
 	ch := make(chan batch.Progress, 1)
 	s.mu.Lock()
@@ -78,15 +78,10 @@ func writeSSE(w http.ResponseWriter, event string, v any) error {
 // `progress` event per published snapshot while the simulation runs, and
 // finally a closing `state` event once the session reaches a terminal state
 // (immediately, for sessions already terminal). Disconnecting the request
-// tears the subscription down. A session homed on a remote shard gets the
-// shard's own stream, relayed frame by frame.
+// tears the subscription down.
 func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s := a.homed(w, r)
+	s := a.session(w, r)
 	if s == nil {
-		return
-	}
-	if s.remote != nil {
-		s.remote.relayEvents(w, r)
 		return
 	}
 	rc := http.NewResponseController(w)
@@ -153,10 +148,8 @@ func closeEvents(w http.ResponseWriter, s *Session, ch <-chan batch.Progress) {
 func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// Resolve the session before cancelling: a concurrent DELETE could
 	// remove it from the manager right after Cancel succeeds, and a 404
-	// then would misreport a cancel that actually took effect. A remote
-	// Cancel folds the shard's answer into the proxy, so knownStatus is
-	// the shard's own response.
-	s := a.homed(w, r)
+	// then would misreport a cancel that actually took effect.
+	s := a.session(w, r)
 	if s == nil {
 		return
 	}
@@ -164,5 +157,5 @@ func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, httpCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.knownStatus())
+	writeJSON(w, http.StatusOK, s.Status())
 }

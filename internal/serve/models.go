@@ -70,8 +70,15 @@ func requestTimestamp() string {
 }
 
 // RegisterModel validates the request, produces version 1 (fitting the
-// recipe if asked), durably logs the creation, and registers the entry.
+// recipe if asked), durably logs the creation, and registers the entry. A
+// shard process refuses: it resolves references against its replica of
+// the control plane's registry, so an entry written here could never be
+// used.
 func (m *Manager) RegisterModel(req ModelCreateRequest) (registry.Info, error) {
+	if m.replica != nil {
+		return registry.Info{}, errf(http.StatusConflict,
+			"shard %d resolves models from the control plane's registry; register %q there", m.shard, req.Name)
+	}
 	if req.Name == "" {
 		return registry.Info{}, errf(http.StatusBadRequest, "model name is required")
 	}

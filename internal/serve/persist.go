@@ -435,10 +435,12 @@ func (m *Manager) bumpSeq(max int) {
 	m.mu.Unlock()
 }
 
-// rearmAutoRefits relaunches pending auto-refits after boot compaction. The
-// pre-crash process may have died between refit-readiness and the version
-// commit, and without new ingest traffic nothing else would ever publish
-// the pending version. It must run only after compaction: a version
+// rearmAutoRefits relaunches pending auto-refits after a compaction: the
+// boot one, and the recovery one that ends degraded mode. The pre-crash
+// process may have died between refit-readiness and the version commit
+// (and a read-only store left refits unserved), and without new ingest
+// traffic nothing else would ever publish the pending version. It must
+// run only after compaction: a version
 // committed between the compactor's Snapshot and the store rewrite would be
 // truncated away with the WAL.
 func (m *Manager) rearmAutoRefits() {

@@ -114,9 +114,9 @@ type RemoteBackend struct {
 	// per-shard metric (nil — a safe no-op — outside a Router).
 	shard   int
 	retries *obs.Counter
-
-	mu       sync.Mutex
-	sessions map[string]*Session
+	// life ends on Close, and with it every proxy's watcher (see watch).
+	life    context.Context
+	endLife context.CancelFunc
 }
 
 // NewRemoteBackend returns a shard slot proxying to the shard server at
@@ -130,13 +130,15 @@ func NewRemoteBackend(addr string, opts *RemoteOptions) *RemoteBackend {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
+	life, endLife := context.WithCancel(context.Background())
 	return &RemoteBackend{
-		base:     strings.TrimSuffix(addr, "/"),
-		client:   o.Client,
-		opts:     o,
-		breaker:  newBreaker(o.BreakerThreshold, o.BreakerCooldown),
-		shard:    -1,
-		sessions: make(map[string]*Session),
+		base:    strings.TrimSuffix(addr, "/"),
+		client:  o.Client,
+		opts:    o,
+		breaker: newBreaker(o.BreakerThreshold, o.BreakerCooldown),
+		shard:   -1,
+		life:    life,
+		endLife: endLife,
 	}
 }
 
@@ -277,7 +279,7 @@ func (rb *RemoteBackend) send(ctx context.Context, method, path string, body []b
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "building %s %s: %v", method, path, err)
 	}
-	if body != nil {
+	if len(body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if tid := obs.TraceID(ctx); tid != "" {
@@ -300,44 +302,16 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// proxy returns the cached session proxy for st.ID, creating it on first
-// sight and folding the fresher status into it either way.
+// proxy returns a session proxy for the status the shard just sent. The
+// router keeps none of them: each call that returns a session builds a
+// fresh one, and the shard stays the authority over its state.
 func (rb *RemoteBackend) proxy(st SessionStatus) *Session {
-	rb.mu.Lock()
-	s := rb.sessions[st.ID]
-	if s == nil {
-		p := &remoteSession{rb: rb, id: st.ID, last: st, done: make(chan struct{})}
-		if st.State.terminal() {
-			p.closed = true
-			close(p.done)
-		}
-		s = &Session{id: st.ID, remote: p}
-		rb.sessions[st.ID] = s
+	p := &remoteSession{rb: rb, id: st.ID, last: st, done: make(chan struct{})}
+	if st.State.terminal() {
+		p.closed = true
+		close(p.done)
 	}
-	rb.mu.Unlock()
-	s.remote.update(st)
-	return s
-}
-
-// forget drops a deleted session's proxy.
-func (rb *RemoteBackend) forget(id string) {
-	rb.mu.Lock()
-	s := rb.sessions[id]
-	delete(rb.sessions, id)
-	rb.mu.Unlock()
-	if s != nil {
-		s.remote.markDone()
-	}
-}
-
-// remoteProxy returns the proxy for a session this backend has already
-// seen (created, fetched or listed through it, and not deleted through
-// it); nil otherwise. The shard stays the authority: a session deleted
-// behind the proxy answers every call with the shard's own 404.
-func (rb *RemoteBackend) remoteProxy(id string) *Session {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return rb.sessions[id]
+	return &Session{id: st.ID, remote: p}
 }
 
 // createSession builds a session under a router-minted id — the shard-slot
@@ -382,25 +356,12 @@ func (rb *RemoteBackend) listSessions() ([]*Session, error) {
 
 // Delete removes a session on the shard.
 func (rb *RemoteBackend) Delete(id string) error {
-	if err := rb.do(context.Background(), http.MethodDelete, "/api/sessions/"+id, nil, nil, false); err != nil {
-		return err
-	}
-	rb.forget(id)
-	return nil
+	return rb.do(context.Background(), http.MethodDelete, "/api/sessions/"+id, nil, nil, false)
 }
 
-// Cancel aborts a running session on the shard and folds the shard's
-// answer — the session's status once the run has stopped — into the
-// cached proxy.
+// Cancel aborts a running session on the shard.
 func (rb *RemoteBackend) Cancel(id string) error {
-	var st SessionStatus
-	if err := rb.do(context.Background(), http.MethodPost, "/api/sessions/"+id+"/cancel", nil, &st, false); err != nil {
-		return err
-	}
-	if s := rb.remoteProxy(id); s != nil {
-		s.remote.update(st)
-	}
-	return nil
+	return rb.do(context.Background(), http.MethodPost, "/api/sessions/"+id+"/cancel", nil, nil, false)
 }
 
 // Run starts the session on the shard's worker pool.
@@ -442,25 +403,95 @@ func (rb *RemoteBackend) traceSpans(id string) ([]obs.Span, error) {
 // Close releases client resources and ends session watches. The shard
 // process itself is owned by its supervisor, not the backend.
 func (rb *RemoteBackend) Close() {
-	rb.mu.Lock()
-	sessions := make([]*Session, 0, len(rb.sessions))
-	for _, s := range rb.sessions {
-		sessions = append(sessions, s)
-	}
-	rb.mu.Unlock()
-	for _, s := range sessions {
-		s.remote.markDone()
-	}
+	rb.endLife()
 	rb.client.CloseIdleConnections()
+}
+
+// forward serves a session-scoped API request for a session homed on this
+// shard by sending it on as-is — method, path, body and X-Trace-Id — and
+// copying the shard's status, headers and body back, so the client reads
+// exactly what the shard wrote: a 404 for a session deleted behind the
+// router, a 409, a 503 included. GETs retry like any read; mutations do
+// not. An event stream is flushed as its frames arrive. A shard that cannot
+// be reached gets a 503 + Retry-After.
+func (rb *RemoteBackend) forward(w http.ResponseWriter, r *http.Request) {
+	ctx := r.Context()
+	path := r.URL.EscapedPath()
+	if tid := obs.TraceID(ctx); tid != "" {
+		defer obs.DefaultTracer().Span(tid, "remote", r.Method+" "+path, rb.shard, "")()
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		return
+	}
+	resp, stop, err := rb.open(ctx, r.Method, path, body)
+	if err != nil {
+		writeErr(w, httpCode(err), err)
+		return
+	}
+	defer stop()
+	defer resp.Body.Close()
+	for k, v := range resp.Header {
+		w.Header()[k] = v
+	}
+	w.Header().Del("Connection")
+	w.WriteHeader(resp.StatusCode)
+	// Replies are small, so the copy buffer is too: io.Copy's own would
+	// cost 32 KB a call, since the edge's writer has no ReadFrom.
+	stream, flush := isEventStream(resp), http.NewResponseController(w).Flush
+	buf := make([]byte, 1024)
+	for {
+		n, err := resp.Body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil || stream && flush() != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// open sends one request and returns the shard's reply once its headers
+// are in. GETs retry (see retry). The OpTimeout deadline keeps running
+// over the reply body, except on an event stream, where it covers only the
+// wait for the headers: the stream lasts as long as ctx. The caller closes
+// the body, then calls stop.
+func (rb *RemoteBackend) open(ctx context.Context, method, path string, body []byte) (resp *http.Response, stop func(), err error) {
+	err = rb.retry(ctx, method == http.MethodGet, func() error {
+		reqCtx, cancel := context.WithCancel(ctx)
+		timer := time.AfterFunc(rb.opts.OpTimeout, cancel)
+		res, err := rb.send(reqCtx, method, path, body)
+		if err == nil && isEventStream(res) && !timer.Stop() {
+			// The deadline fired as the headers arrived; the stream is dead.
+			res.Body.Close()
+			err = fmt.Errorf("shard %s: %s %s: no response within %v: %w", rb.base, method, path, rb.opts.OpTimeout, ErrShardUnavailable)
+		}
+		if err != nil {
+			timer.Stop()
+			cancel()
+			return err
+		}
+		resp, stop = res, func() { timer.Stop(); cancel() }
+		return nil
+	})
+	return resp, stop, err
+}
+
+// isEventStream reports whether a reply is an SSE stream, whose deadline
+// ends with its headers.
+func isEventStream(resp *http.Response) bool {
+	return strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream")
 }
 
 // remoteSession is the state behind a remote session proxy: the last
 // status observed from the shard and a locally-managed done channel, closed
-// by the first terminal status seen (in any response, a `state` frame of
-// the shard's event stream included — relayed to a client or followed by
-// the lazy watcher behind Done). Terminal statuses are cached forever — a
-// finished session's state cannot change, so proxies serve it without
-// another round trip.
+// by the first terminal status seen (in a reply, or in a `state` frame of
+// the shard's event stream followed by the lazy watcher behind Done).
+// Terminal statuses are kept for good — a finished session's state cannot
+// change, so the proxy serves it without another round trip.
 type remoteSession struct {
 	rb *RemoteBackend
 	id string
@@ -473,7 +504,7 @@ type remoteSession struct {
 	done      chan struct{}
 }
 
-// update folds a fresher status into the cache; a terminal state closes
+// update folds a fresher status into the proxy; a terminal state closes
 // the done channel.
 func (p *remoteSession) update(st SessionStatus) {
 	p.mu.Lock()
@@ -507,40 +538,29 @@ func (p *remoteSession) known() SessionStatus {
 	return p.last
 }
 
-// status returns the session's current status: the cached copy for
-// terminal sessions, a fresh fetch otherwise — falling back to the cache
-// when the shard is unreachable, so Status (which cannot return an error)
-// degrades to last-known rather than fabricating state.
+// status returns the session's current status: the kept copy for terminal
+// sessions, a fresh fetch otherwise — falling back to the last-known
+// status when the shard is unreachable, so Status (which cannot return an
+// error) degrades rather than fabricating state.
 func (p *remoteSession) status() SessionStatus {
 	last := p.known()
 	if last.State.terminal() {
 		return last
 	}
-	st, err := p.fetch(context.Background())
-	if err != nil {
+	var st SessionStatus
+	if err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id, nil, &st, true); err != nil {
 		return last
 	}
+	p.update(st)
 	return st
 }
 
-// fetch reads the session's status from the shard and folds it into the
-// cache; the shard's error (a 404 for a session deleted behind the proxy)
-// passes through.
-func (p *remoteSession) fetch(ctx context.Context) (SessionStatus, error) {
-	var st SessionStatus
-	if err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id, nil, &st, true); err != nil {
-		return SessionStatus{}, err
-	}
-	p.update(st)
-	return st, nil
-}
-
-func (p *remoteSession) submitBag(ctx context.Context, req BagRequest) (int, float64, error) {
+func (p *remoteSession) submitBag(req BagRequest) (int, float64, error) {
 	var out struct {
 		Submitted   int     `json:"submitted"`
 		MeanRuntime float64 `json:"mean_runtime"`
 	}
-	err := p.rb.do(ctx, http.MethodPost, "/api/sessions/"+p.id+"/bags", req, &out, false)
+	err := p.rb.do(context.Background(), http.MethodPost, "/api/sessions/"+p.id+"/bags", req, &out, false)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -550,43 +570,10 @@ func (p *remoteSession) submitBag(ctx context.Context, req BagRequest) (int, flo
 	return out.Submitted, out.MeanRuntime, nil
 }
 
-func (p *remoteSession) estimate(ctx context.Context, req BagRequest) (batch.Estimate, error) {
-	// The estimate endpoint's payload maps the struct by hand (the batch
-	// type carries no tags), so the proxy reverses the same four keys.
-	var out struct {
-		IdealMakespan     float64 `json:"ideal_makespan_hours"`
-		ExpectedMakespan  float64 `json:"expected_makespan_hours"`
-		PerJobFailureProb float64 `json:"per_job_failure_prob"`
-		ExpectedCost      float64 `json:"expected_cost_usd"`
-	}
-	err := p.rb.do(ctx, http.MethodPost, "/api/sessions/"+p.id+"/estimate", req, &out, false)
-	if err != nil {
-		return batch.Estimate{}, err
-	}
-	return batch.Estimate{
-		IdealMakespan:     out.IdealMakespan,
-		ExpectedMakespan:  out.ExpectedMakespan,
-		PerJobFailureProb: out.PerJobFailureProb,
-		ExpectedCost:      out.ExpectedCost,
-	}, nil
-}
-
-func (p *remoteSession) report(ctx context.Context) (batch.Report, error) {
+func (p *remoteSession) report() (batch.Report, error) {
 	var rep batch.Report
-	err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id+"/report", nil, &rep, true)
+	err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id+"/report", nil, &rep, true)
 	return rep, err
-}
-
-func (p *remoteSession) jobs(ctx context.Context) ([]batch.JobStatus, error) {
-	var jobs []batch.JobStatus
-	err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id+"/jobs", nil, &jobs, true)
-	return jobs, err
-}
-
-func (p *remoteSession) vms(ctx context.Context) ([]VMState, error) {
-	var vms []VMState
-	err := p.rb.do(ctx, http.MethodGet, "/api/sessions/"+p.id+"/vms", nil, &vms, true)
-	return vms, err
 }
 
 // doneChan returns the done channel, starting the watcher on first use —
@@ -596,7 +583,7 @@ func (p *remoteSession) doneChan() <-chan struct{} {
 	p.mu.Lock()
 	var ctx context.Context
 	if p.stopWatch == nil && !p.closed {
-		ctx, p.stopWatch = context.WithCancel(context.Background())
+		ctx, p.stopWatch = context.WithCancel(p.rb.life)
 	}
 	p.mu.Unlock()
 	if ctx != nil {
@@ -617,9 +604,11 @@ const watchGiveUpAfter = 20
 
 // watch follows the shard's event stream, one window at a time, until the
 // session is terminal (a closing `state` frame, or any other path to
-// markDone, which cancels ctx), the session disappears, or the shard stays
-// unreachable past the give-up budget.
+// markDone, which cancels ctx), the session disappears, the backend is
+// closed, or the shard stays unreachable past the give-up budget. Every
+// way out ends the wait.
 func (p *remoteSession) watch(ctx context.Context) {
+	defer p.markDone()
 	failures := 0
 	for {
 		windowCtx, cancel := context.WithTimeout(ctx, watchWindow)
@@ -632,7 +621,6 @@ func (p *remoteSession) watch(ctx context.Context) {
 		case code == http.StatusNotFound || code == http.StatusGone:
 			// The session is gone (deleted, or lost with a shard store):
 			// the wait is over even though no terminal state was seen.
-			p.markDone()
 			return
 		case code == http.StatusOK && quiet:
 			// The window closed on a live stream: the run is still going.
@@ -642,7 +630,6 @@ func (p *remoteSession) watch(ctx context.Context) {
 		// The connect failed, or the stream ended without a terminal frame.
 		failures++
 		if failures >= watchGiveUpAfter {
-			p.markDone()
 			return
 		}
 		// An open breaker fails fast; pace the loop so it doesn't spin.
@@ -655,102 +642,32 @@ func (p *remoteSession) watch(ctx context.Context) {
 	}
 }
 
-// watchStream follows one connection to the shard's event stream, reading
-// and dropping everything but its `state` frames, and returns the shard's
-// status code (0 when the connect failed).
+// watchStream follows one connection to the shard's event stream, folding
+// each `state` frame into the proxy (the closing one marks it done) and
+// dropping the rest, and returns the shard's status code (0 when the
+// connect failed).
 func (p *remoteSession) watchStream(ctx context.Context) int {
-	resp, stop, err := p.openEvents(ctx)
+	resp, stop, err := p.rb.open(ctx, http.MethodGet, "/api/sessions/"+p.id+"/events", nil)
 	if err != nil {
 		return 0
 	}
 	defer stop()
 	defer resp.Body.Close()
-	p.follow(resp.Body, io.Discard, func() error { return nil })
-	return resp.StatusCode
-}
-
-// openEvents connects to the shard's SSE stream for this session.
-// Connecting is an idempotent read (breaker and retries apply), and its
-// deadline covers only the wait for the response headers: the stream
-// lasts as long as ctx. The caller closes the body, then calls stop.
-func (p *remoteSession) openEvents(ctx context.Context) (resp *http.Response, stop context.CancelFunc, err error) {
-	rb := p.rb
-	path := "/api/sessions/" + p.id + "/events"
-	err = rb.retry(ctx, true, func() error {
-		streamCtx, cancel := context.WithCancel(ctx)
-		timer := time.AfterFunc(rb.opts.OpTimeout, cancel)
-		res, err := rb.send(streamCtx, http.MethodGet, path, nil)
-		if err == nil && !timer.Stop() {
-			// The deadline fired as the headers arrived; the stream is dead.
-			res.Body.Close()
-			err = fmt.Errorf("shard %s: GET %s: no response within %v: %w", rb.base, path, rb.opts.OpTimeout, ErrShardUnavailable)
-		}
-		if err != nil {
-			cancel()
-			return err
-		}
-		resp, stop = res, cancel
-		return nil
-	})
-	return resp, stop, err
-}
-
-// follow reads the shard's event stream to its end, copying every line to
-// w and folding each `state` frame into the proxy cache; the closing one
-// marks the proxy done. A blank line ends a frame: flush delivers it now,
-// unless more of the stream has already arrived — then it goes out with
-// the frames behind it. A failed write or flush ends the stream.
-func (p *remoteSession) follow(body io.Reader, w io.Writer, flush func() error) {
-	br := bufio.NewReader(body)
+	br := bufio.NewReader(resp.Body)
 	event := ""
 	for {
 		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			if _, werr := w.Write(line); werr != nil {
-				return
-			}
-			switch {
-			case bytes.HasPrefix(line, []byte("event: ")):
-				event = string(bytes.TrimSpace(line[len("event: "):]))
-			case event == "state" && bytes.HasPrefix(line, []byte("data: ")):
-				var st SessionStatus
-				if json.Unmarshal(line[len("data: "):], &st) == nil {
-					p.update(st)
-				}
-			case len(bytes.TrimSpace(line)) == 0 && br.Buffered() == 0:
-				if flush() != nil {
-					return
-				}
+		switch {
+		case bytes.HasPrefix(line, []byte("event: ")):
+			event = string(bytes.TrimSpace(line[len("event: "):]))
+		case event == "state" && bytes.HasPrefix(line, []byte("data: ")):
+			var st SessionStatus
+			if json.Unmarshal(line[len("data: "):], &st) == nil {
+				p.update(st)
 			}
 		}
 		if err != nil {
-			return
+			return resp.StatusCode
 		}
 	}
-}
-
-// relayEvents serves GET /api/sessions/{id}/events for this session by
-// relaying the shard's own SSE stream: status code, headers and body pass
-// through unchanged, flushed frame by frame as they arrive (see follow),
-// so the client reads exactly what the shard wrote — a shard-side 404 or
-// 503 included. A shard that cannot be reached gets the same 503 +
-// Retry-After a failed Get gives.
-func (p *remoteSession) relayEvents(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	if tid := obs.TraceID(ctx); tid != "" {
-		defer obs.DefaultTracer().Span(tid, "remote", http.MethodGet+" /api/sessions/"+p.id+"/events", p.rb.shard, "")()
-	}
-	resp, stop, err := p.openEvents(ctx)
-	if err != nil {
-		writeErr(w, httpCode(err), err)
-		return
-	}
-	defer stop()
-	defer resp.Body.Close()
-
-	for k, v := range resp.Header {
-		w.Header()[k] = v
-	}
-	w.WriteHeader(resp.StatusCode)
-	p.follow(resp.Body, w, http.NewResponseController(w).Flush)
 }

@@ -338,6 +338,30 @@ func TestShardReplicationRejectsEmptyVersions(t *testing.T) {
 	}
 }
 
+// TestShardRefusesModelRegistration registers a model on a shard
+// process's own API. The shard resolves references against its replica of
+// the control plane's registry, so it answers 409 naming the control plane
+// and keeps nothing: the entry does not list, and a model_ref to it fails
+// as it would without the request.
+func TestShardRefusesModelRegistration(t *testing.T) {
+	m := NewShardManager(1)
+	defer m.Close()
+	h := ShardHandler(m)
+	p := testModelParams()
+	rec, _ := doJSON(t, h, "POST", "/api/models", ModelCreateRequest{
+		Name: "east", VMType: "n1-highcpu-16", Zone: "us-east1-b", Model: &p,
+	})
+	if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), "control plane") {
+		t.Fatalf("POST /api/models on a shard: %d %s, want 409 naming the control plane", rec.Code, rec.Body)
+	}
+	if n := len(m.Models()); n != 0 {
+		t.Fatalf("shard lists %d models after a refused registration, want 0", n)
+	}
+	if _, err := m.Create("", refConfig(1, "east")); err == nil {
+		t.Fatal("session with a model_ref to the refused entry was created")
+	}
+}
+
 // TestRouterStatsMixedShardFailure pins the health GET /api/stats serves
 // when two shards fail in different ways at once: local shard 1 degraded
 // by a failing WAL fsync and remote shard 2 partitioned away. The payload
@@ -557,8 +581,11 @@ func TestRouterReplicationCatchUp(t *testing.T) {
 }
 
 // TestRemoteSessionLifecycleOverHTTP drives a remote-homed session through
-// the public API end to end — create, bag, estimate, run, events, report —
-// so every proxy method crosses the wire at least once.
+// the public API end to end — create, bag, estimate, run, report, jobs,
+// vms, delete — so every session route is forwarded at least once. The
+// router's own proxy for the session refuses estimates and listings, which
+// only the shard's API serves, instead of reaching for a local service it
+// does not have.
 func TestRemoteSessionLifecycleOverHTTP(t *testing.T) {
 	_, srv := startShard(t, 2)
 	r, err := NewRouterTopology([]string{"", srv.URL}, 2, nil)
@@ -608,6 +635,18 @@ func TestRemoteSessionLifecycleOverHTTP(t *testing.T) {
 	rec, _ = doJSON(t, h, "GET", "/api/sessions/"+id+"/jobs", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("jobs: %d", rec.Code)
+	}
+	proxy, err := r.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, estErr := proxy.Estimate(BagRequest{App: "shapes", Jobs: 6, Seed: 7})
+	_, jobsErr := proxy.Jobs()
+	_, vmsErr := proxy.VMs()
+	for _, err := range []error{estErr, jobsErr, vmsErr} {
+		if httpCode(err) != http.StatusNotImplemented {
+			t.Errorf("a proxy's Estimate/Jobs/VMs: %v, want a 501", err)
+		}
 	}
 	rec, _ = doJSON(t, h, "GET", "/api/sessions/"+id+"/vms", nil)
 	if rec.Code != http.StatusOK {

@@ -17,9 +17,8 @@ import (
 )
 
 // Shard-protocol economy tests: behind a remote-homed session every edge
-// request costs exactly one router-to-shard round trip, the router reuses
-// what the shard already sent instead of fetching it again, and the shard
-// stays the authority over sessions the router only caches.
+// request costs exactly one router-to-shard round trip, forwarded as-is,
+// and the shard stays the authority over its sessions.
 
 // countingTransport records the session-scoped requests a RemoteBackend
 // sends, then passes each to the shard transport the default client uses.
@@ -127,6 +126,8 @@ func waitOn(t *testing.T, shards ...Backend) func(id string) {
 // for the six edge requests of a remote-homed session, one for a status
 // read, one for a cancel. Every response body must equal, byte for byte,
 // what an all-local two-shard router answers for the same create sequence.
+// A router over the same shard that never saw the session pays the same
+// one request per bag submission, run and report read.
 func TestRemoteSessionOneRoundTripPerRequest(t *testing.T) {
 	m, srv := startShard(t, 2)
 	ct := &countingTransport{}
@@ -168,18 +169,55 @@ func TestRemoteSessionOneRoundTripPerRequest(t *testing.T) {
 		t.Fatal("no session homed on the remote shard")
 	}
 
+	createRemote := func(cfg SessionConfig) string {
+		t.Helper()
+		for {
+			rec := call(t, remoteAPI, "POST", "/api/sessions", createRequest{Config: cfg})
+			var st SessionStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.Code, rec.Body)
+			}
+			if placement.Shard(st.ID, 2) == 1 {
+				return st.ID
+			}
+		}
+	}
+
+	// Routers that have never seen the session: one shard request per
+	// edge request all the same.
+	id := createRemote(testConfig(1))
+	p := "/api/sessions/" + id
+	for _, s := range []struct {
+		method, path string
+		body         any
+		code         int
+	}{
+		{"POST", p + "/bags", BagRequest{App: "shapes", Jobs: 6, Jitter: 0.01, Seed: 1}, http.StatusAccepted},
+		{"POST", p + "/run", nil, http.StatusAccepted},
+		{"GET", p + "/report", nil, http.StatusOK},
+	} {
+		if strings.HasSuffix(s.path, "/report") {
+			waitOn(t, r.Shard(0), m)(id)
+		}
+		fresh := &countingTransport{}
+		other, err := NewRouterTopology([]string{"", srv.URL}, 2, &RemoteOptions{Client: &http.Client{Transport: fresh}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := call(t, NewAPI(other).Handler(), s.method, s.path, s.body)
+		other.Close()
+		if rec.Code != s.code {
+			t.Fatalf("%s %s through a fresh router: %d %s", s.method, s.path, rec.Code, rec.Body)
+		}
+		if calls := fresh.take(); len(calls) != 1 || calls[0] != s.method+" "+s.path {
+			t.Errorf("%s %s through a fresh router made shard requests %q, want the one", s.method, s.path, calls)
+		}
+	}
+
 	// A status read and a cancel: one shard request each, answered with
 	// what the shard sent.
-	var id string
-	for id == "" || placement.Shard(id, 2) != 1 {
-		rec := call(t, remoteAPI, "POST", "/api/sessions", createRequest{Config: slowConfig(1)})
-		var st SessionStatus
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusCreated {
-			t.Fatalf("create: %d %s", rec.Code, rec.Body)
-		}
-		id = st.ID
-	}
-	p := "/api/sessions/" + id
+	id = createRemote(slowConfig(1))
+	p = "/api/sessions/" + id
 	if rec := call(t, remoteAPI, "POST", p+"/bags", BagRequest{App: "shapes", Jobs: slowSessionJobs, Jitter: 0.02, Seed: 3}); rec.Code != http.StatusAccepted {
 		t.Fatalf("bags: %d %s", rec.Code, rec.Body)
 	}
@@ -215,11 +253,12 @@ func TestRemoteSessionOneRoundTripPerRequest(t *testing.T) {
 }
 
 // TestRemoteShardStaysAuthoritative deletes a remote-homed session on the
-// shard itself, behind the router's cached proxy. Every per-session request
-// through the router must still come back with the shard's 404 and the body
-// any missing session gets. Then, with the shard partitioned, the events
-// relay answers a failed connect with 503 + Retry-After, and once the
-// breaker is open it does so without touching the network.
+// shard itself, behind the router that created it. Every per-session
+// request through the router must still come back with the shard's 404 and
+// the body any missing session gets. Then, with the shard partitioned, a
+// forwarded events request answers a failed connect with 503 +
+// Retry-After, and once the breaker is open it does so without touching
+// the network.
 func TestRemoteShardStaysAuthoritative(t *testing.T) {
 	m, srv := startShard(t, 2)
 	inj := faultnet.Wrap(&shardTransport{})
@@ -246,9 +285,6 @@ func TestRemoteShardStaysAuthoritative(t *testing.T) {
 	}
 
 	id := createRemote()
-	if r.Remote(1).remoteProxy(id) == nil {
-		t.Fatalf("router holds no proxy for %s after creating it", id)
-	}
 	if err := m.Delete(id); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +328,7 @@ func TestRemoteShardStaysAuthoritative(t *testing.T) {
 		}
 	}
 	if got := r.Remote(1).BreakerState(); got != breakerOpen {
-		t.Fatalf("breaker = %s after %d failed relays, want open", got, opts.BreakerThreshold)
+		t.Fatalf("breaker = %s after %d failed forwards, want open", got, opts.BreakerThreshold)
 	}
 	before := len(inj.Trips())
 	rec := call(t, h, "GET", events, nil)

@@ -41,10 +41,9 @@ type Backend interface {
 	// Router merges the local ring with every remote shard's.
 	Trace(id string) []obs.Span
 	statsPayload() map[string]any
-	// remoteProxy returns the cached proxy of a session homed on a remote
-	// shard, without a round trip; nil when the home shard is local or the
-	// proxy is not cached (callers then resolve through Get).
-	remoteProxy(id string) *Session
+	// remoteHome returns the remote shard a session id is placed on, whose
+	// API the request is forwarded to; nil when the home shard is local.
+	remoteHome(id string) *RemoteBackend
 }
 
 var (
@@ -65,8 +64,8 @@ func (m *Manager) Trace(id string) []obs.Span {
 	return spans
 }
 
-// remoteProxy on a single Manager is always nil: every session is local.
-func (m *Manager) remoteProxy(string) *Session { return nil }
+// remoteHome on a single Manager is always nil: every session is local.
+func (m *Manager) remoteHome(string) *RemoteBackend { return nil }
 
 // listSessions adapts List to the shard-slot shape.
 func (m *Manager) listSessions() ([]*Session, error) { return m.List(), nil }
@@ -427,13 +426,9 @@ func (r *Router) CreateCtx(ctx context.Context, name string, cfg SessionConfig) 
 // Get resolves a session on its home shard.
 func (r *Router) Get(id string) (*Session, error) { return r.shardFor(id).Get(id) }
 
-// remoteProxy returns the home shard's cached proxy when that shard is
-// remote.
-func (r *Router) remoteProxy(id string) *Session {
-	if rb := r.remotes[placement.Shard(id, len(r.slots))]; rb != nil {
-		return rb.remoteProxy(id)
-	}
-	return nil
+// remoteHome returns the home shard's backend when that shard is remote.
+func (r *Router) remoteHome(id string) *RemoteBackend {
+	return r.remotes[placement.Shard(id, len(r.slots))]
 }
 
 // List scatter-gathers every reachable shard's sessions and merges them
@@ -568,8 +563,8 @@ func (r *Router) Wait() {
 }
 
 // Close stops the replicators and every shard's background workers (for
-// remote shards: the proxy's watchers and connections — the shard process
-// itself belongs to its supervisor).
+// remote shards: its proxies' watchers and its connections — the shard
+// process itself belongs to its supervisor).
 func (r *Router) Close() {
 	r.closeOnce.Do(func() { close(r.repStop) })
 	r.repWG.Wait()

@@ -81,8 +81,9 @@ type Session struct {
 	cfg  SessionConfig
 
 	// remote, when non-nil, marks this session as a proxy for one living in
-	// a shard process: every method delegates to the RemoteBackend's wire
-	// calls and the fields below stay zero (see remote.go).
+	// a shard process: Status, SubmitBag, Report and Done delegate to the
+	// RemoteBackend's wire calls, Estimate, Jobs and VMs refuse (errProxy),
+	// and the fields below stay zero (see remote.go).
 	remote *remoteSession
 
 	mu        sync.Mutex
@@ -178,13 +179,20 @@ func (s *Session) Status() SessionStatus {
 
 // knownStatus is Status without a shard round trip: a remote proxy answers
 // with the status the shard last sent. Handlers call it right after a call
-// that brought a fresh one (create, get, list, cancel); a local session's
-// status is always current.
+// that brought a fresh one (create, list); a local session's status is
+// always current.
 func (s *Session) knownStatus() SessionStatus {
 	if s.remote != nil {
 		return s.remote.known()
 	}
 	return s.Status()
+}
+
+// errProxy answers what a remote proxy does not carry: estimates and the
+// job and VM listings are served by the home shard's own API, which the
+// router forwards those requests to.
+func (s *Session) errProxy() error {
+	return errf(http.StatusNotImplemented, "session %s lives on a remote shard; ask the API for it", s.id)
 }
 
 // validateBagRequest rejects malformed bag parameters before they reach
@@ -220,14 +228,8 @@ func (s *Session) rlockGate() func() {
 
 // SubmitBag adds a bag of jobs; only valid before the session runs.
 func (s *Session) SubmitBag(req BagRequest) (int, float64, error) {
-	return s.submitBagCtx(context.Background(), req)
-}
-
-// submitBagCtx is SubmitBag under a request context: a remote proxy
-// forwards its trace to the shard (every ctx twin below does the same).
-func (s *Session) submitBagCtx(ctx context.Context, req BagRequest) (int, float64, error) {
 	if s.remote != nil {
-		return s.remote.submitBag(ctx, req)
+		return s.remote.submitBag(req)
 	}
 	app, err := validateBagRequest(req)
 	if err != nil {
@@ -264,12 +266,8 @@ func (s *Session) submitBagCtx(ctx context.Context, req BagRequest) (int, float6
 // Estimate quotes a bag against the session's configuration without
 // running anything.
 func (s *Session) Estimate(req BagRequest) (batch.Estimate, error) {
-	return s.estimateCtx(context.Background(), req)
-}
-
-func (s *Session) estimateCtx(ctx context.Context, req BagRequest) (batch.Estimate, error) {
 	if s.remote != nil {
-		return s.remote.estimate(ctx, req)
+		return batch.Estimate{}, s.errProxy()
 	}
 	app, err := validateBagRequest(req)
 	if err != nil {
@@ -286,12 +284,8 @@ func (s *Session) estimateCtx(ctx context.Context, req BagRequest) (batch.Estima
 // Report returns the final report; an apiError with 404 until the run
 // completes.
 func (s *Session) Report() (batch.Report, error) {
-	return s.reportCtx(context.Background())
-}
-
-func (s *Session) reportCtx(ctx context.Context) (batch.Report, error) {
 	if s.remote != nil {
-		return s.remote.report(ctx)
+		return s.remote.report()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,12 +330,8 @@ func (s *Session) awaitDetail() {
 // from a detail refresh at the run loop's next progress interval (at most
 // one interval old when served).
 func (s *Session) Jobs() ([]batch.JobStatus, error) {
-	return s.jobsCtx(context.Background())
-}
-
-func (s *Session) jobsCtx(ctx context.Context) ([]batch.JobStatus, error) {
 	if s.remote != nil {
-		return s.remote.jobs(ctx)
+		return nil, s.errProxy()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -370,12 +360,8 @@ type VMState = batch.VMInfo
 // listing comes from a detail refresh at the run loop's next progress
 // interval.
 func (s *Session) VMs() ([]VMState, error) {
-	return s.vmsCtx(context.Background())
-}
-
-func (s *Session) vmsCtx(ctx context.Context) ([]VMState, error) {
 	if s.remote != nil {
-		return s.remote.vms(ctx)
+		return nil, s.errProxy()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,13 +10,13 @@ import (
 
 // This file implements the server half of the shard protocol: a single
 // Manager exposed over HTTP to a Router in another process. The protocol
-// is the public /api surface — so every session operation a RemoteBackend
-// proxies hits exactly the handlers a client would, completion included (a
-// proxy's Done follows the session's event stream) — plus a small /shard
-// namespace for what the public API deliberately lacks: creates under a
-// router-minted id, liveness pings for the supervisor, a stats/cursor
-// snapshot for scatter-gather aggregation, and the registry replication
-// log's push endpoint.
+// is the public /api surface — so every session request a RemoteBackend
+// forwards or makes hits exactly the handlers a client would, completion
+// included (a proxy's Done follows the session's event stream) — plus a
+// small /shard namespace for what the public API deliberately lacks:
+// creates under a router-minted id, liveness pings for the supervisor, a
+// stats/cursor snapshot for scatter-gather aggregation, and the registry
+// replication log's push endpoint.
 
 // NewShardManager returns a Manager configured as a remote executor shard:
 // it resolves model references against a replication-fed replica instead

@@ -394,11 +394,11 @@ func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 }
 
 // TestShardProcessTracePropagation proves a trace crosses the process
-// boundary: a traced create, bag submission, report read and events read
-// routed to a real shard subprocess must come back from Router.Trace as
-// one merged timeline holding this process's router/remote spans and the
-// subprocess's shard/wal/request spans — the X-Trace-Id header is the
-// only thing connecting the two rings.
+// boundary: a traced create, bag submission, run, report read, events
+// read and delete routed to a real shard subprocess must come back from
+// Router.Trace as one merged timeline holding this process's
+// router/remote spans and the subprocess's shard/wal/request spans — the
+// X-Trace-Id header is the only thing connecting the two rings.
 func TestShardProcessTracePropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -438,11 +438,11 @@ func TestShardProcessTracePropagation(t *testing.T) {
 		t.Fatal("no session placed on the remote shard")
 	}
 
-	// The bag submission, report read and events read go through the API
-	// under the same trace. Each is one router-to-shard call: the router
-	// records one client-side remote span for it (the events read is
-	// relayed from the shard's own stream), and the forwarded X-Trace-Id
-	// puts the shard's request span in the trace.
+	// The bag submission, run, report read, events read and delete go
+	// through the API under the same trace. Each is forwarded to the shard
+	// as one call: the router records one client-side remote span for it,
+	// and the forwarded X-Trace-Id puts the shard's request span in the
+	// trace.
 	api := httptest.NewServer(NewAPI(r).Handler())
 	defer api.Close()
 	base := "/api/sessions/" + sid
@@ -472,12 +472,11 @@ func TestShardProcessTracePropagation(t *testing.T) {
 		}
 	}
 	traced(http.MethodPost, base+"/bags", BagRequest{App: "shapes", Jobs: 5, Jitter: 0.01, Seed: 1}, http.StatusAccepted)
-	if err := r.Run(remote); err != nil {
-		t.Fatal(err)
-	}
+	traced(http.MethodPost, base+"/run", nil, http.StatusAccepted)
 	remote.Wait()
 	traced(http.MethodGet, base+"/report", nil, http.StatusOK)
 	traced(http.MethodGet, base+"/events", nil, http.StatusOK)
+	traced(http.MethodDelete, base, nil, http.StatusOK)
 
 	// The merged trace must hold spans from both processes: the subprocess
 	// runs its spans through its own ring, fetched over the shard protocol.
@@ -486,8 +485,10 @@ func TestShardProcessTracePropagation(t *testing.T) {
 		code         int
 	}{
 		{http.MethodPost, base + "/bags", http.StatusAccepted},
+		{http.MethodPost, base + "/run", http.StatusAccepted},
 		{http.MethodGet, base + "/report", http.StatusOK},
 		{http.MethodGet, base + "/events", http.StatusOK},
+		{http.MethodDelete, base, http.StatusOK},
 	}
 	var spans []obs.Span
 	remoteSpans := make([]int, len(calls))

@@ -103,7 +103,7 @@ func TestShardTransportStaleConnection(t *testing.T) {
 				srv.CloseClientConnections()
 			}
 
-			if _, _, err := s.remote.submitBag(context.Background(), testBag); err != nil {
+			if _, _, err := s.SubmitBag(testBag); err != nil {
 				t.Fatalf("bag submission after a stale pooled connection: %v", err)
 			}
 			if n := bags.Load(); n != 1 {
@@ -147,7 +147,7 @@ func TestShardTransportNeverResends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.remote.submitBag(context.Background(), testBag)
+	_, _, err = s.SubmitBag(testBag)
 	if !errors.Is(err, ErrShardUnavailable) || httpCode(err) != http.StatusServiceUnavailable {
 		t.Fatalf("submission on a cut connection: err = %v, want a 503 wrapping ErrShardUnavailable", err)
 	}
@@ -156,7 +156,7 @@ func TestShardTransportNeverResends(t *testing.T) {
 	}
 }
 
-// TestShardTransportCancelledStreamNotPooled cancels a relayed event
+// TestShardTransportCancelledStreamNotPooled cancels a forwarded event
 // stream: its shard connection closes and never returns to the pool, so
 // the next call dials.
 func TestShardTransportCancelledStreamNotPooled(t *testing.T) {
@@ -174,13 +174,11 @@ func TestShardTransportCancelledStreamNotPooled(t *testing.T) {
 	}
 	// The session never runs, so its stream stays open after the first
 	// state frame until the edge client goes away.
-	edge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.remote.relayEvents(w, r)
-	}))
+	edge := httptest.NewServer(http.HandlerFunc(rb.forward))
 	defer edge.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, edge.URL, nil)
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, edge.URL+"/api/sessions/"+s.ID()+"/events", nil)
 	resp, err := edge.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

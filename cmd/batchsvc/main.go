@@ -78,8 +78,9 @@
 // supervisor health-checks each shard and restarts it if it crashes or
 // hangs — WAL replay makes the restart safe — while the router wraps every
 // cross-process call in deadlines, retries, and a per-shard circuit
-// breaker, and the registry replicates to the shards via a sequenced log
-// with catch-up on reconnect. A dead shard degrades its own sessions to
+// breaker. Model references are resolved once, on the control plane in
+// this process, and each create carries the pinned version's parameters
+// to its shard. A dead shard degrades its own sessions to
 // 503 (Retry-After set) and listings/stats/sweeps to partial results; the
 // other shards keep serving. See the README's "Distributed operation &
 // failure domains".
@@ -90,7 +91,7 @@
 //
 // Observability: GET /metrics renders every counter, gauge, and latency
 // histogram (per-shard sessions, queue depth, WAL and DP-solve latency,
-// breaker states, replication lag) in Prometheus text format, on the public
+// breaker states) in Prometheus text format, on the public
 // listener and on the -pprof loopback mux; shard processes serve their own.
 // Every API request carries an X-Trace-Id (honored inbound, minted
 // otherwise) whose spans — edge, routing, shard execution, WAL persists —
@@ -349,9 +350,8 @@ func main() {
 		}
 	}
 	if *distribute {
-		// Converge before serving: adopt the shards' restored id high-water
-		// marks and push them the registry state, so the first request never
-		// races the first replication tick.
+		// Adopt the shards' restored id high-water marks before serving, so
+		// the first create never races the first id tick.
 		mgr.SyncRemotes()
 	}
 	defer mgr.Close()
@@ -451,11 +451,11 @@ type shardServerConfig struct {
 }
 
 // runShardServer is the -shard-server mode: one executor shard (a Manager
-// resolving models against a replication-fed replica) serving the shard
-// protocol, with the same durable store and graceful-drain behavior as the
-// full service. The router process supervises this one and replays the
-// registry to it; WAL replay on restart makes a crash here a contained
-// fault, not a data loss.
+// that takes model references already resolved, with their parameters,
+// from the control plane) serving the shard protocol, with the same
+// durable store and graceful-drain behavior as the full service. The
+// router process supervises this one; WAL replay on restart makes a crash
+// here a contained fault, not a data loss.
 func runShardServer(cfg shardServerConfig) {
 	logger := obs.Logger("batchsvc").With("shard", cfg.index)
 	m := serve.NewShardManager(cfg.parallelism)

@@ -195,6 +195,12 @@ func New(cfg Config) (*Service, error) {
 	if cfg.CheckpointStep <= 0 {
 		cfg.CheckpointStep = 1.0 / 60
 	}
+	if cfg.CheckpointDelta > 0 && cfg.CheckpointStep > cfg.Model.Deadline() {
+		// The planner refuses a step past the deadline; so does New, rather
+		// than let a defaulted step reach it.
+		return nil, fmt.Errorf("batch: checkpoint step %vh exceeds the model deadline %vh",
+			cfg.CheckpointStep, cfg.Model.Deadline())
+	}
 	if cfg.HotSpareTTL < 0 {
 		return nil, fmt.Errorf("batch: negative hot spare TTL")
 	}

@@ -37,7 +37,7 @@
 // Hot paths (HTTP requests, WAL appends, session transitions) update
 // atomic series inline. Everything that already has an authoritative
 // source of truth — store stats, schedule-cache hit rates, DP solve
-// aggregates, breaker states, replication cursors — is exported through
+// aggregates, breaker states — is exported through
 // GaugeFunc callbacks evaluated at scrape time, so /metrics and
 // /api/stats read the same underlying counters and the hot path pays
 // nothing for them.

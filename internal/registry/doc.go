@@ -46,23 +46,14 @@
 // never reset — it survives refits and (through State/RestoreEntry)
 // process restarts.
 //
-// # Replication
+// # Resolution
 //
-// In a sharded service only one registry exists — the control plane — but
-// every shard resolves model references locally. Replica is the read-only
-// counterpart: it holds resolution state only (versions per name, enough
-// for ResolveRef), applied from the control plane's commits, and rejects
-// mutation. Log is the transport-agnostic changelog that feeds remote
-// replicas: each commit appends a sequence-numbered LogEntry (the entry
-// name plus its full replicated state — entries are self-contained, so
-// applying the latest entry per name from any point yields the same
-// replica). Since(cursor) returns the latest-per-name delta past a cursor,
-// which is how a replica that missed pushes — a partitioned or freshly
-// restarted shard — catches up in one round trip. The log's epoch (chosen
-// at construction) distinguishes control-plane generations: a replica
-// seeing a new epoch discards its cursor and takes the full snapshot, and
-// ApplyEntry is idempotent within an epoch (stale sequence numbers are
-// skipped), so replays and duplicated pushes are harmless.
+// In a sharded service only one registry exists, on the control plane, and
+// references are resolved there, once, when a session is created. The
+// serving layer pins the reference to "name@vN" and hands the shard that
+// runs the session the pinned version's Params. Those numbers never change
+// for that version, so a shard needs no copy of the registry, and no
+// registry state is replicated anywhere.
 //
 // # Persistence
 //
@@ -71,9 +62,7 @@
 // snapshot+WAL store and replaying them at boot. Snapshot() and
 // RestoreEntry exist for the compacted form: versions plus the detector
 // state and refit buffer, so a compacted boot does not replay the full
-// observation history. Replicas persist the same way on the shard that
-// hosts them: each applied entry is logged best-effort, so a restarted
-// shard resolves pinned references immediately from its own store and the
-// control plane's catch-up push only narrows the gap, never fills it from
-// zero.
+// observation history. A session's durable create record carries its
+// pinned version's Params, so a restarted shard rebuilds pinned sessions
+// from its own log without asking the registry.
 package registry

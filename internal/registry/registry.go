@@ -190,7 +190,8 @@ type Info struct {
 }
 
 // Resolved is the outcome of resolving a model reference: the pinned
-// version and its built model.
+// version, whose Params are what a session built from the reference
+// simulates.
 type Resolved struct {
 	Name     string
 	Scenario Scenario
@@ -198,7 +199,6 @@ type Resolved struct {
 	// Pinned is the fully qualified "name@vN" form the resolution pinned
 	// to; resolving it again always yields the same version.
 	Pinned string
-	Model  *core.Model
 }
 
 // IngestResult summarizes one observation batch.
@@ -240,9 +240,6 @@ type Registry struct {
 	// cleared by refits (state alone cannot recount those); RestoreEntry
 	// primes it from restored detector state.
 	flags uint64
-	// onApply, when set, receives a replication Update after each applied
-	// mutation that changes resolution state (see replica.go).
-	onApply func(Update)
 }
 
 // New returns an empty registry.
@@ -310,7 +307,6 @@ func (r *Registry) Create(name string, sc Scenario, cfg EntryConfig, prov Proven
 	}
 	r.entries[name] = e
 	r.order = append(r.order, name)
-	r.notify(e)
 	return e.info(), nil
 }
 
@@ -336,7 +332,6 @@ func (r *Registry) Publish(name string, prov Provenance, commit func(Version) er
 		}
 	}
 	e.publish(v, m)
-	r.notify(e)
 	return v, nil
 }
 
@@ -414,7 +409,6 @@ func (r *Registry) Resolve(ref string) (Resolved, error) {
 		Scenario: e.scenario,
 		Version:  e.versions[num-1],
 		Pinned:   fmt.Sprintf("%s@v%d", name, num),
-		Model:    e.models[num-1],
 	}, nil
 }
 
@@ -544,7 +538,6 @@ func (r *Registry) Refit(name, fittedAt, source string, commit func(Version) err
 		}
 	}
 	e.publish(v, m)
-	r.notify(e)
 	return v, nil
 }
 
@@ -639,6 +632,5 @@ func (r *Registry) RestoreEntry(st EntryState) error {
 	}
 	r.entries[st.Name] = e
 	r.order = append(r.order, st.Name)
-	r.notify(e)
 	return nil
 }

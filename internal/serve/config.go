@@ -7,7 +7,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/registry"
 	"repro/internal/trace"
 )
@@ -23,28 +22,11 @@ const (
 )
 
 // ModelParams is the wire form of a fitted bathtub model (Equation 1
-// parameters plus the deadline), for clients that already know the model
-// they want a session to use.
-type ModelParams struct {
-	A    float64 `json:"a"`
-	Tau1 float64 `json:"tau1"`
-	Tau2 float64 `json:"tau2"`
-	B    float64 `json:"b"`
-	L    float64 `json:"l"`
-}
-
-// model builds the core model, validating the parameters first.
-func (p ModelParams) model() (*core.Model, error) {
-	if p.Tau1 <= 0 || p.Tau2 <= 0 || p.L <= 0 {
-		return nil, fmt.Errorf("model parameters need tau1, tau2, l > 0 (got tau1=%v tau2=%v l=%v)",
-			p.Tau1, p.Tau2, p.L)
-	}
-	bt := dist.NewBathtub(p.A, p.Tau1, p.Tau2, p.B, p.L)
-	if !(bt.Raw(bt.L) > 0) {
-		return nil, fmt.Errorf("model parameters carry no probability mass before the deadline")
-	}
-	return core.New(bt), nil
-}
+// parameters plus the deadline): a session's inline model, a model
+// registration's version 1, and the parameters a pinned model_ref carries
+// to the shard that runs the session. It is the registry's own type, so
+// the two never drift apart.
+type ModelParams = registry.Params
 
 // FitSpec asks the service to fit per-time-of-day models for the session's
 // VM type and zone from generated study data, exactly as the paper's
@@ -89,11 +71,12 @@ type SessionConfig struct {
 	// required for the reuse policy or checkpointing.
 	Model *ModelParams `json:"model,omitempty"`
 	Fit   *FitSpec     `json:"fit,omitempty"`
-	// ModelRef is resolved against the registry when the session is
-	// created and pinned to the concrete version ("name@vN") it resolved
-	// to: the status, the durable create record, and every later rebuild
-	// carry the pinned form, so a session's report stays byte-identical
-	// and replayable no matter how many refits publish newer versions.
+	// ModelRef is resolved once, on the control plane's registry, when the
+	// session is created, and pinned to the concrete version ("name@vN")
+	// it resolved to. The status shows the pinned form; the shard gets the
+	// pinned version's parameters with it and its durable create record
+	// keeps them, so a session's report stays byte-identical and
+	// replayable no matter how many refits publish newer versions.
 	ModelRef string `json:"model_ref,omitempty"`
 }
 
@@ -181,7 +164,7 @@ func (c SessionConfig) Validate() error {
 		return fmt.Errorf("policy %q needs a model: set \"model\", \"fit\", or \"model_ref\"", c.Policy)
 	}
 	if c.Model != nil {
-		if _, err := c.Model.model(); err != nil {
+		if _, err := c.Model.Model(); err != nil {
 			return fmt.Errorf("model: %w", err)
 		}
 	}
@@ -191,9 +174,13 @@ func (c SessionConfig) Validate() error {
 	return nil
 }
 
-// build resolves models (through the fit cache and the online registry —
-// or a shard's replicated view of it) and assembles the batch.Config.
-func (c SessionConfig) build(models *modelCache, resolver modelResolver) (batch.Config, error) {
+// build constructs the session's models (through the fit cache for a
+// recipe) and assembles the batch.Config. A model_ref session's model is
+// built from pinned, the parameters of the version its reference was
+// resolved to on the control plane; build itself resolves nothing. pinned
+// arrives over the shard protocol or from the WAL, so it is checked like
+// any other input.
+func (c SessionConfig) build(models *modelCache, pinned *ModelParams) (batch.Config, error) {
 	cfg := batch.Config{
 		VMType:            trace.VMType(c.VMType),
 		Zone:              trace.Zone(c.Zone),
@@ -208,29 +195,27 @@ func (c SessionConfig) build(models *modelCache, resolver modelResolver) (batch.
 		Seed:              c.Seed,
 	}
 	if c.Model != nil {
-		m, err := c.Model.model()
+		m, err := c.Model.Model()
 		if err != nil {
 			return batch.Config{}, err
 		}
 		cfg.Model = m
 	}
-	if c.ModelRef != "" {
-		res, err := resolver.Resolve(c.ModelRef)
+	switch {
+	case c.ModelRef != "" && pinned == nil:
+		return batch.Config{}, fmt.Errorf("model_ref %s: no pinned model parameters", c.ModelRef)
+	case c.ModelRef == "" && pinned != nil:
+		return batch.Config{}, fmt.Errorf("pinned model parameters without a model_ref")
+	case pinned != nil:
+		m, err := pinned.Model()
 		if err != nil {
-			return batch.Config{}, fmt.Errorf("model_ref: %w", err)
+			return batch.Config{}, fmt.Errorf("model_ref %s: %w", c.ModelRef, err)
 		}
-		if res.Scenario.VMType != c.VMType || res.Scenario.Zone != c.Zone {
-			// A model fitted for one environment silently mispredicts
-			// another's lifetimes; the equivalent mistake is impossible via
-			// "fit", which always uses the session's own scenario.
-			return batch.Config{}, fmt.Errorf("model_ref: model %s describes (%s, %s), not this session's (%s, %s)",
-				res.Pinned, res.Scenario.VMType, res.Scenario.Zone, c.VMType, c.Zone)
-		}
-		if c.CheckpointDelta > 0 && c.CheckpointStep > res.Model.Deadline() {
+		if c.CheckpointDelta > 0 && c.CheckpointStep > m.Deadline() {
 			return batch.Config{}, fmt.Errorf("checkpoint_step %vh exceeds model %s's deadline %vh",
-				c.CheckpointStep, res.Pinned, res.Model.Deadline())
+				c.CheckpointStep, c.ModelRef, m.Deadline())
 		}
-		cfg.Model = res.Model
+		cfg.Model = m
 	}
 	if c.Fit != nil {
 		reg, err := models.get(cfg.VMType, cfg.Zone, c.Fit.Samples, c.Fit.Seed)

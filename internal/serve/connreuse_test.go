@@ -42,12 +42,12 @@ func countConns(t *testing.T, h http.Handler) (*httptest.Server, *connCount) {
 // default client. Run and delete replies carry bodies nobody reads; unless
 // they are drained, each such exchange costs the connection, and the shard
 // sees about two new connections per remote-homed session. Kept alive, the
-// lifecycles share one connection. The replication loop may need a second
-// when it runs beside a request. The shard transport dials only for a
-// caller that finds the pool empty, and that caller uses the connection it
-// dialed, so connections never outnumber calls in flight: one lifecycle
-// call plus one replication call. The count stays at that bound after
-// every lifecycle, whatever K is.
+// lifecycles share one connection. The id tick's /shard/info may need a
+// second when it runs beside a request. The shard transport dials only for
+// a caller that finds the pool empty, and that caller uses the connection
+// it dialed, so connections never outnumber calls in flight: one lifecycle
+// call plus one id-tick call. The count stays at that bound after every
+// lifecycle, whatever K is.
 func TestRemoteLifecyclesReuseShardConnections(t *testing.T) {
 	const k, maxConns = 20, 2
 	m := NewShardManager(2)

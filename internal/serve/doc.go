@@ -10,7 +10,8 @@
 // service. A Router is the thin stateless layer above N shard slots: it
 // mints globally-sequential session ids, places each session on a shard by
 // consistent hash on its id, scatter-gathers the cross-shard reads, and
-// fans registry commits out to per-shard read replicas. A slot is either a
+// resolves every session's model reference on the control plane's
+// registry before handing the create to its shard. A slot is either a
 // Manager in the router's own process or a RemoteBackend speaking the
 // shard protocol to a Manager in another process — the router cannot tell
 // the difference. Manager and Router are the two implementations of the
@@ -98,17 +99,17 @@
 // create sequence yields the same ids — and byte-identical reports — at any
 // shard count.
 //
-// The model registry stays a single control plane on shard 0; every commit
-// (create, publish, refit, restore) fans out synchronously to read-only
-// replicas on local shards, so model_ref resolution at session-create
-// time never takes a cross-shard lock. For remote shards the fan-out rides
-// a sequence-numbered replication log (registry.Log): each commit appends
-// an entry and wakes a per-shard replicator that pushes the delta past the
-// shard's acknowledged cursor; a shard that was unreachable — or that just
-// restarted — catches up on reconnect by replaying everything after its
-// cursor (or the full latest-per-name snapshot across an epoch change).
-// Model registration and refit go through the control plane; resolution is
-// shard-local everywhere.
+// The model registry stays a single control plane on shard 0, and a model
+// reference is resolved there exactly once: Router.CreateCtx (sweep cells
+// included) pins it to "name@vN" on the control plane's registry and
+// hands the owning shard that version's parameters with the create. A
+// pinned version's parameters never change, so that is all a shard needs:
+// no shard keeps a copy of the registry, nothing is replicated, and a
+// shard that was unreachable when a model was registered can run sessions
+// on it the moment it answers again. The shard's durable create record
+// keeps the parameters, so a restarted shard rebuilds its pinned sessions
+// from its own log. Model registration and refit go through the control
+// plane too; a shard process refuses POST /api/models with 409.
 //
 // Cross-shard reads scatter-gather: GET /api/sessions merges per-shard
 // listings back into global id order, POST /api/sweep spreads its grid
@@ -130,20 +131,21 @@
 // shard protocol is the public /api surface itself — every proxied session
 // operation hits exactly the handlers a client would — plus a small /shard
 // namespace for what the public API deliberately lacks: creates under a
-// router-minted id, a liveness ping, a stats/cursor snapshot, and the
-// replication push.
+// router-minted id (with a model_ref's pinned parameters), a liveness
+// ping, and a stats snapshot. A create under an id the shard already holds
+// answers 409.
 //
 // A RemoteBackend fills each remote slot: it implements the router's
 // slot interface (create under a router-minted id, get, list, delete,
-// cancel, run, info, close) plus the trace fetch and replication
-// push the router drives, and no more — model operations never reach it,
+// cancel, run, info, close) plus the trace fetch the router drives, and
+// no more — model operations never reach it,
 // because they go to the control plane on slot 0, and /api/stats is
 // aggregated by the router from every slot's info snapshot.
 // It wraps each call with the failure discipline the in-process path never
 // needed. Every operation carries a per-op deadline.
 // Reads (status, report, listing, info, trace fetches, event-stream
-// connects) and the idempotent replication push retry transient transport
-// failures with exponential backoff plus jitter; creates, runs, cancels,
+// connects) retry transient transport failures with exponential backoff
+// plus jitter; creates, runs, cancels,
 // deletes and other mutations never retry — the caller gets an immediate
 // 503 with Retry-After and decides. A per-shard circuit breaker trips open after a
 // run of consecutive transport failures, fails calls fast without touching
@@ -237,9 +239,12 @@
 // the data-dir root itself — the pre-sharding layout, so old data dirs boot
 // unchanged — and shard i > 0 lives in root/shard-00i, giving each shard
 // its own WAL and fsync stream. Restore parses all stores concurrently,
-// replays model records into the control plane (seeding the replicas via
-// the commit fan-out), routes each session to its hash-placed home shard,
-// and rebuilds shards in parallel. If the shard count changed since the
+// replays model records into the control plane, routes each session to
+// its hash-placed home shard, and rebuilds shards in parallel. A create
+// record written before creates carried their pinned parameters gets them
+// once, at boot — from the restored registry on the control plane's
+// process, from the replica records of its own log on a shard process —
+// and the boot compaction rewrites it with them. If the shard count changed since the
 // data was written, sessions re-home automatically: stores are compacted
 // from the highest shard index down and leftover stores from a larger
 // previous count ("extras") are drained last, an order chosen so a moved

@@ -71,13 +71,12 @@ func requestTimestamp() string {
 
 // RegisterModel validates the request, produces version 1 (fitting the
 // recipe if asked), durably logs the creation, and registers the entry. A
-// shard process refuses: it resolves references against its replica of
-// the control plane's registry, so an entry written here could never be
-// used.
+// shard process refuses: references are resolved on the control plane's
+// registry, so an entry written here could never be used.
 func (m *Manager) RegisterModel(req ModelCreateRequest) (registry.Info, error) {
-	if m.replica != nil {
+	if m.executor {
 		return registry.Info{}, errf(http.StatusConflict,
-			"shard %d resolves models from the control plane's registry; register %q there", m.shard, req.Name)
+			"shard %d takes models resolved on the control plane's registry; register %q there", m.shard, req.Name)
 	}
 	if req.Name == "" {
 		return registry.Info{}, errf(http.StatusBadRequest, "model name is required")
@@ -96,7 +95,7 @@ func (m *Manager) RegisterModel(req ModelCreateRequest) (registry.Info, error) {
 	var prov registry.Provenance
 	switch {
 	case req.Model != nil:
-		p := registry.Params(*req.Model)
+		p := *req.Model
 		if _, err := p.Model(); err != nil {
 			return registry.Info{}, errf(http.StatusBadRequest, "model: %v", err)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/mathx"
 	"repro/internal/policy"
@@ -56,16 +58,16 @@ func refConfig(seed uint64, ref string) SessionConfig {
 
 // runReport creates a session from cfg, runs one bag, and returns the
 // session plus its marshaled report.
-func runReport(t *testing.T, m *Manager, cfg SessionConfig) (*Session, string) {
+func runReport(t *testing.T, b Backend, cfg SessionConfig) (*Session, string) {
 	t.Helper()
-	s, err := m.Create("", cfg)
+	s, err := b.CreateCtx(context.Background(), "", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: 10, Jitter: 0.02, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(s); err != nil {
+	if err := b.Run(s); err != nil {
 		t.Fatal(err)
 	}
 	s.Wait()
@@ -269,10 +271,11 @@ func TestModelRefPinningByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPolicyCacheKeyedByVersionParams pins the policy-cache contract the
-// registry relies on: two versions with different parameters get distinct
-// shared schedulers/planners, while a re-resolved pinned version (a
-// distinct *core.Model with identical parameters) shares them.
+// TestPolicyCacheKeyedByVersionParams pins the policy-cache contract
+// pinned creates rely on: two versions with different parameters get
+// distinct shared schedulers/planners, while a re-resolved pinned version
+// built again from its parameters (a distinct *core.Model with identical
+// parameters, as every shard create builds) shares them.
 func TestPolicyCacheKeyedByVersionParams(t *testing.T) {
 	mgr := NewManager(1)
 	registerTestModel(t, mgr, "east", false)
@@ -293,13 +296,23 @@ func TestPolicyCacheKeyedByVersionParams(t *testing.T) {
 	if r1.Version.Params == r2.Version.Params {
 		t.Fatal("refit published identical parameters; test needs distinct versions")
 	}
-	s1 := policy.SharedScheduler(r1.Model, policy.MinimizeFailure)
-	s2 := policy.SharedScheduler(r2.Model, policy.MinimizeFailure)
+	// model builds a fresh *core.Model from a version's parameters, as a
+	// shard does for every pinned create.
+	model := func(res registry.Resolved) *core.Model {
+		t.Helper()
+		m, err := res.Version.Params.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	s1 := policy.SharedScheduler(model(r1), policy.MinimizeFailure)
+	s2 := policy.SharedScheduler(model(r2), policy.MinimizeFailure)
 	if s1 == s2 {
 		t.Fatal("different version params shared one scheduler cache entry")
 	}
-	p1 := policy.SharedPlanner(r1.Model, 0.05, 0.25)
-	p2 := policy.SharedPlanner(r2.Model, 0.05, 0.25)
+	p1 := policy.SharedPlanner(model(r1), 0.05, 0.25)
+	p2 := policy.SharedPlanner(model(r2), 0.05, 0.25)
 	if p1 == p2 {
 		t.Fatal("different version params shared one planner cache entry")
 	}
@@ -309,10 +322,10 @@ func TestPolicyCacheKeyedByVersionParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if policy.SharedScheduler(r1b.Model, policy.MinimizeFailure) != s1 {
+	if policy.SharedScheduler(model(r1b), policy.MinimizeFailure) != s1 {
 		t.Fatal("same version params missed the scheduler cache")
 	}
-	if policy.SharedPlanner(r1b.Model, 0.05, 0.25) != p1 {
+	if policy.SharedPlanner(model(r1b), 0.05, 0.25) != p1 {
 		t.Fatal("same version params missed the planner cache")
 	}
 }

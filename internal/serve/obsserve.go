@@ -2,7 +2,7 @@ package serve
 
 // Telemetry plumbing for the serving tier: the serve-side metric series
 // (HTTP request latency, per-shard session counters, WAL latency, breaker
-// and replication gauges), the HTTP middleware that mints trace IDs and
+// gauges), the HTTP middleware that mints trace IDs and
 // measures every API request, and the structured-logging helpers. All
 // series live in the process-wide obs.Default() registry that GET /metrics
 // renders; see internal/obs for the exposition machinery and the

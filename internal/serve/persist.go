@@ -58,13 +58,6 @@ const (
 	// kindNoop is appended by the degraded-mode probe to verify the store
 	// accepts writes again; replay ignores it (unknown-session skip path).
 	kindNoop = "noop"
-
-	// kindReplica records one replicated registry log entry on a remote
-	// shard (see shardapi.go): a warm-start cache so a restarted shard can
-	// resolve pinned model references before the control plane reconnects
-	// and replays the delta. Compaction collapses it to the replica's
-	// current snapshot, one record per entry.
-	kindReplica = "replica"
 )
 
 // modelCreateRecord is the payload of a kindModelCreate record; the
@@ -82,13 +75,19 @@ type modelObsRecord struct {
 	Lifetimes []float64 `json:"lifetimes"`
 }
 
-// replicaRecord is the payload of a kindReplica record: one registry log
-// entry under the control-plane epoch that pushed it. The record ID
-// carries the entry name, so the latest record per name wins on replay
-// (ApplyEntry's seq comparison makes redundant replays no-ops).
-type replicaRecord struct {
-	Epoch uint64            `json:"epoch"`
-	Entry registry.LogEntry `json:"entry"`
+// legacyReplicaKind and legacyReplicaRecord decode the "replica" records a
+// remote shard's log carried while the control plane replicated its
+// registry to every shard: one entry's versions, the latest record per
+// entry name the newest. Replay reads them only to pin the parameters of
+// create records written before creates carried them; the boot compaction
+// rewrites those creates with parameters and writes no replica record.
+const legacyReplicaKind = "replica"
+
+type legacyReplicaRecord struct {
+	Entry struct {
+		Name     string             `json:"name"`
+		Versions []registry.Version `json:"versions"`
+	} `json:"entry"`
 }
 
 // seqRecord is the payload of a kindSeq record: the highest session id
@@ -97,12 +96,16 @@ type seqRecord struct {
 	Max int `json:"max"`
 }
 
-// createRecord is the payload of a kindCreate record. TraceID preserves
-// the creating request's trace across restarts, so a restored session's
-// status and report still point at the trace that made it.
+// createRecord is the payload of a kindCreate record. Params are the
+// parameters of the model version a model_ref config is pinned to, so
+// replay rebuilds the session without resolving anything (records written
+// before they were logged get them at boot, see pinLegacyCreates). TraceID
+// preserves the creating request's trace across restarts, so a restored
+// session's status and report still point at the trace that made it.
 type createRecord struct {
 	Name    string        `json:"name,omitempty"`
 	Config  SessionConfig `json:"config"`
+	Params  *ModelParams  `json:"params,omitempty"`
 	TraceID string        `json:"trace_id,omitempty"`
 }
 
@@ -199,6 +202,7 @@ func (m *Manager) persistCancel(s *Session) {
 type pendingSession struct {
 	name      string
 	cfg       SessionConfig
+	pinned    *ModelParams
 	traceID   string
 	bags      []BagRequest
 	ran       bool
@@ -209,13 +213,14 @@ type pendingSession struct {
 // sessions (with their replay order and id high-water mark) plus the raw
 // model-registry records in log order. It is what a single-shard Restore
 // consumes whole, and what the Router redistributes across shards when the
-// shard count changed between boots.
+// shard count changed between boots. legacyVersions holds, per entry name,
+// the versions a legacy replica record listed (see legacyReplicaRecord).
 type parsedStore struct {
-	sessions map[string]*pendingSession
-	order    []string
-	models   []store.Record
-	replicas []store.Record
-	maxSeq   int
+	sessions       map[string]*pendingSession
+	order          []string
+	models         []store.Record
+	legacyVersions map[string][]registry.Version
+	maxSeq         int
 }
 
 // parseStoreRecords decodes a store's replayed records without touching any
@@ -223,7 +228,10 @@ type parsedStore struct {
 // are collected raw (still in log order) for applyModelRecords; session
 // records fold into pendingSessions with deletes applied.
 func parseStoreRecords(recs []store.Record) (*parsedStore, error) {
-	ps := &parsedStore{sessions: make(map[string]*pendingSession)}
+	ps := &parsedStore{
+		sessions:       make(map[string]*pendingSession),
+		legacyVersions: make(map[string][]registry.Version),
+	}
 	for _, rec := range recs {
 		switch rec.Kind {
 		case kindSeq:
@@ -238,8 +246,12 @@ func parseStoreRecords(recs []store.Record) (*parsedStore, error) {
 		case kindModelCreate, kindModelVersion, kindModelObs, kindModelState:
 			ps.models = append(ps.models, rec)
 			continue
-		case kindReplica:
-			ps.replicas = append(ps.replicas, rec)
+		case legacyReplicaKind:
+			var lr legacyReplicaRecord
+			if err := json.Unmarshal(rec.Data, &lr); err != nil {
+				return nil, fmt.Errorf("serve: corrupt replica record for %s: %w", rec.ID, err)
+			}
+			ps.legacyVersions[lr.Entry.Name] = lr.Entry.Versions
 			continue
 		}
 		p := ps.sessions[rec.ID]
@@ -258,7 +270,7 @@ func parseStoreRecords(recs []store.Record) (*parsedStore, error) {
 			if p == nil {
 				ps.order = append(ps.order, rec.ID)
 			}
-			ps.sessions[rec.ID] = &pendingSession{name: cr.Name, cfg: cr.Config, traceID: cr.TraceID}
+			ps.sessions[rec.ID] = &pendingSession{name: cr.Name, cfg: cr.Config, pinned: cr.Params, traceID: cr.TraceID}
 			// Track the id sequence across every session ever created —
 			// including ones later deleted — so new ids never collide.
 			var n int
@@ -294,11 +306,10 @@ func parseStoreRecords(recs []store.Record) (*parsedStore, error) {
 
 // applyModelRecords replays model-registry records into the manager's
 // registry, in log order: the registry is fully rebuilt (versions, detector
-// high-water marks, refit buffers) before any session is rebuilt, so pinned
-// model_ref configs always resolve. Replay drives the registry directly —
+// high-water marks, refit buffers) before any session is rebuilt, so a
+// legacy model_ref create always finds its version (see pinLegacyCreates). Replay drives the registry directly —
 // no commit persistence, no auto-refit launches — state reconstruction must
-// not publish new versions. The registry's replication callback (if any)
-// still fires, which is exactly how a Router's shard replicas are seeded.
+// not publish new versions.
 func (m *Manager) applyModelRecords(recs []store.Record) error {
 	for _, rec := range recs {
 		switch rec.Kind {
@@ -344,38 +355,34 @@ func (m *Manager) applyModelRecords(recs []store.Record) error {
 	return nil
 }
 
-// persistReplicaEntry best-effort records one replicated registry entry.
-// The replica already applied it — this write only warms the next boot, so
-// a failure (degraded store, no store at all) is logged and swallowed
-// rather than failing the replication push.
-func (m *Manager) persistReplicaEntry(epoch uint64, e registry.LogEntry) {
-	m.mu.Lock()
-	st := m.store
-	m.mu.Unlock()
-	if st == nil {
-		return
-	}
-	defer m.rlockPersistGate()()
-	if _, err := st.Append(kindReplica, e.Name, replicaRecord{Epoch: epoch, Entry: e}); err != nil {
-		m.slogger().Error("persisting replica entry failed", "entry", e.Name, "err", err)
-	}
-}
-
-// applyReplicaRecords replays persisted replication records into the
-// shard's replica, in log order: redundant records (an entry recorded at
-// several seqs before compaction collapsed them) are deduplicated by
-// ApplyEntry's cursor comparison.
-func (m *Manager) applyReplicaRecords(recs []store.Record) error {
-	for _, rec := range recs {
-		var rr replicaRecord
-		if err := json.Unmarshal(rec.Data, &rr); err != nil {
-			return fmt.Errorf("serve: corrupt replica record for %s: %w", rec.ID, err)
+// pinLegacyCreates gives every model_ref session whose create record
+// predates logged parameters the parameters of the version its pinned
+// reference names; versions lists an entry's published versions. It runs
+// once per legacy record: the boot compaction rewrites the record with
+// the parameters.
+func (ps *parsedStore) pinLegacyCreates(versions func(name string) []registry.Version) error {
+	for _, id := range ps.order {
+		p := ps.sessions[id]
+		if p.cfg.ModelRef == "" || p.pinned != nil {
+			continue
 		}
-		if err := m.replica.ApplyEntry(rr.Epoch, rr.Entry); err != nil {
-			return fmt.Errorf("serve: restoring replica entry %s: %w", rec.ID, err)
+		name, num, err := registry.ParseRef(p.cfg.ModelRef)
+		vs := versions(name)
+		if err != nil || num < 1 || num > len(vs) {
+			return fmt.Errorf("serve: restoring session %s: model_ref %s names no known version", id, p.cfg.ModelRef)
 		}
+		p.pinned = &vs[num-1].Params
 	}
 	return nil
+}
+
+// registryVersions lists an entry's versions on a registry (none for an
+// unknown name).
+func registryVersions(reg *registry.Registry) func(string) []registry.Version {
+	return func(name string) []registry.Version {
+		info, _ := reg.Get(name)
+		return info.Versions
+	}
 }
 
 // sortSessionIDs orders session ids by their minted sequence number.
@@ -495,13 +502,14 @@ func (m *Manager) Restore(st Store) error {
 	if err := m.applyModelRecords(ps.models); err != nil {
 		return err
 	}
-	if m.replica != nil {
-		// A remote shard warm-starts its replicated registry view from the
-		// log, so restored sessions' pinned references resolve before the
-		// control plane reconnects and pushes the delta.
-		if err := m.applyReplicaRecords(ps.replicas); err != nil {
-			return err
-		}
+	// A remote shard's own registry is empty: its legacy creates pin from
+	// the replica records of its own log.
+	versions := registryVersions(m.registry)
+	if m.executor {
+		versions = func(name string) []registry.Version { return ps.legacyVersions[name] }
+	}
+	if err := ps.pinLegacyCreates(versions); err != nil {
+		return err
 	}
 	if err := m.rebuildAll(ps.sessions, ps.order); err != nil {
 		return err
@@ -521,7 +529,7 @@ func (m *Manager) rebuild(id string, p *pendingSession) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bcfg, err := cfg.build(m.models, m.resolver)
+	bcfg, err := cfg.build(m.models, p.pinned)
 	if err != nil {
 		return nil, err
 	}
@@ -534,6 +542,7 @@ func (m *Manager) rebuild(id string, p *pendingSession) (*Session, error) {
 		id:       id,
 		name:     p.name,
 		cfg:      cfg,
+		pinned:   p.pinned,
 		state:    StateCreated,
 		svc:      svc,
 		done:     make(chan struct{}),
@@ -642,14 +651,6 @@ func (m *Manager) CompactStore() error {
 	for _, st := range m.registry.Snapshot() {
 		add(kindModelState, st.Name, st)
 	}
-	// A remote shard's replicated registry view compacts to one record per
-	// entry at the replica's current cursor.
-	if m.replica != nil {
-		epoch, entries := m.replica.Snapshot()
-		for _, e := range entries {
-			add(kindReplica, e.Name, replicaRecord{Epoch: epoch, Entry: e})
-		}
-	}
 	// Each session collapses to its inputs: create, bags, and the run and
 	// cancel it went through.
 	for _, s := range m.List() {
@@ -658,7 +659,7 @@ func (m *Manager) CompactStore() error {
 		// durable; it just hasn't left the listing yet): re-capturing it
 		// would resurrect an acknowledged deletion on the next boot.
 		if !s.deleted {
-			add(kindCreate, s.id, createRecord{Name: s.name, Config: s.cfg, TraceID: s.traceID})
+			add(kindCreate, s.id, createRecord{Name: s.name, Config: s.cfg, Params: s.pinned, TraceID: s.traceID})
 			for _, bag := range s.bags {
 				add(kindBag, s.id, bag)
 			}

@@ -18,8 +18,9 @@ import (
 // beside them. The seeds are a current lifecycle (create, bag, run,
 // cancelled, delete), done/failed/cancelled records in the older format
 // that carried the report and job listing, unknown kinds, records for
-// unknown sessions, corrupt payloads, a duplicated create, and a
-// delete-then-recreate.
+// unknown sessions, corrupt payloads, a duplicated create, a
+// delete-then-recreate, and the replica records remote shards' logs
+// carried while the registry was replicated to them (valid and corrupt).
 //
 //	go test -run '^$' -fuzz '^FuzzParseStoreRecords$' -fuzztime 20s ./internal/serve
 func FuzzParseStoreRecords(f *testing.F) {
@@ -59,6 +60,10 @@ func FuzzParseStoreRecords(f *testing.F) {
 		// A create repeated without a delete, and a delete-then-recreate.
 		create + create + bag,
 		create + bag + line(kindDelete, "s-001", "") + create + run,
+		// Legacy replica records ahead of a model_ref create.
+		line(legacyReplicaKind, "east", `{"epoch":7,"entry":{"seq":1,"name":"east","scenario":{"vm_type":"n1-highcpu-16","zone":"us-east1-b"},"versions":[{"version":1,"family":"manual","params":{"a":0.45,"tau1":1,"tau2":0.8,"b":24,"l":24},"source":"register"}]}}`) +
+			line(kindCreate, "s-001", `{"config":{"vm_type":"n1-highcpu-16","zone":"us-east1-b","vms":4,"model_ref":"east@v1"}}`) + run,
+		line(legacyReplicaKind, "east", `{"entry":{"versions":"none"}}`) + create,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -3,14 +3,16 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/store"
 )
 
 // openStore opens a store.Log in dir, failing the test on error.
-func openStore(t *testing.T, dir string) *store.Log {
+func openStore(t testing.TB, dir string) *store.Log {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -501,4 +503,173 @@ func TestRetiredConfigFieldStillRestores(t *testing.T) {
 	if got := s.Status(); got.State != StateDone {
 		t.Fatalf("restored session ran to %s (%s), want done", got.State, got.Error)
 	}
+}
+
+// legacyModelRefLog writes the records of one model_ref session, pinned to
+// east@v1, as logs wrote them before create records carried the pinned
+// version's parameters: a create with no "params", a bag and a run.
+// before is written ahead of them.
+func legacyModelRefLog(t *testing.T, dir, id string, before ...store.Record) {
+	t.Helper()
+	st := openStore(t, dir)
+	defer st.Close()
+	for _, rec := range before {
+		if _, err := st.Append(rec.Kind, rec.ID, rec.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct {
+		kind string
+		v    any
+	}{
+		{kindCreate, createRecord{Name: "legacy", Config: refConfig(1, "east@v1").withDefaults()}},
+		{kindBag, BagRequest{App: "shapes", Jobs: 10, Jitter: 0.02, Seed: 5}},
+		{kindRun, nil},
+	} {
+		if _, err := st.Append(r.kind, id, r.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// requireLegacyBoots restores dirs twice through boot, which returns the
+// restored backend and a func that stops it, and requires the session id
+// to come back both times pinned to east@v1 with the report want. Before
+// the second boot it checks what the first boot's compaction left: the
+// create carries east@v1's parameters, and no replica record survives.
+func requireLegacyBoots(t *testing.T, dirs []string, id, want string, boot func(stores []Store) (Backend, func())) {
+	t.Helper()
+	for i := 1; i <= 2; i++ {
+		stores := make([]Store, len(dirs))
+		for j, dir := range dirs {
+			st := openStore(t, dir)
+			stores[j] = st
+			if i == 1 {
+				continue
+			}
+			for _, rec := range st.Records() {
+				if rec.Kind == legacyReplicaKind {
+					t.Fatalf("replica record %s survived the boot compaction", rec.ID)
+				}
+				if rec.Kind != kindCreate || rec.ID != id {
+					continue
+				}
+				var cr createRecord
+				if err := json.Unmarshal(rec.Data, &cr); err != nil {
+					t.Fatal(err)
+				}
+				if cr.Params == nil || *cr.Params != testModelParams() {
+					t.Fatalf("compacted create record carries params %v, want east@v1's %v", cr.Params, testModelParams())
+				}
+			}
+		}
+		b, stop := boot(stores)
+		s, err := b.Get(id)
+		if err != nil {
+			t.Fatalf("boot %d: %v", i, err)
+		}
+		if got := s.Status().Config.ModelRef; got != "east@v1" {
+			t.Fatalf("boot %d: session pinned %q, want east@v1", i, got)
+		}
+		rep, err := s.Report()
+		if err != nil {
+			t.Fatalf("boot %d: %v", i, err)
+		}
+		if raw, _ := json.Marshal(rep); string(raw) != want {
+			t.Fatalf("boot %d: report differs from the inline-parameter run:\n  %s\nvs\n  %s", i, raw, want)
+		}
+		stop()
+		for _, st := range stores {
+			st.(*store.Log).Close()
+		}
+	}
+}
+
+// TestLegacyModelRefCreateBoots boots a control plane's log whose
+// model_ref create predates logged parameters, with a refit (v2) published
+// after the create. Restore pins the session to east@v1's parameters from
+// the restored registry — on a Manager and on a Router{2}, where the
+// session may re-home — and its report matches an inline-parameter run.
+func TestLegacyModelRefCreateBoots(t *testing.T) {
+	_, want := runReport(t, NewManager(1), testConfig(1))
+	v2 := testModelParams()
+	v2.A = 0.5
+	modelRecs := []store.Record{
+		{Kind: kindModelCreate, ID: "east", Data: mustJSON(t, modelCreateRecord{
+			Scenario: registry.Scenario{VMType: "n1-highcpu-16", Zone: "us-east1-b"},
+			Version:  registry.Provenance{Family: "manual", Params: testModelParams(), Source: "register"},
+		})},
+	}
+	versionRec := store.Record{Kind: kindModelVersion, ID: "east", Data: mustJSON(t, registry.Version{
+		Number: 2, Provenance: registry.Provenance{Family: "manual", Params: v2, Source: "refit"},
+	})}
+	t.Run("manager", func(t *testing.T) {
+		dir := t.TempDir()
+		legacyModelRefLog(t, dir, "s-001", modelRecs...)
+		st := openStore(t, dir)
+		if _, err := st.Append(versionRec.Kind, versionRec.ID, versionRec.Data); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		requireLegacyBoots(t, []string{dir}, "s-001", want, func(stores []Store) (Backend, func()) {
+			m := NewManager(1)
+			if err := m.Restore(stores[0]); err != nil {
+				t.Fatal(err)
+			}
+			return m, m.Close
+		})
+	})
+	t.Run("router", func(t *testing.T) {
+		root := t.TempDir()
+		legacyModelRefLog(t, root, "s-002", append(modelRecs, versionRec)...)
+		shard1 := store.ShardDir(root, 1)
+		if err := os.MkdirAll(shard1, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		requireLegacyBoots(t, []string{root, shard1}, "s-002", want, func(stores []Store) (Backend, func()) {
+			r := NewRouter(2, 2)
+			if err := r.Restore(stores); err != nil {
+				t.Fatal(err)
+			}
+			return r, r.Close
+		})
+	})
+}
+
+// TestLegacyShardDataDirBoots boots a remote shard's data dir in the
+// format written while the control plane replicated its registry to every
+// shard: a replica record holding the entry's versions, and a model_ref
+// session whose create record carries no parameters. The shard pins the
+// session from its own log's replica record, its report is byte-identical
+// to an inline-parameter run of the same numbers, and a second boot
+// restores from the compacted log, which holds the parameters and no
+// replica record.
+func TestLegacyShardDataDirBoots(t *testing.T) {
+	_, want := runReport(t, NewManager(1), testConfig(1))
+	// The entry as the last push left it: v2 was published after the
+	// session pinned v1.
+	replica := `{"epoch":1760000000000000000,"entry":{"seq":2,"name":"east",` +
+		`"scenario":{"vm_type":"n1-highcpu-16","zone":"us-east1-b"},"versions":[` +
+		`{"version":1,"family":"manual","params":{"a":0.45,"tau1":1,"tau2":0.8,"b":24,"l":24},"source":"register"},` +
+		`{"version":2,"family":"manual","params":{"a":0.5,"tau1":1.2,"tau2":0.7,"b":24,"l":24},"source":"refit"}]}}`
+	dir := t.TempDir()
+	legacyModelRefLog(t, dir, "s-002", store.Record{Kind: "replica", ID: "east", Data: json.RawMessage(replica)})
+	requireLegacyBoots(t, []string{dir}, "s-002", want, func(stores []Store) (Backend, func()) {
+		m := NewShardManager(1)
+		m.SetShardIndex(1)
+		if err := m.Restore(stores[0]); err != nil {
+			t.Fatal(err)
+		}
+		return m, m.Close
+	})
+}
+
+// mustJSON marshals v, failing the test on error.
+func mustJSON(t *testing.T, v any) json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/obs"
-	"repro/internal/registry"
 )
 
 // This file implements the client half of the shard protocol: a
@@ -316,9 +315,9 @@ func (rb *RemoteBackend) proxy(st SessionStatus) *Session {
 
 // createSession builds a session under a router-minted id — the shard-slot
 // half of the protocol (POST /shard/sessions).
-func (rb *RemoteBackend) createSession(ctx context.Context, id, name string, cfg SessionConfig) (*Session, error) {
+func (rb *RemoteBackend) createSession(ctx context.Context, id, name string, cfg SessionConfig, pinned *ModelParams) (*Session, error) {
 	var st SessionStatus
-	req := shardCreateRequest{ID: id, Name: name, Config: cfg}
+	req := shardCreateRequest{ID: id, Name: name, Config: cfg, Params: pinned}
 	if err := rb.do(ctx, http.MethodPost, "/shard/sessions", req, &st, false); err != nil {
 		return nil, err
 	}
@@ -374,17 +373,6 @@ func (rb *RemoteBackend) shardInfo() (ShardInfo, error) {
 	var info ShardInfo
 	err := rb.do(context.Background(), http.MethodGet, "/shard/info", nil, &info, true)
 	return info, err
-}
-
-// pushReplication sends a batch of registry log entries to the shard's
-// replica (POST /shard/replication). Applying entries is idempotent (the
-// replica's cursor arithmetic skips duplicates), so the push retries like
-// a read.
-func (rb *RemoteBackend) pushReplication(epoch uint64, entries []registry.LogEntry) (replicationAck, error) {
-	var ack replicationAck
-	err := rb.do(context.Background(), http.MethodPost, "/shard/replication",
-		replicationPush{Epoch: epoch, Entries: entries}, &ack, true)
-	return ack, err
 }
 
 // traceSpans fetches the shard's recorded spans for one trace ID

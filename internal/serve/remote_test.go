@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +17,6 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/ids"
 	"repro/internal/placement"
-	"repro/internal/registry"
 	"repro/internal/store"
 )
 
@@ -106,7 +107,7 @@ func TestRemoteRetriesIdempotentOnly(t *testing.T) {
 	rb := NewRemoteBackend(srv.URL, opts)
 	defer rb.Close()
 
-	s, err := rb.createSession(context.Background(), "s-001", "r", testConfig(1))
+	s, err := rb.createSession(context.Background(), "s-001", "r", testConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRemoteRetriesIdempotentOnly(t *testing.T) {
 	// A create hitting a fault fails immediately: one trip, no retry, and
 	// the 503 carries Retry-After plus the ErrShardUnavailable marker.
 	inj.Script(faultnet.Rule{Method: http.MethodPost, Path: "/shard/sessions"})
-	_, err = rb.createSession(context.Background(), "s-002", "r", testConfig(2))
+	_, err = rb.createSession(context.Background(), "s-002", "r", testConfig(2), nil)
 	if err == nil {
 		t.Fatal("create through a transport fault succeeded")
 	}
@@ -166,7 +167,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 	rb := NewRemoteBackend(srv.URL, fastRemoteOptions(inj.Client()))
 	defer rb.Close()
 
-	s, err := rb.createSession(context.Background(), "s-001", "b", testConfig(1))
+	s, err := rb.createSession(context.Background(), "s-001", "b", testConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,33 +317,11 @@ func TestRouterPartialScatterGather(t *testing.T) {
 	}
 }
 
-// TestShardReplicationRejectsEmptyVersions pushes a registry log entry
-// with no versions to a shard: the shard answers 400 and its replica stays
-// empty, instead of installing an entry whose next resolve would panic.
-func TestShardReplicationRejectsEmptyVersions(t *testing.T) {
-	m, srv := startShard(t, 1)
-	body := `{"epoch":7,"entries":[{"seq":1,"name":"east","scenario":{"vm_type":"n1-highcpu-16","zone":"us-east1-b"},"versions":[]}]}`
-	resp, err := http.Post(srv.URL+"/shard/replication", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST /shard/replication with no versions = %d, want 400", resp.StatusCode)
-	}
-	if n := m.replica.Entries(); n != 0 {
-		t.Fatalf("replica holds %d entries after a refused push, want 0", n)
-	}
-	if _, err := m.replica.Resolve("east"); !errors.Is(err, registry.ErrNotFound) {
-		t.Fatalf("Resolve(east) = %v, want ErrNotFound", err)
-	}
-}
-
 // TestShardRefusesModelRegistration registers a model on a shard
-// process's own API. The shard resolves references against its replica of
-// the control plane's registry, so it answers 409 naming the control plane
-// and keeps nothing: the entry does not list, and a model_ref to it fails
-// as it would without the request.
+// process's own API. References are resolved on the control plane's
+// registry, so the shard answers 409 naming the control plane and keeps
+// nothing: the entry does not list, and a model_ref to it fails as it
+// would without the request.
 func TestShardRefusesModelRegistration(t *testing.T) {
 	m := NewShardManager(1)
 	defer m.Close()
@@ -359,6 +338,77 @@ func TestShardRefusesModelRegistration(t *testing.T) {
 	}
 	if _, err := m.Create("", refConfig(1, "east")); err == nil {
 		t.Fatal("session with a model_ref to the refused entry was created")
+	}
+}
+
+// TestShardRefusesDuplicateID sends POST /shard/sessions twice under one
+// router-minted id, then eight times at once under another, as a router
+// whose id sequence fell behind the shard's would. The shard acknowledges
+// each id once: every other create answers 409 and appends nothing, and
+// the session first acknowledged is the one that stays.
+func TestShardRefusesDuplicateID(t *testing.T) {
+	m := NewShardManager(1)
+	defer m.Close()
+	if err := m.Restore(openStore(t, t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	h := ShardHandler(m)
+	create := func(id string, seed uint64) int {
+		body, _ := json.Marshal(shardCreateRequest{ID: id, Name: "dup", Config: testConfig(seed)})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/sessions", bytes.NewReader(body)))
+		return rec.Code
+	}
+	appended := func() int { return m.StoreStats().Appended }
+
+	if code := create("s-007", 1); code != http.StatusCreated {
+		t.Fatalf("first create of s-007 = %d, want 201", code)
+	}
+	before := appended()
+	if code := create("s-007", 2); code != http.StatusConflict {
+		t.Fatalf("second create of s-007 = %d, want 409", code)
+	}
+	if n := appended() - before; n != 0 {
+		t.Fatalf("refused create appended %d records", n)
+	}
+	s, err := m.Get("s-007")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed := s.Status().Config.Seed; seed != 1 {
+		t.Fatalf("s-007 carries seed %d: the acknowledged session was replaced", seed)
+	}
+
+	before = appended()
+	codes := make(chan int, 8)
+	var wg sync.WaitGroup
+	for i := 1; i <= 8; i++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			codes <- create("s-008", seed)
+		}(uint64(i))
+	}
+	wg.Wait()
+	close(codes)
+	created := 0
+	for code := range codes {
+		switch code {
+		case http.StatusCreated:
+			created++
+		case http.StatusConflict:
+		default:
+			t.Fatalf("concurrent create of s-008 = %d, want 201 or 409", code)
+		}
+	}
+	if created != 1 {
+		t.Fatalf("%d concurrent creates of s-008 were acknowledged, want 1", created)
+	}
+	if n := appended() - before; n != 1 {
+		t.Fatalf("concurrent creates of s-008 appended %d records, want 1", n)
+	}
+	if n := len(m.List()); n != 2 {
+		t.Fatalf("shard lists %d sessions, want 2", n)
 	}
 }
 
@@ -510,12 +560,13 @@ func TestRouterSweepPartial(t *testing.T) {
 	}
 }
 
-// TestRouterReplicationCatchUp registers models across a partition: pushes
-// fail silently while the shard is unreachable, and one reconciliation
-// after the heal replays exactly the missed delta — after which sessions
-// homed on the remote shard resolve the reference through their replica.
-func TestRouterReplicationCatchUp(t *testing.T) {
-	sm, srv := startShard(t, 2)
+// TestRouterModelUsableAfterPartitionHeals registers a model while the
+// remote shard is partitioned away, so the shard never hears of it. As
+// soon as the partition heals, a remote-homed create pins the model all
+// the same — with no sync in between — because the create itself carries
+// the pinned parameters.
+func TestRouterModelUsableAfterPartitionHeals(t *testing.T) {
+	_, srv := startShard(t, 2)
 	inj := faultnet.Wrap(&shardTransport{})
 	r, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
 	if err != nil {
@@ -523,20 +574,6 @@ func TestRouterReplicationCatchUp(t *testing.T) {
 	}
 	defer r.Close()
 
-	// Registered while connected: one sync converges the replica.
-	if _, err := r.RegisterModel(ModelCreateRequest{
-		Name: "east", VMType: "n1-highcpu-16", Zone: "us-east1-b",
-		Model: &ModelParams{A: 0.45, Tau1: 1.0, Tau2: 0.8, B: 24, L: 24},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	r.SyncRemotes()
-	wantEpoch, wantSeq := r.replog.Cursor()
-	if epoch, seq := sm.replica.Cursor(); epoch != wantEpoch || seq != wantSeq {
-		t.Fatalf("replica cursor (%d,%d) != log cursor (%d,%d)", epoch, seq, wantEpoch, wantSeq)
-	}
-
-	// Registered during a partition: the log advances, the replica cannot.
 	inj.Partition(hostOf(srv))
 	if _, err := r.RegisterModel(ModelCreateRequest{
 		Name: "west", VMType: "n1-highcpu-16", Zone: "us-east1-b",
@@ -544,40 +581,30 @@ func TestRouterReplicationCatchUp(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.SyncRemotes() // partitioned: must fail silently, not block or panic
-	if _, seq := sm.replica.Cursor(); seq == func() uint64 { _, s := r.replog.Cursor(); return s }() {
-		t.Fatal("replica converged through a partition")
-	}
-
-	// Heal and reconcile: the replica takes the delta and remote-homed
-	// sessions resolve the new reference.
-	inj.Heal(hostOf(srv))
-	waitUntil(t, "breaker to readmit the shard", func() bool {
-		r.SyncRemotes()
-		_, wantSeq := r.replog.Cursor()
-		_, seq := sm.replica.Cursor()
-		return seq == wantSeq
-	})
-
-	cfg := testConfig(1)
-	cfg.Model = nil
-	cfg.ModelRef = "west@latest"
-	sawRemote := false
-	for i := 0; i < 8; i++ {
+	cfg := refConfig(1, "west@latest")
+	// create returns whether a create landed on the remote shard, failing
+	// the test on any error but the partition's.
+	create := func() bool {
 		s, err := r.Create("ref", cfg)
 		if err != nil {
-			t.Fatal(err)
+			if !errors.Is(err, ErrShardUnavailable) {
+				t.Fatalf("create: %v", err)
+			}
+			return false
 		}
 		if got := s.Status().Config.ModelRef; got != "west@v1" {
 			t.Fatalf("session %s pinned %q, want west@v1", s.ID(), got)
 		}
-		if placement.Shard(s.ID(), 2) == 1 {
-			sawRemote = true
+		return placement.Shard(s.ID(), 2) == 1
+	}
+	for i := 0; i < 8; i++ {
+		if create() {
+			t.Fatal("a create reached the partitioned shard")
 		}
 	}
-	if !sawRemote {
-		t.Fatal("no post-heal session homed on the remote shard; replica path untested")
-	}
+
+	inj.Heal(hostOf(srv))
+	waitUntil(t, "a remote-homed create after the heal", create)
 }
 
 // TestRemoteSessionLifecycleOverHTTP drives a remote-homed session through

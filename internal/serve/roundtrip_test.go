@@ -22,8 +22,8 @@ import (
 
 // countingTransport records the session-scoped requests a RemoteBackend
 // sends, then passes each to the shard transport the default client uses.
-// The router's background reconciliation (/shard/info, /shard/replication)
-// is not a per-request cost and is left out.
+// The router's background id tick (/shard/info) is not a per-request cost
+// and is left out.
 type countingTransport struct {
 	inner shardTransport
 	mu    sync.Mutex
@@ -415,6 +415,9 @@ func TestRemoteWaitFollowsEventStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pr.Close()
+	// A second router over the same shard starts its id sequence past the
+	// shard's, as batchsvc's does, so it cannot mint an id the shard holds.
+	pr.SyncRemotes()
 	s = createRemote(pr)
 	inj.Partition(hostOf(srv))
 	select {

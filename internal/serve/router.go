@@ -75,7 +75,7 @@ func (m *Manager) listSessions() ([]*Session, error) { return m.List(), nil }
 // uniformly; only construction, Restore, and per-shard tuning distinguish
 // local from remote.
 type shardSlot interface {
-	createSession(ctx context.Context, id, name string, cfg SessionConfig) (*Session, error)
+	createSession(ctx context.Context, id, name string, cfg SessionConfig, pinned *ModelParams) (*Session, error)
 	listSessions() ([]*Session, error)
 	shardInfo() (ShardInfo, error)
 	Get(id string) (*Session, error)
@@ -100,31 +100,25 @@ var (
 // the minimal fraction of sessions at the next boot.
 //
 // Shard 0 is the control plane: it owns the model registry (and persists
-// its mutations through its own store), while every other shard resolves
-// model references against a read-only replica. Shards may live in this
-// process (in-process replica fan-out) or in other processes behind the
-// shard protocol (see NewRouterTopology): remote shards are fed by a
-// sequence-numbered replication log with catch-up-on-reconnect, and every
-// call to them is a supervised failure domain — per-op deadlines, retries
-// for idempotent operations, and a per-shard circuit breaker. List, Sweep,
-// and stats are scatter-gather with order-stable aggregation; unreachable
-// shards degrade those to partial results instead of failing them.
+// its mutations through its own store). The router resolves every model
+// reference there, once, at create, and hands the owning shard the pinned
+// version's parameters, so no other shard keeps registry state. Shards may
+// live in this process or in other processes behind the shard protocol
+// (see NewRouterTopology), where every call is a supervised failure
+// domain — per-op deadlines, retries for idempotent operations, and a
+// per-shard circuit breaker. List, Sweep, and stats are scatter-gather
+// with order-stable aggregation; unreachable shards degrade those to
+// partial results instead of failing them.
 type Router struct {
 	slots   []shardSlot
 	locals  []*Manager       // locals[i] non-nil iff slot i is in-process
 	remotes []*RemoteBackend // remotes[i] non-nil iff slot i is remote
-	replog  *registry.Log
-	wakes   []chan struct{} // per-remote replicator wakeups (nil for local)
 
 	mu  sync.Mutex
 	seq int
-	// remoteAcked[i] is the highest replication seq shard i has confirmed
-	// (via its info cursor or a push ack); the per-shard replication-lag
-	// gauge reads it at scrape time against the log's own cursor.
-	remoteAcked []uint64
 
-	repStop   chan struct{}
-	repWG     sync.WaitGroup
+	tickStop  chan struct{}
+	tickWG    sync.WaitGroup
 	closeOnce sync.Once
 }
 
@@ -171,20 +165,16 @@ func NewRouterTopology(topology []string, parallelism int, opts *RemoteOptions) 
 	per := (parallelism + nlocal - 1) / nlocal
 
 	r := &Router{
-		slots:       make([]shardSlot, nshards),
-		locals:      make([]*Manager, nshards),
-		remotes:     make([]*RemoteBackend, nshards),
-		replog:      registry.NewLog(),
-		wakes:       make([]chan struct{}, nshards),
-		remoteAcked: make([]uint64, nshards),
-		repStop:     make(chan struct{}),
+		slots:    make([]shardSlot, nshards),
+		locals:   make([]*Manager, nshards),
+		remotes:  make([]*RemoteBackend, nshards),
+		tickStop: make(chan struct{}),
 	}
 	// All local shards share one fit cache: fitting is deterministic in the
 	// recipe, so a session on shard 2 reuses the registry a session on
 	// shard 0 already paid to fit. (A remote shard has its own process-wide
 	// cache.)
 	models := newModelCache()
-	var localReplicas []*registry.Replica
 	for i, addr := range topology {
 		if addr == "" {
 			m := NewManager(per)
@@ -193,11 +183,6 @@ func NewRouterTopology(topology []string, parallelism int, opts *RemoteOptions) 
 			// Rebind the metric series to the real shard index (NewManager
 			// bound them to 0).
 			m.obsInit()
-			if i > 0 {
-				rep := registry.NewReplica()
-				m.resolver = rep
-				localReplicas = append(localReplicas, rep)
-			}
 			r.locals[i] = m
 			r.slots[i] = m
 			continue
@@ -211,123 +196,62 @@ func NewRouterTopology(topology []string, parallelism int, opts *RemoteOptions) 
 			"Remote shard circuit-breaker state: 0 closed, 1 half-open, 2 open.",
 			func() float64 { return breakerStateValue(rb.BreakerState()) },
 			"shard", shardLabel(i))
-		shard := i
-		obs.Default().GaugeFunc("batchsvc_replication_lag",
-			"Replication log entries the remote shard has not yet confirmed, by shard.",
-			func() float64 {
-				_, seq := r.replog.Cursor()
-				r.mu.Lock()
-				acked := r.remoteAcked[shard]
-				r.mu.Unlock()
-				if seq <= acked {
-					return 0
-				}
-				return float64(seq - acked)
-			}, "shard", shardLabel(i))
 		r.remotes[i] = rb
 		r.slots[i] = rb
-		r.wakes[i] = make(chan struct{}, 1)
 	}
-	// Commit-callback fan-out: every applied registry mutation on the
-	// control plane is appended to the replication log and pushed to each
-	// local shard's replica under the registry lock (so replicas see
-	// versions in commit order); remote replicators are woken to push the
-	// delta asynchronously, with the log's cursor arithmetic covering any
-	// batching or reconnection.
-	control := r.control()
-	control.registry.SetOnApply(func(u registry.Update) {
-		r.replog.Append(u)
-		for _, rep := range localReplicas {
-			rep.Apply(u)
+	for _, rb := range r.remotes {
+		if rb != nil {
+			r.tickWG.Add(1)
+			go r.idTick(rb)
 		}
-		for _, w := range r.wakes {
-			if w != nil {
-				select {
-				case w <- struct{}{}:
-				default:
-				}
-			}
-		}
-	})
-	for i, rb := range r.remotes {
-		if rb == nil {
-			continue
-		}
-		r.repWG.Add(1)
-		go r.replicateLoop(i, rb, r.wakes[i])
 	}
 	return r, nil
 }
 
-// replicationInterval paces the remote replicators' reconciliation ticks;
-// commits wake them immediately, the tick only covers reconnection after
-// an outage (and the id high-water-mark refresh).
-const replicationInterval = time.Second
+// idSyncInterval paces the id tick: how often the router re-reads each
+// remote shard's id high-water mark.
+const idSyncInterval = time.Second
 
-// replicateLoop keeps one remote shard's replica converged with the
-// control plane's replication log.
-func (r *Router) replicateLoop(i int, rb *RemoteBackend, wake chan struct{}) {
-	defer r.repWG.Done()
-	t := time.NewTicker(replicationInterval)
+// idTick keeps the router's id sequence at or past one remote shard's,
+// which covers a shard that restored its WAL while the router could not
+// reach it.
+func (r *Router) idTick(rb *RemoteBackend) {
+	defer r.tickWG.Done()
+	t := time.NewTicker(idSyncInterval)
 	defer t.Stop()
 	for {
-		r.syncRemote(i, rb)
+		r.syncRemote(rb)
 		select {
-		case <-r.repStop:
+		case <-r.tickStop:
 			return
-		case <-wake:
 		case <-t.C:
 		}
 	}
 }
 
-// syncRemote reconciles one remote shard: read its cursor, push the log
-// delta (the full log if the shard's cursor belongs to another epoch —
-// a restarted control plane or a shard restored from an old WAL), and
-// adopt the shard's id high-water mark so a reconnect after a shard-side
-// restore never re-mints an id. Failures are silently dropped; the next
-// wake or tick retries, and the cursor arithmetic makes every push
-// idempotent.
-func (r *Router) syncRemote(i int, rb *RemoteBackend) {
+// syncRemote adopts one remote shard's id high-water mark, so a reconnect
+// after a shard-side restore never re-mints an id. A failure is dropped;
+// the next tick retries.
+func (r *Router) syncRemote(rb *RemoteBackend) {
 	info, err := rb.shardInfo()
 	if err != nil {
 		return
-	}
-	epoch, seq := r.replog.Cursor()
-	after := uint64(0)
-	if info.ReplicaEpoch == epoch {
-		after = info.ReplicaSeq
 	}
 	r.mu.Lock()
 	if info.IDSeq > r.seq {
 		r.seq = info.IDSeq
 	}
-	r.remoteAcked[i] = after
 	r.mu.Unlock()
-	if after >= seq {
-		return
-	}
-	entries := r.replog.Since(after)
-	if len(entries) == 0 {
-		return
-	}
-	if ack, err := rb.pushReplication(epoch, entries); err == nil {
-		r.mu.Lock()
-		if ack.Seq > r.remoteAcked[i] {
-			r.remoteAcked[i] = ack.Seq
-		}
-		r.mu.Unlock()
-	}
 }
 
-// SyncRemotes runs one blocking reconciliation against every remote shard
-// — called after the shard processes are known to be up (batchsvc runs it
-// once the supervisor reports readiness) so the router's id sequence and
-// the shards' replicas start converged instead of one tick behind.
+// SyncRemotes runs one blocking id sync against every remote shard —
+// called after the shard processes are known to be up (batchsvc runs it
+// once the supervisor reports readiness) so the router's id sequence
+// starts past every shard's instead of one tick behind.
 func (r *Router) SyncRemotes() {
-	for i, rb := range r.remotes {
+	for _, rb := range r.remotes {
 		if rb != nil {
-			r.syncRemote(i, rb)
+			r.syncRemote(rb)
 		}
 	}
 }
@@ -408,10 +332,16 @@ func (r *Router) Create(name string, cfg SessionConfig) (*Session, error) {
 	return r.CreateCtx(context.Background(), name, cfg)
 }
 
-// CreateCtx mints a global id, places the session by consistent hash, and
-// hands it to the owning shard. A failed create burns the id — exactly the
-// gap semantics a standalone Manager has for a failed durable append.
+// CreateCtx resolves the config's model reference on the control plane,
+// mints a global id, places the session by consistent hash, and hands it
+// to the owning shard with the pinned model parameters. A create the shard
+// refuses burns the id — exactly the gap semantics a standalone Manager
+// has for a failed durable append.
 func (r *Router) CreateCtx(ctx context.Context, name string, cfg SessionConfig) (*Session, error) {
+	cfg, pinned, err := r.control().resolveModel(cfg)
+	if err != nil {
+		return nil, err
+	}
 	id := r.nextID()
 	shard := placement.Shard(id, len(r.slots))
 	if tid := obs.TraceID(ctx); tid != "" {
@@ -420,7 +350,7 @@ func (r *Router) CreateCtx(ctx context.Context, name string, cfg SessionConfig) 
 		// untraced so their persisted reports are byte-stable.
 		defer obs.DefaultTracer().Span(tid, "router", "route.create", shard, id)()
 	}
-	return r.slots[shard].createSession(ctx, id, name, cfg)
+	return r.slots[shard].createSession(ctx, id, name, cfg, pinned)
 }
 
 // Get resolves a session on its home shard.
@@ -518,7 +448,7 @@ func (r *Router) Sweep(req SweepRequest) (SweepReport, error) {
 }
 
 // Model operations are control-plane operations: they delegate to shard 0,
-// whose registry owns the entries and replicates resolution state outward.
+// whose registry owns the entries.
 
 func (r *Router) RegisterModel(req ModelCreateRequest) (registry.Info, error) {
 	return r.control().RegisterModel(req)
@@ -562,12 +492,12 @@ func (r *Router) Wait() {
 	}
 }
 
-// Close stops the replicators and every shard's background workers (for
+// Close stops the id ticks and every shard's background workers (for
 // remote shards: its proxies' watchers and its connections — the shard
 // process itself belongs to its supervisor).
 func (r *Router) Close() {
-	r.closeOnce.Do(func() { close(r.repStop) })
-	r.repWG.Wait()
+	r.closeOnce.Do(func() { close(r.tickStop) })
+	r.tickWG.Wait()
 	for _, sl := range r.slots {
 		sl.Close()
 	}
@@ -592,14 +522,14 @@ func (r *Router) Close() {
 //  1. Parse every store's records concurrently (per-store replay order is
 //     preserved within each store; stores are independent logs).
 //  2. Apply model-registry records to the control plane in store-index
-//     order. The replication callback installed at construction seeds every
-//     local shard's replica (and the replication log) as a side effect, so
-//     step 3 can resolve model_ref configs on any shard.
-//  3. Route each parsed session to its hash-placed home shard (a session
-//     found in several stores — possible only mid-migration after a crash —
-//     is taken from the lowest-indexed store) and rebuild all shards
-//     concurrently: model re-fitting and bag replay dominate restore cost,
-//     and they now spread over every core.
+//     order.
+//  3. Give every create record logged without its pinned model parameters
+//     (written before creates carried them) the parameters from the
+//     restored registry. Route each parsed session to its hash-placed home
+//     shard (a session found in several stores — possible only
+//     mid-migration after a crash — is taken from the lowest-indexed store)
+//     and rebuild all shards concurrently: model re-fitting and bag replay
+//     dominate restore cost, and they now spread over every core.
 //  4. Compact shard stores from the highest index down, then drain the
 //     extras. Shard-count changes only ever move sessions toward higher
 //     indices when growing (jump hash moves keys only onto new shards) and
@@ -649,7 +579,7 @@ func (r *Router) Restore(stores []Store, extras ...Store) error {
 
 	// 2. Replay model records into the control plane (normally only store 0
 	// carries any; applying in store-index order keeps replay deterministic
-	// if they ever spread). Replicas are seeded via the commit fan-out.
+	// if they ever spread).
 	for _, ps := range parsed {
 		if ps == nil {
 			continue
@@ -659,8 +589,9 @@ func (r *Router) Restore(stores []Store, extras ...Store) error {
 		}
 	}
 
-	// 3. Route sessions to their home shards, first occurrence (lowest
-	// store index) winning, and rebuild shards concurrently.
+	// 3. Pin legacy creates on the restored registry, route sessions to
+	// their home shards, first occurrence (lowest store index) winning, and
+	// rebuild shards concurrently.
 	type shardLoad struct {
 		sessions map[string]*pendingSession
 		order    []string
@@ -674,6 +605,9 @@ func (r *Router) Restore(stores []Store, extras ...Store) error {
 	for _, ps := range parsed {
 		if ps == nil {
 			continue
+		}
+		if err := ps.pinLegacyCreates(registryVersions(r.control().registry)); err != nil {
+			return err
 		}
 		if ps.maxSeq > maxSeq {
 			maxSeq = ps.maxSeq
@@ -710,7 +644,7 @@ func (r *Router) Restore(stores []Store, extras ...Store) error {
 	}
 	// Every shard's durable seq record carries the global high-water mark,
 	// so any single surviving store is enough to never re-mint an id.
-	// (Remote shards report theirs through /shard/info on every sync.)
+	// (Remote shards report theirs through /shard/info on every id tick.)
 	for _, m := range r.locals {
 		if m != nil {
 			m.bumpSeq(maxSeq)

@@ -79,6 +79,10 @@ type Session struct {
 	id   string
 	name string
 	cfg  SessionConfig
+	// pinned is the parameters of the model version cfg.ModelRef pinned
+	// (nil without a model_ref), kept for the create record compaction
+	// rewrites.
+	pinned *ModelParams
 
 	// remote, when non-nil, marks this session as a proxy for one living in
 	// a shard process: Status, SubmitBag, Report and Done delegate to the
@@ -396,15 +400,6 @@ func (s *Session) Done() <-chan struct{} {
 	return s.done
 }
 
-// modelResolver resolves a model reference ("name", "name@latest",
-// "name@vN") to a pinned version. The control-plane shard resolves against
-// its own *registry.Registry; every other shard resolves against the
-// read-only *registry.Replica the control plane replicates into, so the
-// session create path never takes a cross-shard lock.
-type modelResolver interface {
-	Resolve(ref string) (registry.Resolved, error)
-}
-
 // Manager owns one shard's sessions and the bounded worker pool their runs
 // execute on: its own session map, persist gate, store, and degraded-mode
 // state, so shards share nothing on the session hot path. A single Manager
@@ -416,17 +411,14 @@ type Manager struct {
 	// registry is the online model registry: versioned, provenance-carrying
 	// models that sessions pin via SessionConfig.ModelRef and that learn
 	// from ingested preemption observations (see models.go). In a sharded
-	// deployment only the control-plane shard's registry holds entries;
-	// the others resolve through their replica (see resolver).
+	// deployment only the control-plane shard's registry holds entries:
+	// the router resolves every reference there and passes the pinned
+	// parameters to the owning shard.
 	registry *registry.Registry
-	// resolver is what session creation resolves ModelRefs against: the
-	// manager's own registry by default, a registry.Replica on non-control
-	// shards of a Router.
-	resolver modelResolver
-	// replica is set on remote executor shards (see NewShardManager): the
-	// replication-fed registry view the resolver points at, persisted as
-	// kindReplica records so restarts warm-start resolution.
-	replica *registry.Replica
+	// executor marks a remote executor shard (see NewShardManager). Its
+	// registry stays empty: it refuses model registrations, which no
+	// reference could ever resolve to.
+	executor bool
 	// shard is this manager's index within its Router (0 for a standalone
 	// manager), used for logs and the per-shard stats payload.
 	shard int
@@ -444,6 +436,9 @@ type Manager struct {
 	seq      int
 	sessions map[string]*Session
 	order    []string
+	// creating holds router-minted ids whose create is in flight, so a
+	// second create under the same id is refused before either persists.
+	creating map[string]bool
 	// store is what sessions persist through: the raw store until Restore
 	// attaches one, then the degraded-mode guard around it (innerStore
 	// keeps the unguarded handle for recovery and compaction).
@@ -496,13 +491,13 @@ func NewManager(parallelism int) *Manager {
 		registry:      registry.New(),
 		sem:           make(chan struct{}, parallelism),
 		sessions:      make(map[string]*Session),
+		creating:      make(map[string]bool),
 		refitInFlight: make(map[string]bool),
 		unpersisted:   make(map[string]bool),
 		probeEvery:    time.Second,
 		compactCh:     make(chan struct{}, 1),
 		stopCh:        make(chan struct{}),
 	}
-	m.resolver = m.registry
 	m.obsInit()
 	return m
 }
@@ -542,15 +537,46 @@ func ctxErr(ctx context.Context) error {
 // CreateCtx is Create honoring a request-scoped context: the deadline is
 // checked before the expensive model build and before the durable append.
 func (m *Manager) CreateCtx(ctx context.Context, name string, cfg SessionConfig) (*Session, error) {
-	return m.createSession(ctx, "", name, cfg)
+	cfg, pinned, err := m.resolveModel(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return m.createSession(ctx, "", name, cfg, pinned)
 }
 
-// createSession builds and registers a session. With id == "" the manager
-// mints the next id from its own sequence (the standalone path); a Router
-// instead mints globally-sequential ids on its control plane and passes
-// them in, and the owning shard adopts the id into its sequence so each
-// shard's durable seq record preserves the global high-water mark.
-func (m *Manager) createSession(ctx context.Context, id, name string, cfg SessionConfig) (*Session, error) {
+// resolveModel resolves cfg.ModelRef, if set, on the manager's registry —
+// the one place a reference is ever resolved — and returns the config
+// pinned to the concrete version ("name@latest" becomes "name@vN") with
+// that version's parameters, so refits published after this moment never
+// change what the session simulates. The version's scenario must be the
+// session's: a model fitted for one environment silently mispredicts
+// another's lifetimes (a mistake "fit" cannot make, since it always uses
+// the session's own scenario).
+func (m *Manager) resolveModel(cfg SessionConfig) (SessionConfig, *ModelParams, error) {
+	if cfg.ModelRef == "" {
+		return cfg, nil, nil
+	}
+	res, err := m.registry.Resolve(cfg.ModelRef)
+	if err != nil {
+		return cfg, nil, errf(http.StatusBadRequest, "model_ref: %v", err)
+	}
+	if res.Scenario.VMType != cfg.VMType || res.Scenario.Zone != cfg.Zone {
+		return cfg, nil, fmt.Errorf("model_ref: model %s describes (%s, %s), not this session's (%s, %s)",
+			res.Pinned, res.Scenario.VMType, res.Scenario.Zone, cfg.VMType, cfg.Zone)
+	}
+	cfg.ModelRef = res.Pinned
+	return cfg, &res.Version.Params, nil
+}
+
+// createSession builds and registers a session; pinned carries the
+// parameters of the version cfg.ModelRef is pinned to (see resolveModel).
+// With id == "" the manager mints the next id from its own sequence (the
+// standalone path); a Router instead mints globally-sequential ids on its
+// control plane and passes them in, and the owning shard adopts the id
+// into its sequence so each shard's durable seq record preserves the
+// global high-water mark. An id the shard already holds, or is creating,
+// is refused with 409.
+func (m *Manager) createSession(ctx context.Context, id, name string, cfg SessionConfig, pinned *ModelParams) (*Session, error) {
 	traceID := obs.TraceID(ctx)
 	start := time.Now()
 	if err := m.admitSession(); err != nil {
@@ -563,18 +589,7 @@ func (m *Manager) createSession(ctx context.Context, id, name string, cfg Sessio
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if cfg.ModelRef != "" {
-		// Resolve the reference once, now, and pin the config to the
-		// concrete version it named: "name@latest" becomes "name@vN" in
-		// the session's status and durable record, so refits published
-		// after this moment never change what this session simulates.
-		res, err := m.resolver.Resolve(cfg.ModelRef)
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "model_ref: %v", err)
-		}
-		cfg.ModelRef = res.Pinned
-	}
-	bcfg, err := cfg.build(m.models, m.resolver)
+	bcfg, err := cfg.build(m.models, pinned)
 	if err != nil {
 		return nil, err
 	}
@@ -591,6 +606,16 @@ func (m *Manager) createSession(ctx context.Context, id, name string, cfg Sessio
 		m.seq++
 		id = ids.Padded("s-", m.seq, 3)
 	} else {
+		if m.sessions[id] != nil || m.creating[id] {
+			m.mu.Unlock()
+			return nil, errf(http.StatusConflict, "session %s already exists on shard %d", id, m.shard)
+		}
+		m.creating[id] = true
+		defer func() {
+			m.mu.Lock()
+			delete(m.creating, id)
+			m.mu.Unlock()
+		}()
 		var n int
 		if _, err := fmt.Sscanf(id, "s-%d", &n); err == nil && n > m.seq {
 			m.seq = n
@@ -602,6 +627,7 @@ func (m *Manager) createSession(ctx context.Context, id, name string, cfg Sessio
 		id:      id,
 		name:    name,
 		cfg:     cfg,
+		pinned:  pinned,
 		state:   StateCreated,
 		svc:     svc,
 		store:   st,
@@ -621,7 +647,7 @@ func (m *Manager) createSession(ctx context.Context, id, name string, cfg Sessio
 	if err := m.admitSession(); err != nil {
 		return nil, err
 	}
-	if err := s.persist(kindCreate, createRecord{Name: name, Config: cfg, TraceID: traceID}); err != nil {
+	if err := s.persist(kindCreate, createRecord{Name: name, Config: cfg, Params: pinned, TraceID: traceID}); err != nil {
 		return nil, err
 	}
 	m.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -380,62 +381,209 @@ func TestRouterShardDegradedIsolation(t *testing.T) {
 	t.Fatal("no post-heal create landed on the healed shard")
 }
 
-// TestRouterModelReplication registers a model on the control plane and
-// verifies sessions on non-control shards resolve it through their replica,
-// including versions published after the fact.
-func TestRouterModelReplication(t *testing.T) {
-	r := NewRouter(4, 2)
-	if _, err := r.RegisterModel(ModelCreateRequest{
-		Name: "east", VMType: "n1-highcpu-16", Zone: "us-east1-b",
-		Model: &ModelParams{A: 0.45, Tau1: 1.0, Tau2: 0.8, B: 24, L: 24},
-	}); err != nil {
+// TestRouterPinsModelRefOnEveryShard registers a model on the control
+// plane of Router{4} and of Router{1 local + 1 remote} and creates @latest
+// sessions across every shard: each pins the control plane's latest
+// version. A version published on the control plane is what the very next
+// create pins, on every shard, with no sync call in between, and a session
+// pinned to it simulates exactly that version's parameters.
+func TestRouterPinsModelRefOnEveryShard(t *testing.T) {
+	_, srv := startShard(t, 2)
+	mixed, err := NewRouterTopology([]string{"", srv.URL}, 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name string
+		r    *Router
+	}{{"4-local", NewRouter(4, 2)}, {"local+remote", mixed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.r
+			defer r.Close()
+			n := r.Shards()
+			if _, err := r.RegisterModel(ModelCreateRequest{
+				Name: "east", VMType: "n1-highcpu-16", Zone: "us-east1-b",
+				Model: &ModelParams{A: 0.45, Tau1: 1.0, Tau2: 0.8, B: 24, L: 24},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := refConfig(1, "east@latest")
+			// createAll creates 8 sessions, requires each pinned to want, and
+			// returns one homed off the control plane.
+			createAll := func(want string) *Session {
+				var off *Session
+				for i := 0; i < 8; i++ {
+					s, err := r.Create("ref", cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := s.Status().Config.ModelRef; got != want {
+						t.Fatalf("session %s pinned %q, want %s", s.ID(), got, want)
+					}
+					if placement.Shard(s.ID(), n) != 0 {
+						off = s
+					}
+				}
+				if off == nil {
+					t.Fatal("no session landed on a non-control shard")
+				}
+				return off
+			}
+			createAll("east@v1")
 
-	cfg := testConfig(1)
-	cfg.Model = nil
-	cfg.ModelRef = "east@latest"
-	sawNonControl := false
-	for i := 0; i < 8; i++ {
-		s, err := r.Create("ref", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Status().Config.ModelRef; got != "east@v1" {
-			t.Fatalf("session %s pinned %q, want east@v1", s.ID(), got)
-		}
-		if placement.Shard(s.ID(), 4) != 0 {
-			sawNonControl = true
-		}
-	}
-	if !sawNonControl {
-		t.Fatal("no session landed on a non-control shard; replica path untested")
-	}
+			v2 := ModelParams{A: 0.5, Tau1: 1.2, Tau2: 0.7, B: 24, L: 24}
+			if _, err := r.control().registry.Publish("east",
+				registry.Provenance{Family: "manual", Params: v2, Source: "refit"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			off := createAll("east@v2")
+			if _, _, err := off.SubmitBag(BagRequest{App: "shapes", Jobs: 10, Jitter: 0.02, Seed: 5}); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Run(off); err != nil {
+				t.Fatal(err)
+			}
+			off.Wait()
+			rep, err := off.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := json.Marshal(rep)
+			inline := testConfig(1)
+			inline.Model = &v2
+			if _, want := runReport(t, NewManager(1), inline); string(raw) != want {
+				t.Fatalf("session pinned to east@v2 on shard %d diverged from inline v2 params:\n ref:    %s\n inline: %s",
+					placement.Shard(off.ID(), n), raw, want)
+			}
 
-	// Publish v2 directly on the control plane; the commit fan-out must
-	// make it resolvable shard-wide, synchronously.
-	if _, err := r.Shard(0).registry.Publish("east",
-		registry.Provenance{Family: "manual",
-			Params: registry.Params{A: 0.45, Tau1: 1.0, Tau2: 0.8, B: 24, L: 24},
-			Source: "refit"}, nil); err != nil {
-		t.Fatal(err)
+			// An unknown ref fails cleanly.
+			if _, err := r.Create("bad", refConfig(1, "west@latest")); err == nil {
+				t.Fatal("unknown model_ref resolved")
+			}
+		})
 	}
-	for i := 0; i < 8; i++ {
-		s, err := r.Create("ref2", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Status().Config.ModelRef; got != "east@v2" {
-			t.Fatalf("post-publish session %s pinned %q, want east@v2", s.ID(), got)
-		}
+}
+
+// TestModelRefByteIdenticalAcrossTopologiesAndRestart creates the same
+// model_ref sessions on Router{1}, Router{4} and Router{1 local + 1
+// remote}, publishes a refit, and restarts every process. Each session's
+// report equals an inline-parameter session's with the same numbers — so
+// it is the same on every topology — before and after the restart, and
+// the first create after the restart pins the refit.
+func TestModelRefByteIdenticalAcrossTopologiesAndRestart(t *testing.T) {
+	const n = 4
+	inline := make([]string, n)
+	for i := range inline {
+		_, inline[i] = runReport(t, NewManager(1), testConfig(uint64(i+1)))
 	}
-	// An unknown ref still fails cleanly on every shard.
-	bad := cfg
-	bad.ModelRef = "west@latest"
-	for i := 0; i < 4; i++ {
-		if _, err := r.Create("bad", bad); err == nil {
-			t.Fatal("unknown model_ref resolved on some shard")
-		}
+	for _, tc := range []struct {
+		name   string
+		locals int
+		remote bool
+	}{{"1", 1, false}, {"4", 4, false}, {"local+remote", 1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			// boot starts the topology over the stores under root (a remote
+			// shard restores its own) and returns the router and a func
+			// that stops everything boot started.
+			boot := func() (*Router, func()) {
+				topology := make([]string, tc.locals)
+				var stops []func()
+				if tc.remote {
+					sm := NewShardManager(2)
+					sm.SetShardIndex(tc.locals)
+					st := openStore(t, store.ShardDir(root, tc.locals))
+					if err := sm.Restore(st); err != nil {
+						t.Fatal(err)
+					}
+					srv := httptest.NewServer(ShardHandler(sm))
+					topology = append(topology, srv.URL)
+					stops = append(stops, srv.Close, sm.Close, func() { st.Close() })
+				}
+				r, err := NewRouterTopology(topology, 2, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stores := make([]Store, len(topology))
+				for i := 0; i < tc.locals; i++ {
+					dir := store.ShardDir(root, i)
+					if err := os.MkdirAll(dir, 0o755); err != nil {
+						t.Fatal(err)
+					}
+					st := openStore(t, dir)
+					stores[i] = st
+					stops = append(stops, func() { st.Close() })
+				}
+				if err := r.Restore(stores); err != nil {
+					t.Fatal(err)
+				}
+				r.SyncRemotes()
+				return r, func() {
+					r.Close()
+					for _, stop := range stops {
+						stop()
+					}
+				}
+			}
+
+			r, stop := boot()
+			p := testModelParams()
+			if _, err := r.RegisterModel(ModelCreateRequest{
+				Name: "east", VMType: "n1-highcpu-16", Zone: "us-east1-b",
+				Model: &p, MinRefitSamples: 150,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]string, n)
+			shards := make(map[int]bool)
+			for i := range ids {
+				s, rep := runReport(t, r, refConfig(uint64(i+1), "east@latest"))
+				if got := s.Status().Config.ModelRef; got != "east@v1" {
+					t.Fatalf("session %s pinned %q, want east@v1", s.ID(), got)
+				}
+				if rep != inline[i] {
+					t.Fatalf("session %s diverged from the inline-parameter run:\n ref:    %s\n inline: %s", s.ID(), rep, inline[i])
+				}
+				ids[i] = s.ID()
+				shards[placement.Shard(s.ID(), r.Shards())] = true
+			}
+			if r.Shards() > 1 && len(shards) < 2 {
+				t.Fatalf("every session landed on one shard (%v); the test needs several", shards)
+			}
+			if _, err := r.IngestObservations("east", driftedLifetimes(300, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.RefitModel("east", "refit"); err != nil {
+				t.Fatal(err)
+			}
+			stop()
+
+			r, stop = boot()
+			defer stop()
+			for i, id := range ids {
+				s, err := r.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Status().Config.ModelRef; got != "east@v1" {
+					t.Fatalf("restored session %s pinned %q, want east@v1", id, got)
+				}
+				rep, err := s.Report()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if raw, _ := json.Marshal(rep); string(raw) != inline[i] {
+					t.Fatalf("restored session %s diverged:\n  %s\nvs\n  %s", id, raw, inline[i])
+				}
+			}
+			s, err := r.Create("", refConfig(1, "east@latest"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Status().Config.ModelRef; got != "east@v2" {
+				t.Fatalf("post-restart @latest session pinned %q, want east@v2", got)
+			}
+		})
 	}
 }
 

@@ -110,7 +110,8 @@ func shardSpawn(addr, dir string) func(int, string) *exec.Cmd {
 // the supervisor restarts it and WAL replay brings every one of its
 // sessions back byte-identically — the run the kill interrupted included,
 // re-run from its inputs to the report an uncrashed run gives — and (4)
-// the registry replica catches up to the control plane's cursor.
+// a model_ref session homed there comes back from the parameters its own
+// log holds, while new creates keep pinning the control plane's model.
 func TestShardProcessKillRestartWALReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -150,14 +151,22 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A model registered pre-kill: its replication must survive the restart.
+	// A model registered pre-kill, and a session pinned to it on the remote
+	// shard: the restarted shard must rebuild that session from its log.
 	if _, err := r.RegisterModel(ModelCreateRequest{
 		Name: "east", VMType: "n1-highcpu-16", Zone: "us-east1-b",
 		Model: &ModelParams{A: 0.45, Tau1: 1.0, Tau2: 0.8, B: 24, L: 24},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.SyncRemotes()
+	var pinned *Session
+	var pinnedReport string
+	for pinned == nil {
+		s, rep := runReport(t, r, refConfig(7, "east@latest"))
+		if placement.Shard(s.ID(), 2) == 1 {
+			pinned, pinnedReport = s, rep
+		}
+	}
 
 	const n = 6
 	before := runFleet(t, r, n)
@@ -278,21 +287,25 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		t.Errorf("interrupted run's report differs from an uncrashed run's:\n  %s\nvs\n  %s", raw, want)
 	}
 
-	// Registry catch-up: the fresh process replays its persisted replica
-	// records and one sync converges it to the control plane's cursor.
-	r.SyncRemotes()
-	wantEpoch, wantSeq := r.replog.Cursor()
-	info, err := rb.shardInfo()
+	// The pinned session came back from its own log's parameters: still
+	// pinned to east@v1, with its pre-kill report.
+	ps, err := r.Get(pinned.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ReplicaEpoch != wantEpoch || info.ReplicaSeq != wantSeq {
-		t.Fatalf("restarted replica cursor (%d,%d) != control cursor (%d,%d)",
-			info.ReplicaEpoch, info.ReplicaSeq, wantEpoch, wantSeq)
+	if got := ps.Status().Config.ModelRef; got != "east@v1" {
+		t.Fatalf("restored remote session pinned %q, want east@v1", got)
+	}
+	rep, err = ps.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := json.Marshal(rep); string(raw) != pinnedReport {
+		t.Errorf("restored model_ref session's report differs:\n  %s\nvs\n  %s", raw, pinnedReport)
 	}
 
 	// The restarted shard accepts new work, with ids minted past everything
-	// it replayed, resolving the pre-kill model through its replica.
+	// it replayed, pinned to the control plane's model.
 	cfg := testConfig(9)
 	cfg.Model = nil
 	cfg.ModelRef = "east@latest"

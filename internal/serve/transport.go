@@ -39,7 +39,7 @@ type shardTransport struct {
 
 // maxIdlePerShard caps the idle connections kept per shard address; a
 // connection released beyond it is closed. Two matches the measured
-// concurrency per shard, one lifecycle call plus one replication call
+// concurrency per shard, one lifecycle call plus the id tick's /shard/info
 // (TestRemoteLifecyclesReuseShardConnections pins it), and the stdlib's
 // default per-host idle cap the router used before. Raise it only with a
 // workload that measures more concurrent callers.

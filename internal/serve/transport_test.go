@@ -80,7 +80,7 @@ func TestShardTransportStaleConnection(t *testing.T) {
 			defer rb.Close()
 			tr := transportOf(t, rb)
 
-			s, err := rb.createSession(context.Background(), "s-001", "", testConfig(1))
+			s, err := rb.createSession(context.Background(), "s-001", "", testConfig(1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestShardTransportNeverResends(t *testing.T) {
 	rb := NewRemoteBackend(srv.URL, opts)
 	defer rb.Close()
 
-	s, err := rb.createSession(context.Background(), "s-001", "", testConfig(1))
+	s, err := rb.createSession(context.Background(), "s-001", "", testConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestShardTransportCancelledStreamNotPooled(t *testing.T) {
 	defer rb.Close()
 	tr := transportOf(t, rb)
 
-	s, err := rb.createSession(context.Background(), "s-001", "", testConfig(1))
+	s, err := rb.createSession(context.Background(), "s-001", "", testConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,15 +182,12 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, httpCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.knownStatus())
+	writeJSON(w, http.StatusCreated, s.Status())
 }
 
 func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 	sessions, shardErrs := a.b.ListPartial()
-	out := listResponse{Sessions: []SessionStatus{}}
-	for _, s := range sessions {
-		out.Sessions = append(out.Sessions, s.knownStatus())
-	}
+	out := listResponse{Sessions: sessions}
 	if len(shardErrs) > 0 {
 		// Partial-results contract: the reachable shards' sessions still
 		// list, with one error entry per shard that could not answer.

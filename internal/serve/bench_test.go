@@ -155,11 +155,13 @@ func BenchmarkServiceSessionsSharded4(b *testing.B) { benchSessionsSharded(b, 4)
 // BenchmarkServiceSessionsRemote runs the sharded workload with the second
 // shard across a real process boundary: a loopback shard subprocess (the
 // re-exec'd test binary, booted outside the timer) behind a RemoteBackend.
-// The timed path is therefore the shard protocol itself — JSON bodies over
-// loopback HTTP, completion waits on event streams — on top of the same planner
-// work, so the gap to BenchmarkServiceSessionsSharded1 is the transport
-// cost of distribution. In-process slots pay none of it: sessions placed
-// on shard 0 never see a socket.
+// Each session is driven through the router's HTTP API, as a client would:
+// the timed path is therefore the shard protocol itself — a create, then
+// forwarded bag, run, event-stream and report requests, JSON over loopback
+// HTTP — on top of the same planner work, so the gap to
+// BenchmarkServiceSessionsSharded1 is the transport cost of distribution
+// (plus the API's own encoding, which local sessions pay here too).
+// Sessions placed on shard 0 never see a socket.
 func BenchmarkServiceSessionsRemote(b *testing.B) {
 	const batchSize = 8
 	par := runtime.GOMAXPROCS(0)
@@ -179,28 +181,27 @@ func BenchmarkServiceSessionsRemote(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		h := NewAPI(r).Handler()
 		b.StartTimer()
-		sessions := make([]*Session, batchSize)
-		for j := range sessions {
+		ids := make([]string, batchSize)
+		for j := range ids {
 			s, err := r.Create("", ckptBenchConfig(uint64(j+1)))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: 10, Seed: 1}); err != nil {
-				b.Fatal(err)
+			ids[j] = s.ID()
+			p := "/api/sessions/" + s.ID()
+			if rec := call(b, h, "POST", p+"/bags", BagRequest{App: "shapes", Jobs: 10, Seed: 1}); rec.Code != http.StatusAccepted {
+				b.Fatalf("bags: %d %s", rec.Code, rec.Body)
 			}
-			if err := r.Run(s); err != nil {
-				b.Fatal(err)
+			if rec := call(b, h, "POST", p+"/run", nil); rec.Code != http.StatusAccepted {
+				b.Fatalf("run: %d %s", rec.Code, rec.Body)
 			}
-			sessions[j] = s
 		}
-		for _, s := range sessions {
-			// Router.Wait covers in-process shards only; each remote
-			// session's own Done follows its stream.
-			s.Wait()
-			if _, err := s.Report(); err != nil {
-				b.Fatal(err)
-			}
+		for _, id := range ids {
+			// Router.Wait covers in-process shards only; reportOf follows
+			// each session's event stream, on its shard if remote.
+			reportOf(b, h, id)
 		}
 		b.StopTimer()
 		r.Close()

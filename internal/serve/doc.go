@@ -100,9 +100,10 @@
 // shard count.
 //
 // The model registry stays a single control plane on shard 0, and a model
-// reference is resolved there exactly once: Router.CreateCtx (sweep cells
-// included) pins it to "name@vN" on the control plane's registry and
-// hands the owning shard that version's parameters with the create. A
+// reference is resolved there exactly once: Router.CreateCtx and
+// Router.SweepCtx (for every cell) pin it to "name@vN" on the control
+// plane's registry and
+// hand the owning shard that version's parameters with the create. A
 // pinned version's parameters never change, so that is all a shard needs:
 // no shard keeps a copy of the registry, nothing is replicated, and a
 // shard that was unreachable when a model was registered can run sessions
@@ -112,8 +113,9 @@
 // plane too; a shard process refuses POST /api/models with 409.
 //
 // Cross-shard reads scatter-gather: GET /api/sessions merges per-shard
-// listings back into global id order, POST /api/sweep spreads its grid
-// cells across shards and aggregates in grid order, and GET /api/stats sums
+// listings back into global id order, POST /api/sweep mints its cells' ids
+// in grid order, runs each home shard's cells as one group (all groups at
+// once) and aggregates in grid order, and GET /api/stats sums
 // per-shard counters under backward-compatible top-level keys while adding
 // a per-shard breakdown in a "shards" array. Scatter-gather is partial by
 // design: an unreachable shard removes only its own rows — the listing and
@@ -128,24 +130,25 @@
 // in-process Manager or an address for a remote shard — a Manager in
 // another process serving ShardHandler (what `batchsvc -shard-server`
 // runs). Slot 0 is always local, because it hosts the control plane. The
-// shard protocol is the public /api surface itself — every proxied session
-// operation hits exactly the handlers a client would — plus a small /shard
-// namespace for what the public API deliberately lacks: creates under a
-// router-minted id (with a model_ref's pinned parameters), a liveness
-// ping, and a stats snapshot. A create under an id the shard already holds
-// answers 409.
+// shard protocol is the public /api surface itself — every forwarded
+// session request hits exactly the handler a client would — plus a small
+// /shard namespace for what the public API deliberately lacks: POST
+// /shard/sessions (a create under a router-minted id, with a model_ref's
+// pinned parameters), POST /shard/sweep (a sweep group, run to
+// completion), GET /shard/ping (liveness) and GET /shard/info (counters,
+// health, id high-water mark). A create or sweep group naming an id the
+// shard holds answers 409: the router's id sequence is behind the
+// shard's, so the router adopts the shard's mark and tries once more
+// under fresh ids.
 //
-// A RemoteBackend fills each remote slot: it implements the router's
-// slot interface (create under a router-minted id, get, list, delete,
-// cancel, run, info, close) plus the trace fetch the router drives, and
-// no more — model operations never reach it,
-// because they go to the control plane on slot 0, and /api/stats is
-// aggregated by the router from every slot's info snapshot.
-// It wraps each call with the failure discipline the in-process path never
-// needed. Every operation carries a per-op deadline.
-// Reads (status, report, listing, info, trace fetches, event-stream
-// connects) retry transient transport failures with exponential backoff
-// plus jitter; creates, runs, cancels,
+// A RemoteBackend fills each remote slot: it creates, lists, fetches info
+// and traces, runs sweep groups and forwards requests, and no more —
+// model operations go to the control plane on slot 0, and /api/stats is
+// aggregated by the router from every slot's info snapshot. It wraps each
+// call with the failure discipline the in-process path never needed.
+// Every operation carries a per-op deadline. Reads (listing, info, trace
+// fetches, forwarded GETs, event-stream connects) retry transient transport failures with exponential backoff
+// plus jitter; creates, sweep groups, runs, cancels,
 // deletes and other mutations never retry — the caller gets an immediate
 // 503 with Retry-After and decides. A per-shard circuit breaker trips open after a
 // run of consecutive transport failures, fails calls fast without touching
@@ -172,19 +175,20 @@
 // covers only the wait for the headers. An unreachable shard gets 503 +
 // Retry-After, the open breaker's fast path included.
 //
-// The router is still the shard's client where it needs a session value
-// itself: creates (under a router-minted id), listings, Router.Get and
-// sweeps get proxy sessions built from the status the shard just sent, and
-// a create or listing answers with those statuses instead of fetching them
-// again. A proxy's SubmitBag, Report, Wait and Status are wire calls;
-// Estimate, Jobs and VMs are served by the shard's API and refuse on a
-// proxy, and Subscribe is local-only. Session.Done on a proxy (sweeps,
-// Wait) follows the shard's event stream, one window of at most 30 s at a
-// time, folding its state frames into the proxy and dropping the progress
-// frames; a terminal frame, a 404 or 410, a shard unreachable past a
-// give-up budget, or closing the backend ends the wait. Router.Wait waits
-// for in-process shards only: a shard process drains its own runs on the
-// SIGTERM Supervisor.Stop sends.
+// A *Session never makes a network call. A remote-homed create returns a
+// receipt: the id and the status the shard answered, which Status
+// returns; Done is closed, and every method that needs the simulation
+// refuses with 501, as Router.Get, Run, Delete and Cancel do for a
+// remote-homed id. Listings are statuses, not sessions.
+//
+// A sweep is a scatter-gather: the router mints the cells' ids in grid
+// order (so its report is byte-identical on every topology), runs a local
+// shard's cells on its Manager, and sends a remote shard's cells and the
+// bag as one POST /shard/sweep under the sweep's context and X-Trace-Id.
+// The shard answers once the runs are over; the per-op deadline covers
+// only the wait for its headers, which it sends once the cells have
+// started. Router.Wait waits for in-process shards only: a shard process
+// drains its own runs on the SIGTERM Supervisor.Stop sends.
 //
 // Round trips reuse connections. The default client of each RemoteBackend
 // and of the Supervisor runs on its own shard transport (transport.go),

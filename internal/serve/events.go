@@ -19,8 +19,9 @@ import (
 // snapshot; the returned func unsubscribes (it is idempotent and must be
 // called to release the subscription). Waiting on Done alongside the
 // channel tells the consumer when the stream is over. Subscribe is for
-// sessions in this process: a remote proxy's stream is the shard's own,
-// forwarded by the events endpoint.
+// sessions in this process: a remote-homed session's stream is its
+// shard's own, forwarded by the events endpoint (a receipt's Done is
+// closed, so its subscription ends at once).
 func (s *Session) Subscribe() (<-chan batch.Progress, func()) {
 	ch := make(chan batch.Progress, 1)
 	s.mu.Lock()

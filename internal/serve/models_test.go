@@ -56,30 +56,32 @@ func refConfig(seed uint64, ref string) SessionConfig {
 	return cfg
 }
 
-// runReport creates a session from cfg, runs one bag, and returns the
-// session plus its marshaled report.
+// runReport creates a session from cfg on b (a receipt, when its home
+// shard is remote), runs it (runOn), and returns the session plus its
+// marshaled report.
 func runReport(t *testing.T, b Backend, cfg SessionConfig) (*Session, string) {
 	t.Helper()
 	s, err := b.CreateCtx(context.Background(), "", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: 10, Jitter: 0.02, Seed: 5}); err != nil {
-		t.Fatal(err)
+	return s, runOn(t, b, s.ID())
+}
+
+// runOn submits one bag to session id through b's HTTP API, runs it, and
+// returns its marshaled report (see reportOf). The API forwards each
+// request for a remote-homed session to its shard.
+func runOn(t *testing.T, b Backend, id string) string {
+	t.Helper()
+	h := NewAPI(b).Handler()
+	p := "/api/sessions/" + id
+	if rec := call(t, h, "POST", p+"/bags", BagRequest{App: "shapes", Jobs: 10, Jitter: 0.02, Seed: 5}); rec.Code != http.StatusAccepted {
+		t.Fatalf("bags: %d %s", rec.Code, rec.Body)
 	}
-	if err := b.Run(s); err != nil {
-		t.Fatal(err)
+	if rec := call(t, h, "POST", p+"/run", nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("run: %d %s", rec.Code, rec.Body)
 	}
-	s.Wait()
-	rep, err := s.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, string(raw)
+	return reportOf(t, h, id)
 }
 
 // TestModelAPILifecycle drives the /api/models endpoints end to end:

@@ -389,15 +389,18 @@ func registryVersions(reg *registry.Registry) func(string) []registry.Version {
 // Concurrent Creates append their records outside the id-minting lock, so
 // WAL order can differ from id order; sorting restores creation order.
 func sortSessionIDs(order []string) {
-	sort.Slice(order, func(i, j int) bool {
-		var a, b int
-		fmt.Sscanf(order[i], "s-%d", &a)
-		fmt.Sscanf(order[j], "s-%d", &b)
-		if a != b {
-			return a < b
-		}
-		return order[i] < order[j]
-	})
+	sort.Slice(order, func(i, j int) bool { return sessionIDLess(order[i], order[j]) })
+}
+
+// sessionIDLess orders session ids by their sequence number.
+func sessionIDLess(x, y string) bool {
+	var a, b int
+	fmt.Sscanf(x, "s-%d", &a)
+	fmt.Sscanf(y, "s-%d", &b)
+	if a != b {
+		return a < b
+	}
+	return x < y
 }
 
 // attachStore wires the degraded-mode guard around a store and installs it

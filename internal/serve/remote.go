@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,24 +11,26 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/obs"
 )
 
 // This file implements the client half of the shard protocol: a
 // RemoteBackend speaks to one shard process (a Manager behind ShardHandler,
 // see shardapi.go) and fills one Router slot with it, so a Router can mix
-// local and remote shards behind the unchanged HTTP API. Every call is a
-// supervised failure domain: a per-op deadline bounds how long a hung shard
-// can hold a request, idempotent operations (reads, stats, health) retry
-// with exponential backoff and jitter, and a per-shard circuit breaker
-// fails fast while the shard is down instead of burning a deadline per
-// call. Transport failures surface as 503 apiErrors wrapping
-// ErrShardUnavailable, with Retry-After set — the same backpressure shape
-// degraded mode uses, so clients need one retry discipline, not two.
+// local and remote shards behind the unchanged HTTP API. The router calls
+// a shard for what spans shards — a create, a listing, a stats snapshot, a
+// sweep's group of cells in one request — and forwards every request for
+// a remote-homed session as-is; no session it hands out calls the shard.
+// Every call is a supervised failure domain: a per-op deadline bounds how
+// long a hung shard can hold a request, idempotent operations (reads,
+// stats, health) retry with exponential backoff and jitter, and a
+// per-shard circuit breaker fails fast while the shard is down instead of
+// burning a deadline per call. Transport failures surface as 503
+// apiErrors wrapping ErrShardUnavailable, with Retry-After set — the same
+// backpressure shape degraded mode uses, so clients need one retry
+// discipline, not two.
 
 // ErrShardUnavailable marks operations that failed because a remote shard
 // could not be reached (transport failure, timeout, or an open circuit
@@ -56,7 +57,8 @@ type RemoteOptions struct {
 	// resent once written. Tests inject a faultnet-wrapped one here.
 	Client *http.Client
 	// OpTimeout is the per-attempt deadline for unary operations (default
-	// 5s); on an event stream it bounds only the wait for the headers.
+	// 5s). On an event stream and on a sweep group, which last as long as
+	// their runs, it bounds only the wait for the headers.
 	OpTimeout time.Duration
 	// Retries is how many times idempotent operations are retried after a
 	// transport failure (default 3; mutations never retry).
@@ -101,8 +103,10 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 
 // RemoteBackend is a Router's shard slot for one shard process reachable
 // at an HTTP address. It implements the same shardSlot interface a local
-// Manager does, so a Router treats local and remote shards uniformly;
-// sessions it returns are thin proxies whose methods are remote calls.
+// Manager does, so a Router treats local and remote shards uniformly for
+// creates, listings, stats and sweep groups. It never hands out a session
+// that makes network calls: a create returns a receipt, and every later
+// request for the session is forwarded to the shard's API as-is.
 type RemoteBackend struct {
 	base    string
 	client  *http.Client
@@ -113,12 +117,9 @@ type RemoteBackend struct {
 	// per-shard metric (nil — a safe no-op — outside a Router).
 	shard   int
 	retries *obs.Counter
-	// life ends on Close, and with it every proxy's watcher (see watch).
-	life    context.Context
-	endLife context.CancelFunc
 }
 
-// NewRemoteBackend returns a shard slot proxying to the shard server at
+// NewRemoteBackend returns a shard slot speaking to the shard server at
 // addr (host:port or a full http:// URL).
 func NewRemoteBackend(addr string, opts *RemoteOptions) *RemoteBackend {
 	var o RemoteOptions
@@ -129,15 +130,12 @@ func NewRemoteBackend(addr string, opts *RemoteOptions) *RemoteBackend {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	life, endLife := context.WithCancel(context.Background())
 	return &RemoteBackend{
 		base:    strings.TrimSuffix(addr, "/"),
 		client:  o.Client,
 		opts:    o,
 		breaker: newBreaker(o.BreakerThreshold, o.BreakerCooldown),
 		shard:   -1,
-		life:    life,
-		endLife: endLife,
 	}
 }
 
@@ -168,10 +166,11 @@ type errorBody struct {
 
 // do issues method path with a JSON body (in, nil for none), decoding a
 // 2xx response into out (nil to discard). Each attempt runs under its own
-// OpTimeout deadline (see retry for the breaker and retry policy). An HTTP
-// error status is a shard-made decision, not a transport failure: it is
-// returned as an apiError with the shard's code and never retried.
-func (rb *RemoteBackend) do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
+// OpTimeout deadline (see open); a GET retries, a mutation does not (see
+// retry for the breaker and retry policy). An HTTP error status is a
+// shard-made decision, not a transport failure: it is returned as an
+// apiError with the shard's code and never retried.
+func (rb *RemoteBackend) do(ctx context.Context, method, path string, in, out any) error {
 	if tid := obs.TraceID(ctx); tid != "" {
 		// One client-side span per logical call (retries included), so the
 		// trace shows the router-to-shard hop and its total cost.
@@ -185,7 +184,7 @@ func (rb *RemoteBackend) do(ctx context.Context, method, path string, in, out an
 		}
 		body = raw
 	}
-	return rb.retry(ctx, idempotent, func() error {
+	return rb.retry(ctx, method == http.MethodGet, func() error {
 		return rb.attempt(ctx, method, path, body, out)
 	})
 }
@@ -239,15 +238,14 @@ func (rb *RemoteBackend) retry(ctx context.Context, idempotent bool, attempt fun
 	return shardUnavailable(lastErr)
 }
 
-// attempt is one unary exchange under its own deadline. The reply is read
-// to EOF on every path, so the connection goes back to the pool.
+// attempt is one exchange under its own deadline (see open). The reply is
+// read to EOF on every path, so the connection goes back to the pool.
 func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	opCtx, cancel := context.WithTimeout(ctx, rb.opts.OpTimeout)
-	defer cancel()
-	resp, err := rb.send(opCtx, method, path, body)
+	resp, stop, err := rb.open(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
+	defer stop()
 	defer drainClose(resp.Body)
 	if resp.StatusCode >= 400 {
 		var eb errorBody
@@ -301,36 +299,34 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// proxy returns a session proxy for the status the shard just sent. The
-// router keeps none of them: each call that returns a session builds a
-// fresh one, and the shard stays the authority over its state.
-func (rb *RemoteBackend) proxy(st SessionStatus) *Session {
-	p := &remoteSession{rb: rb, id: st.ID, last: st, done: make(chan struct{})}
-	if st.State.terminal() {
-		p.closed = true
-		close(p.done)
-	}
-	return &Session{id: st.ID, remote: p}
-}
-
 // createSession builds a session under a router-minted id — the shard-slot
-// half of the protocol (POST /shard/sessions).
+// half of the protocol (POST /shard/sessions) — and returns its receipt.
 func (rb *RemoteBackend) createSession(ctx context.Context, id, name string, cfg SessionConfig, pinned *ModelParams) (*Session, error) {
 	var st SessionStatus
 	req := shardCreateRequest{ID: id, Name: name, Config: cfg, Params: pinned}
-	if err := rb.do(ctx, http.MethodPost, "/shard/sessions", req, &st, false); err != nil {
+	if err := rb.do(ctx, http.MethodPost, "/shard/sessions", req, &st); err != nil {
 		return nil, err
 	}
-	return rb.proxy(st), nil
+	return receipt(st), nil
 }
 
-// Get fetches a session's status and returns its proxy.
-func (rb *RemoteBackend) Get(id string) (*Session, error) {
-	var st SessionStatus
-	if err := rb.do(context.Background(), http.MethodGet, "/api/sessions/"+id, nil, &st, true); err != nil {
+// sweep runs one sweep group on the shard as a single POST /shard/sweep
+// and returns its cells' outcomes in request order. The shard sends its
+// headers once the cells are created and started, so OpTimeout bounds
+// that wait only; the runs themselves last as long as ctx. A mutation, it
+// is never retried.
+func (rb *RemoteBackend) sweep(ctx context.Context, req shardSweepRequest) ([]cellOutcome, error) {
+	var out struct {
+		Cells []cellOutcome `json:"cells"`
+	}
+	if err := rb.do(ctx, http.MethodPost, shardSweepPath, req, &out); err != nil {
 		return nil, err
 	}
-	return rb.proxy(st), nil
+	if len(out.Cells) != len(req.Cells) {
+		return nil, shardUnavailable(fmt.Errorf("shard %s: %s answered %d cells for %d: %w",
+			rb.base, shardSweepPath, len(out.Cells), len(req.Cells), ErrShardUnavailable))
+	}
+	return out.Cells, nil
 }
 
 // listResponse is the GET /api/sessions payload.
@@ -340,38 +336,26 @@ type listResponse struct {
 	Errors   []ShardError    `json:"errors,omitempty"`
 }
 
-// listSessions fetches the shard's sessions in creation order.
-func (rb *RemoteBackend) listSessions() ([]*Session, error) {
+// Get, Delete, Cancel and Run refuse: the router keeps nothing for a
+// remote-homed session, and the API forwards its requests to the shard.
+func (rb *RemoteBackend) Get(id string) (*Session, error) { return nil, errRemoteHomed(id) }
+func (rb *RemoteBackend) Delete(id string) error          { return errRemoteHomed(id) }
+func (rb *RemoteBackend) Cancel(id string) error          { return errRemoteHomed(id) }
+func (rb *RemoteBackend) Run(s *Session) error            { return errRemoteHomed(s.ID()) }
+
+// listSessions fetches the shard's session statuses in creation order.
+func (rb *RemoteBackend) listSessions() ([]SessionStatus, error) {
 	var out listResponse
-	if err := rb.do(context.Background(), http.MethodGet, "/api/sessions", nil, &out, true); err != nil {
+	if err := rb.do(context.Background(), http.MethodGet, "/api/sessions", nil, &out); err != nil {
 		return nil, err
 	}
-	sessions := make([]*Session, len(out.Sessions))
-	for i, st := range out.Sessions {
-		sessions[i] = rb.proxy(st)
-	}
-	return sessions, nil
-}
-
-// Delete removes a session on the shard.
-func (rb *RemoteBackend) Delete(id string) error {
-	return rb.do(context.Background(), http.MethodDelete, "/api/sessions/"+id, nil, nil, false)
-}
-
-// Cancel aborts a running session on the shard.
-func (rb *RemoteBackend) Cancel(id string) error {
-	return rb.do(context.Background(), http.MethodPost, "/api/sessions/"+id+"/cancel", nil, nil, false)
-}
-
-// Run starts the session on the shard's worker pool.
-func (rb *RemoteBackend) Run(s *Session) error {
-	return rb.do(context.Background(), http.MethodPost, "/api/sessions/"+s.ID()+"/run", nil, nil, false)
+	return out.Sessions, nil
 }
 
 // shardInfo fetches the shard's health and counters (GET /shard/info).
 func (rb *RemoteBackend) shardInfo() (ShardInfo, error) {
 	var info ShardInfo
-	err := rb.do(context.Background(), http.MethodGet, "/shard/info", nil, &info, true)
+	err := rb.do(context.Background(), http.MethodGet, "/shard/info", nil, &info)
 	return info, err
 }
 
@@ -382,18 +366,15 @@ func (rb *RemoteBackend) traceSpans(id string) ([]obs.Span, error) {
 	var out struct {
 		Spans []obs.Span `json:"spans"`
 	}
-	if err := rb.do(context.Background(), http.MethodGet, "/api/trace/"+id, nil, &out, true); err != nil {
+	if err := rb.do(context.Background(), http.MethodGet, "/api/trace/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Spans, nil
 }
 
-// Close releases client resources and ends session watches. The shard
-// process itself is owned by its supervisor, not the backend.
-func (rb *RemoteBackend) Close() {
-	rb.endLife()
-	rb.client.CloseIdleConnections()
-}
+// Close releases the backend's idle connections. The shard process itself
+// is owned by its supervisor, not the backend.
+func (rb *RemoteBackend) Close() { rb.client.CloseIdleConnections() }
 
 // forward serves a session-scoped API request for a session homed on this
 // shard by sending it on as-is — method, path, body and X-Trace-Id — and
@@ -413,7 +394,12 @@ func (rb *RemoteBackend) forward(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return
 	}
-	resp, stop, err := rb.open(ctx, r.Method, path, body)
+	var resp *http.Response
+	var stop func()
+	err = rb.retry(ctx, r.Method == http.MethodGet, func() (err error) {
+		resp, stop, err = rb.open(ctx, r.Method, path, body)
+		return err
+	})
 	if err != nil {
 		writeErr(w, httpCode(err), err)
 		return
@@ -442,220 +428,32 @@ func (rb *RemoteBackend) forward(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// open sends one request and returns the shard's reply once its headers
-// are in. GETs retry (see retry). The OpTimeout deadline keeps running
-// over the reply body, except on an event stream, where it covers only the
-// wait for the headers: the stream lasts as long as ctx. The caller closes
-// the body, then calls stop.
-func (rb *RemoteBackend) open(ctx context.Context, method, path string, body []byte) (resp *http.Response, stop func(), err error) {
-	err = rb.retry(ctx, method == http.MethodGet, func() error {
-		reqCtx, cancel := context.WithCancel(ctx)
-		timer := time.AfterFunc(rb.opts.OpTimeout, cancel)
-		res, err := rb.send(reqCtx, method, path, body)
-		if err == nil && isEventStream(res) && !timer.Stop() {
-			// The deadline fired as the headers arrived; the stream is dead.
+// open makes one attempt at a request and returns the shard's reply once
+// its headers are in; the caller closes the body, then calls stop. The
+// OpTimeout deadline keeps running over the reply body, except where the
+// reply lasts as long as the work behind it — an event stream, or a sweep
+// group's answer, which the shard sends once the group's runs are over —
+// where it covers only the wait for the headers and ctx bounds the rest.
+func (rb *RemoteBackend) open(ctx context.Context, method, path string, body []byte) (*http.Response, func(), error) {
+	reqCtx, cancel := context.WithCancel(ctx)
+	timer := time.AfterFunc(rb.opts.OpTimeout, cancel)
+	res, err := rb.send(reqCtx, method, path, body)
+	if (err != nil || isEventStream(res) || path == shardSweepPath) && !timer.Stop() {
+		// The deadline fired before (or as) the headers arrived.
+		if err == nil {
 			res.Body.Close()
-			err = fmt.Errorf("shard %s: %s %s: no response within %v: %w", rb.base, method, path, rb.opts.OpTimeout, ErrShardUnavailable)
 		}
-		if err != nil {
-			timer.Stop()
-			cancel()
-			return err
-		}
-		resp, stop = res, func() { timer.Stop(); cancel() }
-		return nil
-	})
-	return resp, stop, err
+		err = fmt.Errorf("shard %s: %s %s: no response within %v: %w", rb.base, method, path, rb.opts.OpTimeout, ErrShardUnavailable)
+	}
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	return res, func() { timer.Stop(); cancel() }, nil
 }
 
 // isEventStream reports whether a reply is an SSE stream, whose deadline
 // ends with its headers.
 func isEventStream(resp *http.Response) bool {
 	return strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream")
-}
-
-// remoteSession is the state behind a remote session proxy: the last
-// status observed from the shard and a locally-managed done channel, closed
-// by the first terminal status seen (in a reply, or in a `state` frame of
-// the shard's event stream followed by the lazy watcher behind Done).
-// Terminal statuses are kept for good — a finished session's state cannot
-// change, so the proxy serves it without another round trip.
-type remoteSession struct {
-	rb *RemoteBackend
-	id string
-
-	mu     sync.Mutex
-	last   SessionStatus
-	closed bool
-	// stopWatch ends the watcher behind Done; nil until one is started.
-	stopWatch context.CancelFunc
-	done      chan struct{}
-}
-
-// update folds a fresher status into the proxy; a terminal state closes
-// the done channel.
-func (p *remoteSession) update(st SessionStatus) {
-	p.mu.Lock()
-	if !p.last.State.terminal() {
-		p.last = st
-	}
-	terminal := p.last.State.terminal()
-	p.mu.Unlock()
-	if terminal {
-		p.markDone()
-	}
-}
-
-// markDone closes the done channel once and ends the watcher, if any.
-func (p *remoteSession) markDone() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.done)
-		if p.stopWatch != nil {
-			p.stopWatch()
-		}
-	}
-	p.mu.Unlock()
-}
-
-// known returns the status the shard last sent.
-func (p *remoteSession) known() SessionStatus {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last
-}
-
-// status returns the session's current status: the kept copy for terminal
-// sessions, a fresh fetch otherwise — falling back to the last-known
-// status when the shard is unreachable, so Status (which cannot return an
-// error) degrades rather than fabricating state.
-func (p *remoteSession) status() SessionStatus {
-	last := p.known()
-	if last.State.terminal() {
-		return last
-	}
-	var st SessionStatus
-	if err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id, nil, &st, true); err != nil {
-		return last
-	}
-	p.update(st)
-	return st
-}
-
-func (p *remoteSession) submitBag(req BagRequest) (int, float64, error) {
-	var out struct {
-		Submitted   int     `json:"submitted"`
-		MeanRuntime float64 `json:"mean_runtime"`
-	}
-	err := p.rb.do(context.Background(), http.MethodPost, "/api/sessions/"+p.id+"/bags", req, &out, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	p.mu.Lock()
-	p.last.JobsSubmitted += out.Submitted
-	p.mu.Unlock()
-	return out.Submitted, out.MeanRuntime, nil
-}
-
-func (p *remoteSession) report() (batch.Report, error) {
-	var rep batch.Report
-	err := p.rb.do(context.Background(), http.MethodGet, "/api/sessions/"+p.id+"/report", nil, &rep, true)
-	return rep, err
-}
-
-// doneChan returns the done channel, starting the watcher on first use —
-// most sessions are created, run, and polled without anyone ever blocking
-// on completion, so the watch stream is lazy.
-func (p *remoteSession) doneChan() <-chan struct{} {
-	p.mu.Lock()
-	var ctx context.Context
-	if p.stopWatch == nil && !p.closed {
-		ctx, p.stopWatch = context.WithCancel(p.rb.life)
-	}
-	p.mu.Unlock()
-	if ctx != nil {
-		go p.watch(ctx)
-	}
-	return p.done
-}
-
-// watchWindow bounds one watch stream: a shard that stops writing without
-// closing the connection is caught at the next connect.
-const watchWindow = 30 * time.Second
-
-// watchGiveUpAfter bounds consecutive watch failures before the proxy
-// declares the wait over: a waiter must not hang forever on a shard that
-// never comes back. The session may still be running — callers that then
-// fetch its report get the shard's own answer (or a 503).
-const watchGiveUpAfter = 20
-
-// watch follows the shard's event stream, one window at a time, until the
-// session is terminal (a closing `state` frame, or any other path to
-// markDone, which cancels ctx), the session disappears, the backend is
-// closed, or the shard stays unreachable past the give-up budget. Every
-// way out ends the wait.
-func (p *remoteSession) watch(ctx context.Context) {
-	defer p.markDone()
-	failures := 0
-	for {
-		windowCtx, cancel := context.WithTimeout(ctx, watchWindow)
-		code := p.watchStream(windowCtx)
-		quiet := windowCtx.Err() != nil
-		cancel()
-		switch {
-		case ctx.Err() != nil:
-			return
-		case code == http.StatusNotFound || code == http.StatusGone:
-			// The session is gone (deleted, or lost with a shard store):
-			// the wait is over even though no terminal state was seen.
-			return
-		case code == http.StatusOK && quiet:
-			// The window closed on a live stream: the run is still going.
-			failures = 0
-			continue
-		}
-		// The connect failed, or the stream ended without a terminal frame.
-		failures++
-		if failures >= watchGiveUpAfter {
-			return
-		}
-		// An open breaker fails fast; pace the loop so it doesn't spin.
-		d := p.rb.opts.RetryBase << min(failures, 5)
-		select {
-		case <-time.After(min(d, 2*time.Second)):
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// watchStream follows one connection to the shard's event stream, folding
-// each `state` frame into the proxy (the closing one marks it done) and
-// dropping the rest, and returns the shard's status code (0 when the
-// connect failed).
-func (p *remoteSession) watchStream(ctx context.Context) int {
-	resp, stop, err := p.rb.open(ctx, http.MethodGet, "/api/sessions/"+p.id+"/events", nil)
-	if err != nil {
-		return 0
-	}
-	defer stop()
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	event := ""
-	for {
-		line, err := br.ReadBytes('\n')
-		switch {
-		case bytes.HasPrefix(line, []byte("event: ")):
-			event = string(bytes.TrimSpace(line[len("event: "):]))
-		case event == "state" && bytes.HasPrefix(line, []byte("data: ")):
-			var st SessionStatus
-			if json.Unmarshal(line[len("data: "):], &st) == nil {
-				p.update(st)
-			}
-		}
-		if err != nil {
-			return resp.StatusCode
-		}
-	}
 }

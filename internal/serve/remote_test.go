@@ -54,6 +54,14 @@ func fastRemoteOptions(client *http.Client) *RemoteOptions {
 	}
 }
 
+// statusOn reads a session's status from a shard through rb: an
+// idempotent read, retried like any other.
+func statusOn(rb *RemoteBackend, id string) (SessionStatus, error) {
+	var st SessionStatus
+	err := rb.do(context.Background(), http.MethodGet, "/api/sessions/"+id, nil, &st)
+	return st, err
+}
+
 // hostOf strips the scheme from an httptest server URL, for faultnet's
 // host-scoped partition rules.
 func hostOf(srv *httptest.Server) string {
@@ -115,12 +123,12 @@ func TestRemoteRetriesIdempotentOnly(t *testing.T) {
 	// Two transient faults on the status GET: attempts 1 and 2 fail, 3
 	// succeeds — the caller never sees the fault.
 	inj.Script(faultnet.Rule{Method: http.MethodGet, Path: "/api/sessions/", Count: 2})
-	got, err := rb.Get(s.ID())
+	got, err := statusOn(rb, s.ID())
 	if err != nil {
 		t.Fatalf("idempotent read did not ride out transient faults: %v", err)
 	}
-	if got.ID() != s.ID() {
-		t.Fatalf("got session %s, want %s", got.ID(), s.ID())
+	if got.ID != s.ID() {
+		t.Fatalf("got session %s, want %s", got.ID, s.ID())
 	}
 	if trips := inj.Trips(); len(trips) != 2 {
 		t.Fatalf("injector fired %d times, want 2 (one per failed attempt)", len(trips))
@@ -149,7 +157,7 @@ func TestRemoteRetriesIdempotentOnly(t *testing.T) {
 	// The shard's own verdicts pass through untouched and unretried: a 404
 	// is the shard alive and answering, not a transport failure.
 	inj.Clear()
-	if _, err := rb.Get("s-999"); httpCode(err) != http.StatusNotFound {
+	if _, err := statusOn(rb, "s-999"); httpCode(err) != http.StatusNotFound {
 		t.Fatalf("missing session error = %v (code %d), want 404", err, httpCode(err))
 	}
 	if rb.BreakerState() != breakerClosed {
@@ -174,7 +182,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 
 	inj.Partition(hostOf(srv))
 	for i := 0; i < 3; i++ {
-		if _, err := rb.Get(s.ID()); err == nil {
+		if _, err := statusOn(rb, s.ID()); err == nil {
 			t.Fatalf("read %d through a partition succeeded", i)
 		}
 	}
@@ -184,7 +192,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 
 	// Open = fail fast: no transport attempt, so the trip log stays put.
 	before := len(inj.Trips())
-	if _, err := rb.Get(s.ID()); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := statusOn(rb, s.ID()); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("open-breaker read error = %v, want ErrShardUnavailable", err)
 	}
 	if after := len(inj.Trips()); after != before {
@@ -194,7 +202,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 	// Heal; after the cooldown the half-open probe succeeds and closes it.
 	inj.Heal(hostOf(srv))
 	time.Sleep(60 * time.Millisecond)
-	if _, err := rb.Get(s.ID()); err != nil {
+	if _, err := statusOn(rb, s.ID()); err != nil {
 		t.Fatalf("half-open probe after heal failed: %v", err)
 	}
 	if got := rb.BreakerState(); got != breakerClosed {
@@ -610,9 +618,9 @@ func TestRouterModelUsableAfterPartitionHeals(t *testing.T) {
 // TestRemoteSessionLifecycleOverHTTP drives a remote-homed session through
 // the public API end to end — create, bag, estimate, run, report, jobs,
 // vms, delete — so every session route is forwarded at least once. The
-// router's own proxy for the session refuses estimates and listings, which
-// only the shard's API serves, instead of reaching for a local service it
-// does not have.
+// router keeps nothing for the session that could reach the shard: its
+// Get refuses the id, and a create's receipt refuses every method that
+// needs the simulation, which only the shard's API serves.
 func TestRemoteSessionLifecycleOverHTTP(t *testing.T) {
 	_, srv := startShard(t, 2)
 	r, err := NewRouterTopology([]string{"", srv.URL}, 2, nil)
@@ -663,16 +671,36 @@ func TestRemoteSessionLifecycleOverHTTP(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("jobs: %d", rec.Code)
 	}
-	proxy, err := r.Get(id)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := r.Get(id); httpCode(err) != http.StatusNotImplemented {
+		t.Errorf("Router.Get of a remote-homed session: %v, want a 501", err)
 	}
-	_, estErr := proxy.Estimate(BagRequest{App: "shapes", Jobs: 6, Seed: 7})
-	_, jobsErr := proxy.Jobs()
-	_, vmsErr := proxy.VMs()
-	for _, err := range []error{estErr, jobsErr, vmsErr} {
+	var rcpt *Session
+	for rcpt == nil {
+		s, err := r.Create("receipt", testConfig(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placement.Shard(s.ID(), 2) == 1 {
+			rcpt = s
+		}
+	}
+	if st := rcpt.Status(); st.ID != rcpt.ID() || st.State != StateCreated || st.Config.Seed != 8 {
+		t.Errorf("receipt status = %+v, want the created status the shard answered", st)
+	}
+	select {
+	case <-rcpt.Done():
+	default:
+		t.Error("a receipt's Done is open; a receipt never changes")
+	}
+	bag := BagRequest{App: "shapes", Jobs: 6, Seed: 7}
+	_, _, bagErr := rcpt.SubmitBag(bag)
+	_, estErr := rcpt.Estimate(bag)
+	_, repErr := rcpt.Report()
+	_, jobsErr := rcpt.Jobs()
+	_, vmsErr := rcpt.VMs()
+	for _, err := range []error{bagErr, estErr, repErr, jobsErr, vmsErr, r.Run(rcpt)} {
 		if httpCode(err) != http.StatusNotImplemented {
-			t.Errorf("a proxy's Estimate/Jobs/VMs: %v, want a 501", err)
+			t.Errorf("a receipt's SubmitBag/Estimate/Report/Jobs/VMs or Router.Run: %v, want a 501", err)
 		}
 	}
 	rec, _ = doJSON(t, h, "GET", "/api/sessions/"+id+"/vms", nil)
@@ -685,5 +713,70 @@ func TestRemoteSessionLifecycleOverHTTP(t *testing.T) {
 	}
 	if rec, _ := doJSON(t, h, "GET", "/api/sessions/"+id, nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("deleted remote session still answers: %d", rec.Code)
+	}
+}
+
+// TestRouterResyncsIDsOnConflict builds routers over a shard that already
+// holds s-001 to s-008, each with the shard partitioned while it starts,
+// so its first id tick fails and its id sequence starts behind the
+// shard's. Right after the heal, with no SyncRemotes call, every create
+// through the API answers 201: the shard refuses an id it holds with 409,
+// and the router adopts the shard's high-water mark and creates once more
+// under a fresh id. A sweep through a second such router completes the
+// same way, its refused group run again under fresh ids.
+func TestRouterResyncsIDsOnConflict(t *testing.T) {
+	m, srv := startShard(t, 2)
+	for i := 1; i <= 8; i++ {
+		if _, err := m.createSession(context.Background(), ids.Padded("s-", i, 3), "held", testConfig(uint64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	behind := func() (*Router, http.Handler) {
+		t.Helper()
+		inj := faultnet.Wrap(&shardTransport{})
+		inj.Partition(hostOf(srv))
+		r, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		waitUntil(t, "the first id tick to fail", func() bool { return len(inj.Trips()) > 0 })
+		inj.Heal(hostOf(srv))
+		return r, NewAPI(r).Handler()
+	}
+
+	_, h := behind()
+	remote := 0
+	for i := 0; i < 8; i++ {
+		rec := call(t, h, "POST", "/api/sessions", createRequest{Config: testConfig(uint64(20 + i))})
+		var st SessionStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusCreated {
+			t.Fatalf("create %d behind the shard's id sequence: %d %s", i, rec.Code, rec.Body)
+		}
+		if placement.Shard(st.ID, 2) == 1 {
+			remote++
+		}
+	}
+	if remote == 0 {
+		t.Fatal("no create homed on the remote shard")
+	}
+
+	r, _ := behind()
+	publishEast(t, r)
+	rep, err := r.Sweep(topologySweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote = 0
+	for _, c := range rep.Cells {
+		if c.Error != "" && c.Policy != "warp-drive" && c.ModelRef != "west@v1" {
+			t.Fatalf("cell %s/%s failed: %s", c.Policy, c.ModelRef, c.Error)
+		}
+		if c.Report != nil && placement.Shard(c.SessionID, 2) == 1 {
+			remote++
+		}
+	}
+	if rep.Partial || remote == 0 {
+		t.Fatalf("sweep behind the shard's id sequence: partial=%v with %d remote cells done", rep.Partial, remote)
 	}
 }

@@ -20,10 +20,10 @@ import (
 // request costs exactly one router-to-shard round trip, forwarded as-is,
 // and the shard stays the authority over its sessions.
 
-// countingTransport records the session-scoped requests a RemoteBackend
-// sends, then passes each to the shard transport the default client uses.
-// The router's background id tick (/shard/info) is not a per-request cost
-// and is left out.
+// countingTransport records the requests a RemoteBackend sends, then
+// passes each to the shard transport the default client uses. The
+// router's background id tick (/shard/info) is not a per-request cost and
+// is left out.
 type countingTransport struct {
 	inner shardTransport
 	mu    sync.Mutex
@@ -31,7 +31,7 @@ type countingTransport struct {
 }
 
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.Contains(req.URL.Path, "/sessions") {
+	if req.URL.Path != "/shard/info" {
 		c.mu.Lock()
 		c.reqs = append(c.reqs, req.Method+" "+req.URL.Path)
 		c.mu.Unlock()
@@ -51,7 +51,7 @@ func (c *countingTransport) take() []string {
 // call serves one request through h with a fixed trace ID (so statuses,
 // which carry the creating trace, compare across topologies) and returns
 // the response.
-func call(t *testing.T, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
+func call(t testing.TB, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {
@@ -104,6 +104,32 @@ func lifecycle(t *testing.T, h http.Handler, i int, waitRun func(id string)) (st
 		bodies = append(bodies, rec.Body.String())
 	}
 	return st.ID, bodies
+}
+
+// reportOf follows session id's event stream through h until its run is
+// over, then returns the report h serves, as json.Marshal writes it.
+func reportOf(t testing.TB, h http.Handler, id string) string {
+	t.Helper()
+	p := "/api/sessions/" + id
+	if rec := call(t, h, "GET", p+"/events", nil); rec.Code != http.StatusOK {
+		t.Fatalf("events of %s: %d %s", id, rec.Code, rec.Body)
+	}
+	rec := call(t, h, "GET", p+"/report", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("report of %s: %d %s", id, rec.Code, rec.Body)
+	}
+	return strings.TrimSuffix(rec.Body.String(), "\n")
+}
+
+// statusOf returns the status h serves for session id.
+func statusOf(t testing.TB, h http.Handler, id string) SessionStatus {
+	t.Helper()
+	rec := call(t, h, "GET", "/api/sessions/"+id, nil)
+	var st SessionStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("status of %s: %d %s", id, rec.Code, rec.Body)
+	}
+	return st
 }
 
 // waitOn returns a waitRun for lifecycle that resolves sessions on the
@@ -339,90 +365,5 @@ func TestRemoteShardStaysAuthoritative(t *testing.T) {
 	}
 	if after := len(inj.Trips()); after != before {
 		t.Fatalf("open breaker still hit the transport (%d -> %d trips)", before, after)
-	}
-}
-
-// TestRemoteWaitFollowsEventStream pins how a remote-homed proxy learns its
-// session has ended: Wait follows the shard's event stream — one GET of the
-// events endpoint for a whole run — ends as soon as the session is deleted
-// on the shard behind the router, and gives up on a partitioned shard
-// after its failure budget instead of hanging.
-func TestRemoteWaitFollowsEventStream(t *testing.T) {
-	m, srv := startShard(t, 2)
-	ct := &countingTransport{}
-	r, err := NewRouterTopology([]string{"", srv.URL}, 2, &RemoteOptions{Client: &http.Client{Transport: ct}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	createRemote := func(rt *Router) *Session {
-		t.Helper()
-		for {
-			s, err := rt.Create("", testConfig(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if placement.Shard(s.ID(), 2) == 1 {
-				return s
-			}
-		}
-	}
-
-	s := createRemote(r)
-	if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: 8, Jitter: 0.01, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run(s); err != nil {
-		t.Fatal(err)
-	}
-	ct.take()
-	s.Wait()
-	want := "GET /api/sessions/" + s.ID() + "/events"
-	if calls := ct.take(); len(calls) != 1 || calls[0] != want {
-		t.Errorf("Run then Wait made shard requests %q, want the one %q", calls, want)
-	}
-	if st := s.Status(); st.State != StateDone {
-		t.Errorf("after Wait the proxy reports %s, want done", st.State)
-	}
-
-	// A session deleted on the shard, behind the router, ends a pending
-	// Wait: its stream closes on the cancelled state the delete leaves.
-	s = createRemote(r)
-	ct.take()
-	done := s.Done()
-	waitUntil(t, "the watch stream to connect", func() bool {
-		for _, c := range ct.take() {
-			if strings.HasSuffix(c, "/events") {
-				return true
-			}
-		}
-		return false
-	})
-	if err := m.Delete(s.ID()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Wait on a session deleted behind the router did not return within 1s")
-	}
-
-	// With the shard partitioned, Wait ends once the watcher's failure
-	// budget is spent.
-	inj := faultnet.Wrap(&shardTransport{})
-	pr, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	// A second router over the same shard starts its id sequence past the
-	// shard's, as batchsvc's does, so it cannot mint an id the shard holds.
-	pr.SyncRemotes()
-	s = createRemote(pr)
-	inj.Partition(hostOf(srv))
-	select {
-	case <-s.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("Wait on a partitioned shard's session did not give up within 10s")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -24,10 +25,10 @@ import (
 type Backend interface {
 	CreateCtx(ctx context.Context, name string, cfg SessionConfig) (*Session, error)
 	Get(id string) (*Session, error)
-	// ListPartial lists sessions with partial-failure visibility: sessions
-	// from every reachable shard plus one ShardError per shard that could
-	// not answer. A single-process backend never fails partially.
-	ListPartial() ([]*Session, []ShardError)
+	// ListPartial lists session statuses with partial-failure visibility:
+	// statuses from every reachable shard plus one ShardError per shard that
+	// could not answer. A single-process backend never fails partially.
+	ListPartial() ([]SessionStatus, []ShardError)
 	Delete(id string) error
 	Cancel(id string) error
 	Run(s *Session) error
@@ -51,9 +52,16 @@ var (
 	_ Backend = (*Router)(nil)
 )
 
-// ListPartial on a single Manager is just List: one process, no partial
-// failure domain.
-func (m *Manager) ListPartial() ([]*Session, []ShardError) { return m.List(), nil }
+// ListPartial on a single Manager is its sessions' statuses in creation
+// order: one process, no partial failure domain.
+func (m *Manager) ListPartial() ([]SessionStatus, []ShardError) {
+	sessions := m.List()
+	out := make([]SessionStatus, len(sessions))
+	for i, s := range sessions {
+		out[i] = s.Status()
+	}
+	return out, nil
+}
 
 // Trace on a single Manager reads the process-wide span ring. The ring
 // orders spans by when they finished; callers get them by start time, the
@@ -67,17 +75,22 @@ func (m *Manager) Trace(id string) []obs.Span {
 // remoteHome on a single Manager is always nil: every session is local.
 func (m *Manager) remoteHome(string) *RemoteBackend { return nil }
 
-// listSessions adapts List to the shard-slot shape.
-func (m *Manager) listSessions() ([]*Session, error) { return m.List(), nil }
+// listSessions adapts ListPartial to the shard-slot shape.
+func (m *Manager) listSessions() ([]SessionStatus, error) {
+	out, _ := m.ListPartial()
+	return out, nil
+}
 
 // shardSlot is one slot in the router's shard table: a local *Manager or a
-// *RemoteBackend proxying a shard process. The router treats them
+// *RemoteBackend speaking to a shard process. The router treats them
 // uniformly; only construction, Restore, and per-shard tuning distinguish
-// local from remote.
+// local from remote. A remote slot refuses Get, Delete, Cancel and Run:
+// the API forwards a remote-homed session's requests to its shard.
 type shardSlot interface {
 	createSession(ctx context.Context, id, name string, cfg SessionConfig, pinned *ModelParams) (*Session, error)
-	listSessions() ([]*Session, error)
+	listSessions() ([]SessionStatus, error)
 	shardInfo() (ShardInfo, error)
+	sweep(ctx context.Context, req shardSweepRequest) ([]cellOutcome, error)
 	Get(id string) (*Session, error)
 	Delete(id string) error
 	Cancel(id string) error
@@ -336,24 +349,37 @@ func (r *Router) Create(name string, cfg SessionConfig) (*Session, error) {
 // mints a global id, places the session by consistent hash, and hands it
 // to the owning shard with the pinned model parameters. A create the shard
 // refuses burns the id — exactly the gap semantics a standalone Manager
-// has for a failed durable append.
+// has for a failed durable append. A remote shard refuses a create with
+// 409 only for an id it already holds, which means this router's id
+// sequence is behind the shard's (it has not yet read the shard's
+// high-water mark); the router then adopts that mark and creates once more
+// under a fresh id. A remote-homed create returns a receipt (see receipt).
 func (r *Router) CreateCtx(ctx context.Context, name string, cfg SessionConfig) (*Session, error) {
 	cfg, pinned, err := r.control().resolveModel(cfg)
 	if err != nil {
 		return nil, err
 	}
-	id := r.nextID()
-	shard := placement.Shard(id, len(r.slots))
-	if tid := obs.TraceID(ctx); tid != "" {
+	for retried := false; ; retried = true {
+		id := r.nextID()
+		shard := placement.Shard(id, len(r.slots))
 		// The routing decision, as its own span. The router never mints
-		// trace IDs: untraced creates (internal callers, sweeps) stay
-		// untraced so their persisted reports are byte-stable.
-		defer obs.DefaultTracer().Span(tid, "router", "route.create", shard, id)()
+		// trace IDs: untraced creates (internal callers) stay untraced so
+		// their persisted reports are byte-stable.
+		end := func() {}
+		if tid := obs.TraceID(ctx); tid != "" {
+			end = obs.DefaultTracer().Span(tid, "router", "route.create", shard, id)
+		}
+		s, err := r.slots[shard].createSession(ctx, id, name, cfg, pinned)
+		end()
+		rb := r.remotes[shard]
+		if retried || rb == nil || httpCode(err) != http.StatusConflict {
+			return s, err
+		}
+		r.syncRemote(rb)
 	}
-	return r.slots[shard].createSession(ctx, id, name, cfg, pinned)
 }
 
-// Get resolves a session on its home shard.
+// Get resolves a session on its home shard (see shardSlot).
 func (r *Router) Get(id string) (*Session, error) { return r.shardFor(id).Get(id) }
 
 // remoteHome returns the home shard's backend when that shard is remote.
@@ -365,7 +391,7 @@ func (r *Router) remoteHome(id string) *RemoteBackend {
 // into global creation order (by id sequence); unreachable shards'
 // sessions are silently absent. Use ListPartial to observe which shards
 // failed.
-func (r *Router) List() []*Session {
+func (r *Router) List() []SessionStatus {
 	all, _ := r.ListPartial()
 	return all
 }
@@ -374,8 +400,8 @@ func (r *Router) List() []*Session {
 // that could not answer as ShardErrors alongside the merged listing from
 // the shards that could — the partial-results contract: one dead shard
 // must not take down the whole listing.
-func (r *Router) ListPartial() ([]*Session, []ShardError) {
-	var all []*Session
+func (r *Router) ListPartial() ([]SessionStatus, []ShardError) {
+	all := []SessionStatus{}
 	var errs []ShardError
 	for i, sl := range r.slots {
 		list, err := sl.listSessions()
@@ -385,16 +411,7 @@ func (r *Router) ListPartial() ([]*Session, []ShardError) {
 		}
 		all = append(all, list...)
 	}
-	order := make([]string, len(all))
-	byID := make(map[string]*Session, len(all))
-	for i, s := range all {
-		order[i] = s.ID()
-		byID[s.ID()] = s
-	}
-	sortSessionIDs(order)
-	for i, id := range order {
-		all[i] = byID[id]
-	}
+	sort.Slice(all, func(i, j int) bool { return sessionIDLess(all[i].ID, all[j].ID) })
 	return all, errs
 }
 
@@ -431,21 +448,6 @@ func (r *Router) Cancel(id string) error { return r.shardFor(id).Cancel(id) }
 
 // Run starts the session on its home shard's worker pool.
 func (r *Router) Run(s *Session) error { return r.shardFor(s.ID()).Run(s) }
-
-// SweepCtx fans the sweep grid out across the shards: each cell is an
-// ordinary create, so cells land on their id's home shard and the grid's
-// simulations spread over every shard's worker pool. Aggregation is
-// grid-order-stable exactly as on a single Manager; cells whose home
-// shard is unreachable carry the error (and mark the report partial)
-// while the rest of the grid completes.
-func (r *Router) SweepCtx(ctx context.Context, req SweepRequest) (SweepReport, error) {
-	return sweepCtx(ctx, r, req)
-}
-
-// Sweep runs the grid to completion and aggregates the results.
-func (r *Router) Sweep(req SweepRequest) (SweepReport, error) {
-	return r.SweepCtx(context.Background(), req)
-}
 
 // Model operations are control-plane operations: they delegate to shard 0,
 // whose registry owns the entries.
@@ -493,8 +495,8 @@ func (r *Router) Wait() {
 }
 
 // Close stops the id ticks and every shard's background workers (for
-// remote shards: its proxies' watchers and its connections — the shard
-// process itself belongs to its supervisor).
+// remote shards: its idle connections — the shard process itself belongs
+// to its supervisor).
 func (r *Router) Close() {
 	r.closeOnce.Do(func() { close(r.tickStop) })
 	r.tickWG.Wait()

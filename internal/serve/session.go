@@ -84,11 +84,11 @@ type Session struct {
 	// rewrites.
 	pinned *ModelParams
 
-	// remote, when non-nil, marks this session as a proxy for one living in
-	// a shard process: Status, SubmitBag, Report and Done delegate to the
-	// RemoteBackend's wire calls, Estimate, Jobs and VMs refuse (errProxy),
-	// and the fields below stay zero (see remote.go).
-	remote *remoteSession
+	// receipt, when non-nil, marks a remote-homed create's receipt: the
+	// status the home shard answered, which Status returns. Every method
+	// that needs the simulation refuses (errRemoteHomed), done is closed,
+	// and the fields below stay zero (see receipt).
+	receipt *SessionStatus
 
 	mu        sync.Mutex
 	state     State
@@ -156,8 +156,8 @@ func (s *Session) ID() string { return s.id }
 
 // Status returns a point-in-time snapshot of the session.
 func (s *Session) Status() SessionStatus {
-	if s.remote != nil {
-		return s.remote.status()
+	if s.receipt != nil {
+		return *s.receipt
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -181,22 +181,28 @@ func (s *Session) Status() SessionStatus {
 	return st
 }
 
-// knownStatus is Status without a shard round trip: a remote proxy answers
-// with the status the shard last sent. Handlers call it right after a call
-// that brought a fresh one (create, list); a local session's status is
-// always current.
-func (s *Session) knownStatus() SessionStatus {
-	if s.remote != nil {
-		return s.remote.known()
-	}
-	return s.Status()
+// closedDone is the done channel of every receipt: a receipt never
+// changes, so there is nothing to wait for.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// receipt returns what a router keeps of a create on a remote shard: the
+// id and the status the shard answered, and nothing that makes a network
+// call. The shard stays the authority over the session; the API forwards
+// every later request for it there.
+func receipt(st SessionStatus) *Session {
+	return &Session{id: st.ID, receipt: &st, done: closedDone}
 }
 
-// errProxy answers what a remote proxy does not carry: estimates and the
-// job and VM listings are served by the home shard's own API, which the
-// router forwards those requests to.
-func (s *Session) errProxy() error {
-	return errf(http.StatusNotImplemented, "session %s lives on a remote shard; ask the API for it", s.id)
+// errRemoteHomed answers a request for a remote-homed session's simulation
+// outside its shard: bags, estimates, reports and the job and VM listings
+// are served by the home shard's own API, which the router forwards those
+// requests to.
+func errRemoteHomed(id string) error {
+	return errf(http.StatusNotImplemented, "session %s lives on a remote shard; its shard's API serves it", id)
 }
 
 // validateBagRequest rejects malformed bag parameters before they reach
@@ -232,8 +238,8 @@ func (s *Session) rlockGate() func() {
 
 // SubmitBag adds a bag of jobs; only valid before the session runs.
 func (s *Session) SubmitBag(req BagRequest) (int, float64, error) {
-	if s.remote != nil {
-		return s.remote.submitBag(req)
+	if s.receipt != nil {
+		return 0, 0, errRemoteHomed(s.id)
 	}
 	app, err := validateBagRequest(req)
 	if err != nil {
@@ -270,8 +276,8 @@ func (s *Session) SubmitBag(req BagRequest) (int, float64, error) {
 // Estimate quotes a bag against the session's configuration without
 // running anything.
 func (s *Session) Estimate(req BagRequest) (batch.Estimate, error) {
-	if s.remote != nil {
-		return batch.Estimate{}, s.errProxy()
+	if s.receipt != nil {
+		return batch.Estimate{}, errRemoteHomed(s.id)
 	}
 	app, err := validateBagRequest(req)
 	if err != nil {
@@ -288,8 +294,8 @@ func (s *Session) Estimate(req BagRequest) (batch.Estimate, error) {
 // Report returns the final report; an apiError with 404 until the run
 // completes.
 func (s *Session) Report() (batch.Report, error) {
-	if s.remote != nil {
-		return s.remote.report()
+	if s.receipt != nil {
+		return batch.Report{}, errRemoteHomed(s.id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -334,8 +340,8 @@ func (s *Session) awaitDetail() {
 // from a detail refresh at the run loop's next progress interval (at most
 // one interval old when served).
 func (s *Session) Jobs() ([]batch.JobStatus, error) {
-	if s.remote != nil {
-		return nil, s.errProxy()
+	if s.receipt != nil {
+		return nil, errRemoteHomed(s.id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,8 +370,8 @@ type VMState = batch.VMInfo
 // listing comes from a detail refresh at the run loop's next progress
 // interval.
 func (s *Session) VMs() ([]VMState, error) {
-	if s.remote != nil {
-		return nil, s.errProxy()
+	if s.receipt != nil {
+		return nil, errRemoteHomed(s.id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,15 +396,9 @@ func (s *Session) Wait() {
 }
 
 // Done returns a channel closed when the session reaches a terminal state
-// (sessions restored from the store in a terminal state are born closed).
-// For remote proxies the channel is fed by a watcher, started on first
-// use, that follows the session's event stream on its shard.
-func (s *Session) Done() <-chan struct{} {
-	if s.remote != nil {
-		return s.remote.doneChan()
-	}
-	return s.done
-}
+// (sessions restored from the store in a terminal state are born closed,
+// and so is a receipt, which never changes).
+func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Manager owns one shard's sessions and the bounded worker pool their runs
 // execute on: its own session map, persist gate, store, and degraded-mode

@@ -22,20 +22,24 @@ import (
 // Manager — same ids, same listing order, byte-identical reports — while
 // splitting sessions, stores, and faults across shards.
 
-// runFleet creates, loads, and runs n sessions through a backend and
-// returns each session's marshaled report keyed by id.
+// runFleet creates n sessions on b, loads and runs them through b's HTTP
+// API (which forwards a remote-homed session's requests to its shard), and
+// returns every listed session's marshaled report keyed by id, once its
+// run is over (see reportOf).
 func runFleet(t *testing.T, b Backend, n int) map[string]string {
 	t.Helper()
+	h := NewAPI(b).Handler()
 	for i := 1; i <= n; i++ {
 		s, err := b.CreateCtx(context.Background(), fmt.Sprintf("w-%d", i), testConfig(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: 6 + i, Jitter: 0.01, Seed: uint64(i)}); err != nil {
-			t.Fatal(err)
+		p := "/api/sessions/" + s.ID()
+		if rec := call(t, h, "POST", p+"/bags", BagRequest{App: "shapes", Jobs: 6 + i, Jitter: 0.01, Seed: uint64(i)}); rec.Code != http.StatusAccepted {
+			t.Fatalf("bags: %d %s", rec.Code, rec.Body)
 		}
-		if err := b.Run(s); err != nil {
-			t.Fatal(err)
+		if rec := call(t, h, "POST", p+"/run", nil); rec.Code != http.StatusAccepted {
+			t.Fatalf("run: %d %s", rec.Code, rec.Body)
 		}
 	}
 	sessions, errs := b.ListPartial()
@@ -43,17 +47,8 @@ func runFleet(t *testing.T, b Backend, n int) map[string]string {
 		t.Fatalf("listing: %v", errs)
 	}
 	out := make(map[string]string, n)
-	for _, s := range sessions {
-		s.Wait()
-		rep, err := s.Report()
-		if err != nil {
-			t.Fatalf("session %s: %v", s.ID(), err)
-		}
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[s.ID()] = string(raw)
+	for _, st := range sessions {
+		out[st.ID] = reportOf(t, h, st.ID)
 	}
 	return out
 }
@@ -96,21 +91,21 @@ func TestRouterListOrder(t *testing.T) {
 	}
 	homes := make(map[int]bool)
 	for i, s := range list {
-		if want := ids.Padded("s-", i+1, 3); s.ID() != want {
-			t.Fatalf("list[%d] = %s, want %s", i, s.ID(), want)
+		if want := ids.Padded("s-", i+1, 3); s.ID != want {
+			t.Fatalf("list[%d] = %s, want %s", i, s.ID, want)
 		}
-		homes[placement.Shard(s.ID(), 4)] = true
+		homes[placement.Shard(s.ID, 4)] = true
 	}
 	if len(homes) < 2 {
 		t.Fatalf("all 8 sessions landed on %d shard(s); placement is not spreading", len(homes))
 	}
 	// Routed lookups agree with placement: the owner has it, nobody else.
 	for _, s := range list {
-		home := placement.Shard(s.ID(), 4)
+		home := placement.Shard(s.ID, 4)
 		for i := 0; i < 4; i++ {
-			_, err := r.Shard(i).Get(s.ID())
+			_, err := r.Shard(i).Get(s.ID)
 			if (err == nil) != (i == home) {
-				t.Fatalf("shard %d Get(%s) err=%v; home is %d", i, s.ID(), err, home)
+				t.Fatalf("shard %d Get(%s) err=%v; home is %d", i, s.ID, err, home)
 			}
 		}
 	}
@@ -437,21 +432,10 @@ func TestRouterPinsModelRefOnEveryShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			off := createAll("east@v2")
-			if _, _, err := off.SubmitBag(BagRequest{App: "shapes", Jobs: 10, Jitter: 0.02, Seed: 5}); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Run(off); err != nil {
-				t.Fatal(err)
-			}
-			off.Wait()
-			rep, err := off.Report()
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, _ := json.Marshal(rep)
+			raw := runOn(t, r, off.ID())
 			inline := testConfig(1)
 			inline.Model = &v2
-			if _, want := runReport(t, NewManager(1), inline); string(raw) != want {
+			if _, want := runReport(t, NewManager(1), inline); raw != want {
 				t.Fatalf("session pinned to east@v2 on shard %d diverged from inline v2 params:\n ref:    %s\n inline: %s",
 					placement.Shard(off.ID(), n), raw, want)
 			}
@@ -560,19 +544,12 @@ func TestModelRefByteIdenticalAcrossTopologiesAndRestart(t *testing.T) {
 
 			r, stop = boot()
 			defer stop()
+			h := NewAPI(r).Handler()
 			for i, id := range ids {
-				s, err := r.Get(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := s.Status().Config.ModelRef; got != "east@v1" {
+				if got := statusOf(t, h, id).Config.ModelRef; got != "east@v1" {
 					t.Fatalf("restored session %s pinned %q, want east@v1", id, got)
 				}
-				rep, err := s.Report()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if raw, _ := json.Marshal(rep); string(raw) != inline[i] {
+				if raw := reportOf(t, h, id); raw != inline[i] {
 					t.Fatalf("restored session %s diverged:\n  %s\nvs\n  %s", id, raw, inline[i])
 				}
 			}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"repro/internal/obs"
@@ -10,12 +11,11 @@ import (
 // This file implements the server half of the shard protocol: a single
 // Manager exposed over HTTP to a Router in another process. The protocol
 // is the public /api surface — so every session request a RemoteBackend
-// forwards or makes hits exactly the handlers a client would, completion
-// included (a proxy's Done follows the session's event stream) — plus a
-// small /shard namespace for what the public API deliberately lacks:
-// creates under a router-minted id (carrying a model_ref's pinned
-// parameters), liveness pings for the supervisor, and a stats snapshot for
-// scatter-gather aggregation.
+// forwards hits exactly the handler a client would — plus a small /shard
+// namespace for what the public API deliberately lacks: creates under a
+// router-minted id (carrying a model_ref's pinned parameters), a sweep's
+// group of such creates run to completion in one request, liveness pings
+// for the supervisor, and a stats snapshot for scatter-gather aggregation.
 
 // NewShardManager returns a Manager configured as a remote executor shard.
 // The control plane lives in the router's process and resolves every model
@@ -69,6 +69,9 @@ type shardCreateRequest struct {
 	Name   string        `json:"name,omitempty"`
 	Config SessionConfig `json:"config"`
 	Params *ModelParams  `json:"params,omitempty"`
+	// cell is a sweep cell's index in its grid, kept by the router that
+	// sends the create in a sweep group; it never goes on the wire.
+	cell int
 }
 
 // shardAPI serves the /shard namespace over one Manager.
@@ -84,6 +87,7 @@ func ShardHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/api/", NewAPI(m).Handler())
 	mux.HandleFunc("POST /shard/sessions", sa.handleCreate)
+	mux.HandleFunc("POST "+shardSweepPath, sa.handleSweep)
 	mux.HandleFunc("GET /shard/ping", sa.handlePing)
 	mux.HandleFunc("GET /shard/info", sa.handleInfo)
 	// The shard process serves its own metrics, so a fleet is scraped
@@ -109,6 +113,52 @@ func (sa *shardAPI) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.Status())
+}
+
+// shardSweepPath is the route a sweep group is sent to.
+const shardSweepPath = "/shard/sweep"
+
+// handleSweep is POST /shard/sweep: it runs one sweep group — creates under
+// router-minted ids, the bag, the runs — and answers with each cell's
+// outcome in request order. A group is refused whole, before anything is
+// created, for an invalid bag or a missing id (400) and for an id this
+// shard already holds (409: the router's id sequence is behind this
+// shard's). The headers go out once every cell is created and started,
+// which is all the router's per-op deadline bounds; the body follows when
+// the runs are over.
+func (sa *shardAPI) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req shardSweepRequest
+	if err := decodeStrict(r, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := sa.m.checkSweepGroup(req); err != nil {
+		writeErr(w, httpCode(err), err)
+		return
+	}
+	finish := sa.m.startCells(r.Context(), req.Cells, req.Bag)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = http.NewResponseController(w).Flush()
+	_ = json.NewEncoder(w).Encode(map[string][]cellOutcome{"cells": finish()})
+}
+
+// checkSweepGroup refuses a sweep group this shard cannot run as sent.
+func (m *Manager) checkSweepGroup(req shardSweepRequest) error {
+	if _, err := validateBagRequest(req.Bag); err != nil {
+		return errf(http.StatusBadRequest, "bag: %v", err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range req.Cells {
+		if c.ID == "" {
+			return errf(http.StatusBadRequest, "shard sweep needs a router-minted id for every cell")
+		}
+		if m.sessions[c.ID] != nil || m.creating[c.ID] {
+			return errf(http.StatusConflict, "session %s already exists on shard %d", c.ID, m.shard)
+		}
+	}
+	return nil
 }
 
 // handlePing is GET /shard/ping: the supervisor's liveness check. It

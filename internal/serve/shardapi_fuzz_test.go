@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/batch"
 )
 
 // FuzzShardCreate feeds arbitrary bodies to POST /shard/sessions, the
@@ -104,6 +107,112 @@ func FuzzShardCreate(f *testing.F) {
 		// Keep the shard to the held session across inputs.
 		if err := m.Delete(req.ID); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzShardSweep feeds arbitrary bodies to POST /shard/sweep, the one
+// request a router sends a remote shard for a sweep's group of cells,
+// through the shard's own handler, with runs that finish at once. Nothing
+// may panic. A 2xx answers one cell per requested cell, in request order
+// (a cell that ran carries the id it was sent under); anything else is a
+// 4xx that appends nothing to the shard's store. The seeds are a valid
+// two-cell group, a pinned model_ref with its parameters, one without
+// them, an empty id, an id twice in one group, an id the shard already
+// holds, a bag with no jobs, and unknown fields.
+//
+//	go test -run '^$' -fuzz '^FuzzShardSweep$' -fuzztime 20s ./internal/serve
+func FuzzShardSweep(f *testing.F) {
+	m := NewShardManager(1)
+	f.Cleanup(m.Close)
+	m.runHook = func(context.Context, *batch.Service) (batch.Report, error) {
+		return batch.Report{JobsCompleted: 1}, nil
+	}
+	if err := m.Restore(openStore(f, f.TempDir())); err != nil {
+		f.Fatal(err)
+	}
+	h := ShardHandler(m)
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	// s-001 stays on the shard for the whole run: every group naming it
+	// must be refused.
+	held, _ := json.Marshal(shardCreateRequest{ID: "s-001", Config: testConfig(1)})
+	if rec := post("/shard/sessions", held); rec.Code != http.StatusCreated {
+		f.Fatalf("creating the held session = %d, want 201", rec.Code)
+	}
+	bag := BagRequest{App: "shapes", Jobs: 3, Seed: 1}
+	p := testModelParams()
+	for _, req := range []shardSweepRequest{
+		{Cells: []shardCreateRequest{{ID: "s-002", Name: "a", Config: testConfig(2)}, {ID: "s-003", Config: testConfig(3)}}, Bag: bag},
+		{Cells: []shardCreateRequest{{ID: "s-004", Config: refConfig(4, "east@v1"), Params: &p}}, Bag: bag},
+		{Cells: []shardCreateRequest{{ID: "s-005", Config: refConfig(5, "east@v1")}}, Bag: bag},
+		{Cells: []shardCreateRequest{{ID: "", Config: testConfig(6)}}, Bag: bag},
+		{Cells: []shardCreateRequest{{ID: "s-007", Config: testConfig(7)}, {ID: "s-007", Config: testConfig(8)}}, Bag: bag},
+		{Cells: []shardCreateRequest{{ID: "s-001", Config: testConfig(9)}}, Bag: bag},
+		{Cells: []shardCreateRequest{{ID: "s-010", Config: testConfig(10)}}, Bag: BagRequest{App: "shapes"}},
+	} {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"cells":[{"id":"s-011","config":{"vm_type":"n1-highcpu-16","zone":"us-east1-b","vms":4,"model":{"a":0.45,"tau1":1,"tau2":0.8,"b":24,"l":24}},"epoch":7}],"bag":{"app":"shapes","jobs":2},"group":1}`))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		// The shard allocates what a group asks for, with no bound on a
+		// bag's jobs or a config's VMs; skip inputs asking for more than a
+		// handful, so one input cannot exhaust the fuzzing process.
+		var req shardSweepRequest
+		decodeErr := json.Unmarshal(in, &req)
+		for _, c := range req.Cells {
+			if c.Config.VMs > 64 {
+				return
+			}
+		}
+		if len(req.Cells) > 8 || req.Bag.Jobs > 1000 {
+			return
+		}
+		before := m.StoreStats().Appended
+		rec := post(shardSweepPath, in)
+		appended := m.StoreStats().Appended - before
+		if rec.Code/100 != 2 {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("sweep group answered %d, want a 2xx or a 4xx", rec.Code)
+			}
+			if appended != 0 {
+				t.Fatalf("refused sweep group (%d) appended %d records", rec.Code, appended)
+			}
+			return
+		}
+		if decodeErr != nil {
+			t.Fatalf("%d for a body that does not decode: %v", rec.Code, decodeErr)
+		}
+		var out struct {
+			Cells []cellOutcome `json:"cells"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("undecodable %d answer %q: %v", rec.Code, rec.Body, err)
+		}
+		if len(out.Cells) != len(req.Cells) {
+			t.Fatalf("%d cells answered for %d requested", len(out.Cells), len(req.Cells))
+		}
+		for k, c := range out.Cells {
+			if c.SessionID != "" && c.SessionID != req.Cells[k].ID {
+				t.Fatalf("cell %d ran as %s, sent as %s", k, c.SessionID, req.Cells[k].ID)
+			}
+			if (c.Error == "") == (c.Report == nil) {
+				t.Fatalf("cell %d answered error %q and report %v; want exactly one", k, c.Error, c.Report)
+			}
+			if c.Report != nil {
+				// Keep the shard to the held session across inputs.
+				if err := m.Delete(c.SessionID); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	})
 }

@@ -183,6 +183,7 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 	}
 
 	// A long run on the remote shard is mid-simulation when the kill lands.
+	h := NewAPI(r).Handler()
 	slowBag := BagRequest{App: "shapes", Jobs: slowSessionJobs, Jitter: 0.02, Seed: 3}
 	var slow *Session
 	for slow == nil {
@@ -194,14 +195,14 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 			slow = s
 		}
 	}
-	if _, _, err := slow.SubmitBag(slowBag); err != nil {
-		t.Fatal(err)
+	if rec := call(t, h, "POST", "/api/sessions/"+slow.ID()+"/bags", slowBag); rec.Code != http.StatusAccepted {
+		t.Fatalf("bags: %d %s", rec.Code, rec.Body)
 	}
-	if err := r.Run(slow); err != nil {
-		t.Fatal(err)
+	if rec := call(t, h, "POST", "/api/sessions/"+slow.ID()+"/run", nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("run: %d %s", rec.Code, rec.Body)
 	}
 	waitUntil(t, "the remote run to publish progress", func() bool {
-		st := slow.Status()
+		st := statusOf(t, h, slow.ID())
 		if st.State.terminal() {
 			t.Fatalf("remote run ended %s before the kill; it must outlast it", st.State)
 		}
@@ -224,7 +225,7 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 	rb := r.Remote(1)
 	sawUnavailable := false
 	waitUntil(t, "breaker to open after the kill", func() bool {
-		_, err := rb.Get(remoteIDs[0])
+		_, err := statusOn(rb, remoteIDs[0])
 		if err != nil && httpCode(err) == http.StatusServiceUnavailable && retryAfterOf(err) > 0 {
 			sawUnavailable = true
 		}
@@ -242,7 +243,7 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		return sup.Restarts(0) >= 1
 	})
 	waitUntil(t, "restarted shard to serve reads again", func() bool {
-		_, err := rb.Get(remoteIDs[0])
+		_, err := statusOn(rb, remoteIDs[0])
 		return err == nil
 	})
 	if got := rb.BreakerState(); got != breakerClosed {
@@ -251,56 +252,24 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 
 	// WAL replay: every remote-homed report is byte-identical to pre-kill.
 	for _, id := range remoteIDs {
-		s, err := r.Get(id)
-		if err != nil {
-			t.Fatalf("post-restart Get(%s): %v", id, err)
-		}
-		rep, err := s.Report()
-		if err != nil {
-			t.Fatalf("post-restart report for %s: %v", id, err)
-		}
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(raw) != before[id] {
+		if raw := reportOf(t, h, id); raw != before[id] {
 			t.Errorf("session %s: post-replay report differs:\n  %s\nvs\n  %s", id, raw, before[id])
 		}
 	}
 	// The interrupted run came back done, with an uncrashed run's report.
-	rs, err := r.Get(slow.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := rs.Status(); st.State != StateDone {
+	if st := statusOf(t, h, slow.ID()); st.State != StateDone {
 		t.Fatalf("interrupted run restored as %s (%s), want done", st.State, st.Error)
 	}
-	rep, err := rs.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uncrashedView(t, "slow", slowConfig(1), slowBag).report; string(raw) != want {
+	if raw, want := reportOf(t, h, slow.ID()), uncrashedView(t, "slow", slowConfig(1), slowBag).report; raw != want {
 		t.Errorf("interrupted run's report differs from an uncrashed run's:\n  %s\nvs\n  %s", raw, want)
 	}
 
 	// The pinned session came back from its own log's parameters: still
 	// pinned to east@v1, with its pre-kill report.
-	ps, err := r.Get(pinned.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ps.Status().Config.ModelRef; got != "east@v1" {
+	if got := statusOf(t, h, pinned.ID()).Config.ModelRef; got != "east@v1" {
 		t.Fatalf("restored remote session pinned %q, want east@v1", got)
 	}
-	rep, err = ps.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw, _ := json.Marshal(rep); string(raw) != pinnedReport {
+	if raw := reportOf(t, h, pinned.ID()); raw != pinnedReport {
 		t.Errorf("restored model_ref session's report differs:\n  %s\nvs\n  %s", raw, pinnedReport)
 	}
 
@@ -372,15 +341,17 @@ func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 			s = c
 		}
 	}
-	if _, _, err := s.SubmitBag(BagRequest{App: "shapes", Jobs: slowSessionJobs / 4, Jitter: 0.02, Seed: 3}); err != nil {
-		t.Fatal(err)
+	h := NewAPI(r).Handler()
+	p := "/api/sessions/" + s.ID()
+	if rec := call(t, h, "POST", p+"/bags", BagRequest{App: "shapes", Jobs: slowSessionJobs / 4, Jitter: 0.02, Seed: 3}); rec.Code != http.StatusAccepted {
+		t.Fatalf("bags: %d %s", rec.Code, rec.Body)
 	}
-	if err := r.Run(s); err != nil {
-		t.Fatal(err)
+	if rec := call(t, h, "POST", p+"/run", nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("run: %d %s", rec.Code, rec.Body)
 	}
-	waitUntil(t, "remote run to start", func() bool { return s.Status().State == StateRunning })
+	waitUntil(t, "remote run to start", func() bool { return statusOf(t, h, s.ID()).State == StateRunning })
 	r.Wait()
-	if got := s.Status().State; got != StateRunning {
+	if got := statusOf(t, h, s.ID()).State; got != StateRunning {
 		t.Fatalf("remote session %s is %s when Router.Wait returns, want still running", s.ID(), got)
 	}
 
@@ -395,11 +366,8 @@ func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 	defer sup.Kill()
 	var st SessionStatus
 	waitUntil(t, "respawned shard to serve the session", func() bool {
-		got, err := r.Get(s.ID())
-		if err == nil {
-			st = got.Status()
-		}
-		return err == nil
+		rec := call(t, h, "GET", p, nil)
+		return rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &st) == nil
 	})
 	if st.State != StateDone {
 		t.Fatalf("respawned shard serves %s as %s (%s), want done", s.ID(), st.State, st.Error)
@@ -436,7 +404,6 @@ func TestShardProcessTracePropagation(t *testing.T) {
 	// Mint ids until one places on the remote shard; each create carries its
 	// own trace so only the remote-homed one is inspected.
 	var tid, sid string
-	var remote *Session
 	for i := 0; i < 8 && sid == ""; i++ {
 		ctx := obs.WithTrace(context.Background(), obs.NewTraceID())
 		s, err := r.CreateCtx(ctx, "traced", testConfig(uint64(i+1)))
@@ -444,7 +411,7 @@ func TestShardProcessTracePropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if placement.Shard(s.ID(), 2) == 1 {
-			tid, sid, remote = obs.TraceID(ctx), s.ID(), s
+			tid, sid = obs.TraceID(ctx), s.ID()
 		}
 	}
 	if sid == "" {
@@ -486,7 +453,7 @@ func TestShardProcessTracePropagation(t *testing.T) {
 	}
 	traced(http.MethodPost, base+"/bags", BagRequest{App: "shapes", Jobs: 5, Jitter: 0.01, Seed: 1}, http.StatusAccepted)
 	traced(http.MethodPost, base+"/run", nil, http.StatusAccepted)
-	remote.Wait()
+	waitDone(t, NewAPI(r).Handler(), sid) // untraced: its polls get traces of their own
 	traced(http.MethodGet, base+"/report", nil, http.StatusOK)
 	traced(http.MethodGet, base+"/events", nil, http.StatusOK)
 	traced(http.MethodDelete, base, nil, http.StatusOK)

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
+	"sync"
 
 	"repro/internal/batch"
+	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
@@ -83,17 +86,87 @@ func (m *Manager) Sweep(req SweepRequest) (SweepReport, error) {
 // finishes first. A cancelled ctx (client gone) stops creating new cells;
 // already-started cells run to completion as ordinary sessions.
 func (m *Manager) SweepCtx(ctx context.Context, req SweepRequest) (SweepReport, error) {
-	return sweepCtx(ctx, m, req)
+	cells, todo, err := expandSweep(m, req)
+	if err != nil {
+		return SweepReport{}, err
+	}
+	for k, o := range m.startCells(ctx, todo, req.Bag)() {
+		cells[todo[k].cell].apply(o)
+	}
+	return sweepReport(cells, false), nil
 }
 
-// sweepCtx is the sweep body, written against the Backend interface so the
-// same grid walk serves both a single Manager and a Router — under a
-// Router each cell's create routes the cell to its id's home shard, so a
-// sweep's simulations spread across every shard's worker pool while the
-// aggregation stays in grid order.
-func sweepCtx(ctx context.Context, b Backend, req SweepRequest) (SweepReport, error) {
+// SweepCtx is a scatter-gather. The router resolves every cell's model
+// reference on the control plane and mints the cells' ids in grid order,
+// the ids single creates would get, then runs each home shard's cells as
+// one group, all groups at once: a local group on its Manager, a remote
+// one as a single POST /shard/sweep. A group whose shard cannot be reached
+// marks its cells and the report partial. A remote shard holding one of
+// its group's ids refuses the group (409: this router's id sequence is
+// behind the shard's); the router adopts the shard's high-water mark and
+// runs those cells once more under fresh ids.
+func (r *Router) SweepCtx(ctx context.Context, req SweepRequest) (SweepReport, error) {
+	cells, todo, err := expandSweep(r.control(), req)
+	if err != nil {
+		return SweepReport{}, err
+	}
+	partial := false
+	for retried := false; len(todo) > 0; retried = true {
+		groups := make(map[int][]shardCreateRequest) // by home shard, grid order
+		for _, c := range todo {
+			c.ID = r.nextID()
+			home := placement.Shard(c.ID, len(r.slots))
+			groups[home] = append(groups[home], c)
+		}
+		todo = nil
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for shard, group := range groups {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs, err := r.slots[shard].sweep(ctx, shardSweepRequest{Cells: group, Bag: req.Bag})
+				rb := r.remotes[shard]
+				refused := rb != nil && !retried && httpCode(err) == http.StatusConflict
+				if refused {
+					r.syncRemote(rb)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case err == nil:
+					for k, c := range group {
+						cells[c.cell].apply(outs[k])
+					}
+				case refused:
+					todo = append(todo, group...)
+				default:
+					for _, c := range group {
+						cells[c.cell].Error = err.Error()
+					}
+					partial = partial || errors.Is(err, ErrShardUnavailable)
+				}
+			}()
+		}
+		wg.Wait()
+		sort.Slice(todo, func(i, j int) bool { return todo[i].cell < todo[j].cell })
+	}
+	return sweepReport(cells, partial), nil
+}
+
+// Sweep runs the grid to completion and aggregates the results.
+func (r *Router) Sweep(req SweepRequest) (SweepReport, error) {
+	return r.SweepCtx(context.Background(), req)
+}
+
+// expandSweep validates req and expands its grid into cells in grid
+// order, plus, for each cell to run, the create that runs it (id left
+// empty): its config and name, the model reference resolved and pinned on
+// m, the control plane. A cell whose reference does not resolve carries
+// the error and gets no create.
+func expandSweep(m *Manager, req SweepRequest) ([]SweepCell, []shardCreateRequest, error) {
 	if len(req.VMTypes) == 0 {
-		return SweepReport{}, errf(http.StatusBadRequest, "sweep needs at least one vm_type")
+		return nil, nil, errf(http.StatusBadRequest, "sweep needs at least one vm_type")
 	}
 	if len(req.Zones) == 0 {
 		req.Zones = []string{string(trace.USEast1B)}
@@ -102,7 +175,7 @@ func sweepCtx(ctx context.Context, b Backend, req SweepRequest) (SweepReport, er
 		req.Policies = []string{PolicyReuse}
 	}
 	if len(req.ModelRefs) > 0 && (req.Model != nil || req.Fit != nil) {
-		return SweepReport{}, errf(http.StatusBadRequest,
+		return nil, nil, errf(http.StatusBadRequest,
 			"model_refs is exclusive with \"model\" and \"fit\": each cell has one model source")
 	}
 	// With no per-cell refs, every cell shares the request's model spec;
@@ -113,14 +186,10 @@ func sweepCtx(ctx context.Context, b Backend, req SweepRequest) (SweepReport, er
 	}
 	app, err := validateBagRequest(req.Bag)
 	if err != nil {
-		return SweepReport{}, errf(http.StatusBadRequest, "bag: %v", err)
+		return nil, nil, errf(http.StatusBadRequest, "bag: %v", err)
 	}
-
-	// Create and start every cell; creation is synchronous (validation
-	// errors surface per cell), execution shares the bounded pool.
-	cells := make([]SweepCell, 0, len(req.VMTypes)*len(req.Zones)*len(req.Policies)*len(refs))
-	started := make([]*Session, 0, cap(cells))
-	partial := false
+	var cells []SweepCell
+	var creates []shardCreateRequest
 	for _, vt := range req.VMTypes {
 		for _, zone := range req.Zones {
 			for _, pol := range req.Policies {
@@ -145,74 +214,106 @@ func sweepCtx(ctx context.Context, b Backend, req SweepRequest) (SweepReport, er
 						Fit:               req.Fit,
 						ModelRef:          ref,
 					}
-					cellName := fmt.Sprintf("sweep/%s/%s/%s", vt, zone, pol)
+					name := fmt.Sprintf("sweep/%s/%s/%s", vt, zone, pol)
 					if ref != "" {
-						cellName += "/" + ref
+						name += "/" + ref
 					}
-					s, err := b.CreateCtx(ctx, cellName, cfg)
-					if err == nil {
-						_, _, err = s.SubmitBag(req.Bag)
-					}
-					if err == nil {
-						err = b.Run(s)
-					}
-					if err != nil {
+					if cfg, pinned, err := m.resolveModel(cfg); err != nil {
 						cell.Error = err.Error()
-						if errors.Is(err, ErrShardUnavailable) {
-							partial = true
-						}
-						if s != nil {
-							// Don't leave a half-configured session registered
-							// (and, with a store attached, durably persisted):
-							// the client only asked for the sweep's aggregate.
-							cell.SessionID = s.ID()
-							_ = b.Delete(s.ID())
-						}
 					} else {
-						cell.SessionID = s.ID()
-						started = append(started, s)
+						creates = append(creates, shardCreateRequest{Name: name, Config: cfg, Params: pinned, cell: len(cells)})
 					}
 					cells = append(cells, cell)
 				}
 			}
 		}
 	}
+	return cells, creates, nil
+}
 
-	for _, s := range started {
-		s.Wait()
+// shardSweepRequest is one sweep group, the POST /shard/sweep body: the
+// cells homed on one shard, in grid order, and the bag every cell runs.
+type shardSweepRequest struct {
+	Cells []shardCreateRequest `json:"cells"`
+	Bag   BagRequest           `json:"bag"`
+}
+
+// cellOutcome is what running one cell yields: the session it ran as
+// (empty when its create failed), and its error or its report.
+type cellOutcome struct {
+	SessionID string        `json:"session_id,omitempty"`
+	Error     string        `json:"error,omitempty"`
+	Report    *batch.Report `json:"report,omitempty"`
+}
+
+// apply records a cell's outcome.
+func (c *SweepCell) apply(o cellOutcome) {
+	c.SessionID, c.Error, c.Report = o.SessionID, o.Error, o.Report
+}
+
+// sweep runs one sweep group to completion on this manager; a local group
+// cannot fail as a whole.
+func (m *Manager) sweep(ctx context.Context, req shardSweepRequest) ([]cellOutcome, error) {
+	return m.startCells(ctx, req.Cells, req.Bag)(), nil
+}
+
+// startCells creates, loads and starts each cell in order, under its id
+// (one the manager mints when it is empty), and returns a func that waits
+// for the started cells and collects their outcomes. A cell that fails
+// after its create is deleted: the client asked for the sweep's
+// aggregate, not for a half-configured (and durably persisted) session.
+func (m *Manager) startCells(ctx context.Context, cells []shardCreateRequest, bag BagRequest) func() []cellOutcome {
+	outs := make([]cellOutcome, len(cells))
+	started := make([]*Session, len(cells))
+	for i, c := range cells {
+		s, err := m.createSession(ctx, c.ID, c.Name, c.Config, c.Params)
+		if err == nil {
+			outs[i].SessionID = s.ID()
+			if _, _, err = s.SubmitBag(bag); err == nil {
+				err = m.Run(s)
+			}
+			if err != nil {
+				_ = m.Delete(s.ID())
+			}
+		}
+		if err != nil {
+			outs[i].Error = err.Error()
+			continue
+		}
+		started[i] = s
 	}
+	return func() []cellOutcome {
+		for i, s := range started {
+			if s == nil {
+				continue
+			}
+			s.Wait()
+			if rep, err := s.Report(); err != nil {
+				outs[i].Error = err.Error()
+			} else {
+				outs[i].Report = &rep
+			}
+		}
+		return outs
+	}
+}
 
-	rep := SweepReport{Cells: cells}
+// sweepReport aggregates the cells in grid order and picks the cheapest
+// (per job) and fastest (makespan) cells among those that completed.
+func sweepReport(cells []SweepCell, partial bool) SweepReport {
+	rep := SweepReport{Cells: cells, Partial: partial}
 	bestCost, bestMakespan := 0.0, 0.0
-	for i := range rep.Cells {
-		cell := &rep.Cells[i]
-		if cell.Error != "" {
+	for _, c := range cells {
+		r := c.Report
+		if r == nil {
 			continue
 		}
-		s, err := b.Get(cell.SessionID)
-		if err != nil {
-			cell.Error = err.Error()
-			if errors.Is(err, ErrShardUnavailable) {
-				partial = true
-			}
-			continue
-		}
-		r, err := s.Report()
-		if err != nil {
-			cell.Error = err.Error()
-			if errors.Is(err, ErrShardUnavailable) {
-				partial = true
-			}
-			continue
-		}
-		cell.Report = &r
 		if rep.Cheapest == "" || r.CostPerJob < bestCost {
-			rep.Cheapest, bestCost = cell.SessionID, r.CostPerJob
+			rep.Cheapest, bestCost = c.SessionID, r.CostPerJob
 		}
 		if rep.Fastest == "" || r.Makespan < bestMakespan {
-			rep.Fastest, bestMakespan = cell.SessionID, r.Makespan
+			rep.Fastest, bestMakespan = c.SessionID, r.Makespan
 		}
 	}
-	rep.Partial = partial
-	return rep, nil
+	return rep
 }

@@ -2,8 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -61,6 +62,19 @@ func waitClosed(t *testing.T, c *connCount, want int64) {
 
 var testBag = BagRequest{App: "shapes", Jobs: 6, Jitter: 0.01, Seed: 1}
 
+// forwardBag sends testBag to session id through rb the way the API
+// forwards a remote-homed session's request, and returns the reply.
+func forwardBag(t *testing.T, rb *RemoteBackend, id string) *httptest.ResponseRecorder {
+	t.Helper()
+	body, err := json.Marshal(testBag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rb.forward(rec, httptest.NewRequest(http.MethodPost, "/api/sessions/"+id+"/bags", bytes.NewReader(body)))
+	return rec
+}
+
 // TestShardTransportStaleConnection covers a pooled connection the shard
 // side has closed, whether the shard dropped it or its server restarted on
 // the same address: the liveness check discards it, and the next bag
@@ -103,8 +117,8 @@ func TestShardTransportStaleConnection(t *testing.T) {
 				srv.CloseClientConnections()
 			}
 
-			if _, _, err := s.SubmitBag(testBag); err != nil {
-				t.Fatalf("bag submission after a stale pooled connection: %v", err)
+			if rec := forwardBag(t, rb, s.ID()); rec.Code != http.StatusAccepted {
+				t.Fatalf("bag submission after a stale pooled connection: %d %s", rec.Code, rec.Body)
 			}
 			if n := bags.Load(); n != 1 {
 				t.Fatalf("the shard handled the bag submission %d times, want 1", n)
@@ -147,9 +161,9 @@ func TestShardTransportNeverResends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.SubmitBag(testBag)
-	if !errors.Is(err, ErrShardUnavailable) || httpCode(err) != http.StatusServiceUnavailable {
-		t.Fatalf("submission on a cut connection: err = %v, want a 503 wrapping ErrShardUnavailable", err)
+	rec := forwardBag(t, rb, s.ID())
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), ErrShardUnavailable.Error()) {
+		t.Fatalf("submission on a cut connection: %d %s, want a 503 naming ErrShardUnavailable", rec.Code, rec.Body)
 	}
 	if n := bags.Load(); n != 1 {
 		t.Fatalf("the shard saw the bag submission %d times, want 1", n)

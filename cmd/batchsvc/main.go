@@ -6,9 +6,7 @@
 //
 //	batchsvc [-addr :8080] [-shards N] [-parallelism N] [-planner-parallelism N]
 //	         [-data-dir DIR] [-schedule-cache-cap N] [-pprof PORT]
-//	         [-wal-segment-bytes N] [-wal-segment-records N]
-//	         [-compact-bytes N] [-compact-records N]
-//	         [-max-sessions N] [-queue-depth N]
+//	         [-compact-bytes N] [-max-sessions N] [-queue-depth N]
 //	         [-degraded-probe-interval D] [-shutdown-timeout D]
 //	         [-log-format text|json] [-trace-buffer N]
 //	         [-distribute] [-shard-port-base P]
@@ -55,12 +53,12 @@
 // comparison. SIGINT/SIGTERM drain in-flight runs for -shutdown-timeout
 // before exiting; a second signal forces immediate exit.
 //
-// The store rotates its WAL into bounded segments and compacts in the
-// background once the log crosses -compact-bytes/-compact-records, so
-// long-lived processes bound both replay time and disk usage. If the disk
-// fails persistently, the service degrades to read-only — mutating
-// endpoints return 503 with Retry-After and /api/stats reports the
-// degraded health — and recovers automatically when writes succeed again.
+// The store keeps one WAL file and compacts it in the background once it
+// crosses -compact-bytes, so long-lived processes bound both replay time
+// and disk usage. If the disk fails persistently, the service degrades to
+// read-only — mutating endpoints return 503 with Retry-After and
+// /api/stats reports the degraded health — and recovers automatically when
+// writes succeed again.
 // -max-sessions and -queue-depth bound admission (429 when saturated).
 //
 // -shards N splits the service into N session-executor shards behind a
@@ -146,14 +144,8 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 15*time.Second,
 		"graceful-drain window for HTTP shutdown, in-flight sessions, and shard "+
 			"subprocesses; a second SIGINT/SIGTERM forces immediate exit")
-	segmentBytes := flag.Int64("wal-segment-bytes", 64<<20,
-		"rotate the WAL segment past this size (0: single unbounded segment)")
-	segmentRecords := flag.Int("wal-segment-records", 0,
-		"rotate the WAL segment past this many records (0: no count bound)")
 	compactBytes := flag.Int64("compact-bytes", 256<<20,
 		"background-compact the store once the WAL crosses this size (0: boot-only compaction)")
-	compactRecords := flag.Int("compact-records", 0,
-		"background-compact the store once the WAL holds this many records (0: no count bound)")
 	maxSessions := flag.Int("max-sessions", 0,
 		"bound on live sessions; further creates get 429 (0: unbounded)")
 	queueDepth := flag.Int("queue-depth", 0,
@@ -216,12 +208,7 @@ func main() {
 		}()
 	}
 
-	storeOpts := store.Options{
-		SegmentMaxBytes:   *segmentBytes,
-		SegmentMaxRecords: *segmentRecords,
-		CompactAtBytes:    *compactBytes,
-		CompactAtRecords:  *compactRecords,
-	}
+	storeOpts := store.Options{CompactAtBytes: *compactBytes}
 	openShard := func(dir string) *store.Log {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fatal(logger, "creating store dir failed", "dir", dir, "err", err)
@@ -279,10 +266,7 @@ func main() {
 				"-queue-depth", strconv.Itoa(perCap(*queueDepth)),
 				"-degraded-probe-interval", probeInterval.String(),
 				"-shutdown-timeout", shutdownTimeout.String(),
-				"-wal-segment-bytes", strconv.FormatInt(*segmentBytes, 10),
-				"-wal-segment-records", strconv.Itoa(*segmentRecords),
 				"-compact-bytes", strconv.FormatInt(*compactBytes, 10),
-				"-compact-records", strconv.Itoa(*compactRecords),
 				"-log-format", *logFormat,
 				"-trace-buffer", strconv.Itoa(*traceBuffer),
 			}

@@ -532,15 +532,13 @@ func TestSSETerminalFrameWhileDegraded(t *testing.T) {
 	}
 }
 
-// TestOnlineCompactionWhileServing runs sessions through a store with tiny
-// segment and compaction thresholds: background compaction must fire while
-// traffic flows, and a restart must still see every session.
+// TestOnlineCompactionWhileServing runs sessions through a store with a
+// tiny compaction bound: background compaction must fire while traffic
+// flows, and a restart must still see every session.
 func TestOnlineCompactionWhileServing(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.OpenOptions(dir, store.Options{
-		SegmentMaxRecords: 4,
-		CompactAtRecords:  10,
-	})
+	// Six sessions log 18 records of a few hundred bytes each.
+	st, err := store.OpenOptions(dir, store.Options{CompactAtBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

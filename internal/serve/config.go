@@ -37,6 +37,17 @@ type FitSpec struct {
 	Seed    uint64 `json:"seed"`
 }
 
+// Request size bounds. A bag materialises every job, a session every VM,
+// and a fitting recipe every sample, so one request could otherwise make
+// the service allocate without limit; past a bound the API answers 400.
+// Each sits well above the largest size the repo's examples and
+// benchmarks use: 20,000 jobs, 32 VMs and 2,000 samples.
+const (
+	maxBagJobs    = 500_000
+	maxVMs        = 4096
+	maxFitSamples = 100_000
+)
+
 // SessionConfig is the serializable configuration snapshot a session is
 // created from. It is the wire form of batch.Config: everything a session
 // needs, with models specified either inline (Model) or by a fitting recipe
@@ -122,6 +133,9 @@ func (c SessionConfig) Validate() error {
 	if c.VMs <= 0 || c.GangSize <= 0 || c.VMs%c.GangSize != 0 {
 		return fmt.Errorf("vms must be a positive multiple of gang_size (vms=%d gang_size=%d)", c.VMs, c.GangSize)
 	}
+	if err := c.checkSizes(); err != nil {
+		return err
+	}
 	switch c.Policy {
 	case PolicyReuse, PolicyMemoryless, PolicyOnDemand:
 	default:
@@ -170,6 +184,18 @@ func (c SessionConfig) Validate() error {
 	}
 	if c.Fit != nil && c.Fit.Samples < 50 {
 		return fmt.Errorf("fit.samples must be at least 50 (got %d)", c.Fit.Samples)
+	}
+	return nil
+}
+
+// checkSizes refuses a config whose cluster or fitting recipe is larger
+// than one request may ask for.
+func (c SessionConfig) checkSizes() error {
+	if c.VMs > maxVMs {
+		return fmt.Errorf("vms must be at most %d (got %d)", maxVMs, c.VMs)
+	}
+	if c.Fit != nil && c.Fit.Samples > maxFitSamples {
+		return fmt.Errorf("fit.samples must be at most %d (got %d)", maxFitSamples, c.Fit.Samples)
 	}
 	return nil
 }

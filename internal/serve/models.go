@@ -108,8 +108,8 @@ func (m *Manager) RegisterModel(req ModelCreateRequest) (registry.Info, error) {
 		if fs.Samples == 0 {
 			fs.Samples = 2000
 		}
-		if fs.Samples < 50 {
-			return registry.Info{}, errf(http.StatusBadRequest, "fit.samples must be at least 50 (got %d)", fs.Samples)
+		if fs.Samples < 50 || fs.Samples > maxFitSamples {
+			return registry.Info{}, errf(http.StatusBadRequest, "fit.samples must be in [50, %d] (got %d)", maxFitSamples, fs.Samples)
 		}
 		sc := trace.Scenario{
 			Type: trace.VMType(req.VMType), Zone: trace.Zone(req.Zone),

@@ -162,8 +162,8 @@ type storeInstrumenter interface {
 }
 
 // instrumentStore wires the shard-labeled WAL series to an attached store:
-// append/fsync latency inline in the hot path, the rotation/compaction and
-// size counters read from store.Stats at scrape time.
+// append/fsync latency inline in the hot path, the compaction and size
+// counters read from store.Stats at scrape time.
 func (m *Manager) instrumentStore(st Store) {
 	reg := obs.Default()
 	shard := shardLabel(m.shard)
@@ -184,9 +184,6 @@ func (m *Manager) instrumentStore(st Store) {
 			return read(*st)
 		}, "shard", shard)
 	}
-	storeGauge("batchsvc_wal_rotations",
-		"WAL segment rotations since the store was opened, by shard.",
-		func(s store.Stats) float64 { return float64(s.Rotations) })
 	storeGauge("batchsvc_wal_compactions",
 		"Store compactions since the store was opened, by shard.",
 		func(s store.Stats) float64 { return float64(s.Compactions) })

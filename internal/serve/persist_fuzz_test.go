@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzParseStoreRecords feeds arbitrary WAL content — one store record per
-// line, the form a store segment holds — to parseStoreRecords, the decoder
+// line, the form wal.jsonl holds — to parseStoreRecords, the decoder
 // every boot replays through. Lines that are not a record are dropped (the
 // store's own scan refuses them before this layer sees anything). Nothing
 // may panic, and a parse that succeeds must list each live session exactly

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -416,6 +417,112 @@ func TestLegacyDataDirBoots(t *testing.T) {
 	}
 	if got := want[failed.ID()].status; !strings.Contains(got, `"state":"done"`) {
 		t.Fatalf("failed session's inputs did not run clean: %s", got)
+	}
+}
+
+// TestLegacySegmentedDataDirBoots boots a data dir as the rotating WAL
+// left it: two sessions' create, bag and run records and a third's create
+// and bag, spread over wal.jsonl, wal-000001.jsonl and wal-000002.jsonl,
+// with a torn tail in the last. Under a Manager and under a Router{1}, each
+// session must serve what an uncrashed run of its inputs serves, on the
+// first boot and on a second one, and no segment file may be left behind.
+func TestLegacySegmentedDataDirBoots(t *testing.T) {
+	cfgs := []SessionConfig{testConfig(1).withDefaults(), ckptConfig(2).withDefaults(), testConfig(3).withDefaults()}
+	bags := []BagRequest{
+		{App: "shapes", Jobs: 12, Jitter: 0.02, Seed: 3},
+		{App: "nanoconfinement", Jobs: 6, Seed: 2},
+		{App: "shapes", Jobs: 4, Seed: 1},
+	}
+	// An uncrashed reference: the third session is never run.
+	ref := NewManager(1)
+	defer ref.Close()
+	var ids []string
+	want := map[string]view{}
+	for k, cfg := range cfgs {
+		s, err := ref.Create("legacy", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.SubmitBag(bags[k]); err != nil {
+			t.Fatal(err)
+		}
+		if k < 2 {
+			if err := ref.Run(s); err != nil {
+				t.Fatal(err)
+			}
+			s.Wait()
+		}
+		ids = append(ids, s.ID())
+		want[s.ID()] = viewOf(t, s)
+	}
+
+	// files[k] is segment k; seqs run on across the files.
+	var seq uint64
+	line := func(kind, id string, v any) string {
+		seq++
+		raw, err := json.Marshal(store.Record{Seq: seq, Kind: kind, ID: id, Data: mustJSON(t, v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw) + "\n"
+	}
+	files := []string{
+		line(kindCreate, ids[0], createRecord{Name: "legacy", Config: cfgs[0]}) +
+			line(kindBag, ids[0], bags[0]) +
+			line(kindCreate, ids[1], createRecord{Name: "legacy", Config: cfgs[1]}),
+		line(kindRun, ids[0], nil) +
+			line(kindBag, ids[1], bags[1]) +
+			line(kindCreate, ids[2], createRecord{Name: "legacy", Config: cfgs[2]}),
+		line(kindRun, ids[1], nil) +
+			line(kindBag, ids[2], bags[2]) +
+			`{"seq":9,"kind":"run","id":"s-0`, // torn: never acknowledged
+	}
+	for _, tc := range []struct {
+		name string
+		boot func(st Store) (Backend, func())
+	}{
+		{"manager", func(st Store) (Backend, func()) {
+			m := NewManager(1)
+			if err := m.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+			return m, m.Close
+		}},
+		{"router", func(st Store) (Backend, func()) {
+			r := NewRouter(1, 1)
+			if err := r.Restore([]Store{st}); err != nil {
+				t.Fatal(err)
+			}
+			return r, r.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for k, name := range []string{"wal.jsonl", "wal-000001.jsonl", "wal-000002.jsonl"} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(files[k]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for boot := 1; boot <= 2; boot++ {
+				st := openStore(t, dir)
+				if left, _ := filepath.Glob(filepath.Join(dir, "wal-*.jsonl")); len(left) != 0 {
+					t.Fatalf("boot %d: segment files left behind: %v", boot, left)
+				}
+				b, stop := tc.boot(st)
+				for _, id := range ids {
+					s, err := b.Get(id)
+					if err != nil {
+						t.Fatalf("boot %d: %v", boot, err)
+					}
+					if id != ids[2] {
+						s.Wait()
+					}
+					requireView(t, fmt.Sprintf("boot %d: %s", boot, id), want[id], viewOf(t, s))
+				}
+				stop()
+				st.Close()
+			}
+		})
 	}
 }
 

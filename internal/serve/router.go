@@ -755,8 +755,6 @@ func (r *Router) statsPayload() map[string]any {
 			storeTotal.Appended += info.Store.Appended
 			storeTotal.Compactions += info.Store.Compactions
 			storeTotal.TornTail = storeTotal.TornTail || info.Store.TornTail
-			storeTotal.Segments += info.Store.Segments
-			storeTotal.Rotations += info.Store.Rotations
 			storeTotal.WALRecords += info.Store.WALRecords
 			storeTotal.WALBytes += info.Store.WALBytes
 			storeTotal.Poisoned = storeTotal.Poisoned || info.Store.Poisoned

@@ -212,8 +212,8 @@ func validateBagRequest(req BagRequest) (workload.App, error) {
 	if err != nil {
 		return workload.App{}, err
 	}
-	if req.Jobs <= 0 {
-		return workload.App{}, fmt.Errorf("jobs must be positive")
+	if req.Jobs <= 0 || req.Jobs > maxBagJobs {
+		return workload.App{}, fmt.Errorf("jobs must be in [1, %d] (got %d)", maxBagJobs, req.Jobs)
 	}
 	if req.Jitter < 0 || req.Jitter >= 1 {
 		return workload.App{}, fmt.Errorf("jitter must be in [0, 1) (got %v)", req.Jitter)

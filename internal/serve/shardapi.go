@@ -121,9 +121,9 @@ const shardSweepPath = "/shard/sweep"
 // handleSweep is POST /shard/sweep: it runs one sweep group — creates under
 // router-minted ids, the bag, the runs — and answers with each cell's
 // outcome in request order. A group is refused whole, before anything is
-// created, for an invalid bag or a missing id (400) and for an id this
-// shard already holds (409: the router's id sequence is behind this
-// shard's). The headers go out once every cell is created and started,
+// created, for an invalid bag, a missing id or a cell larger than the size
+// bounds (400) and for an id this shard already holds (409: the router's
+// id sequence is behind this shard's). The headers go out once every cell is created and started,
 // which is all the router's per-op deadline bounds; the body follows when
 // the runs are over.
 func (sa *shardAPI) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -153,6 +153,9 @@ func (m *Manager) checkSweepGroup(req shardSweepRequest) error {
 	for _, c := range req.Cells {
 		if c.ID == "" {
 			return errf(http.StatusBadRequest, "shard sweep needs a router-minted id for every cell")
+		}
+		if err := c.Config.checkSizes(); err != nil {
+			return errf(http.StatusBadRequest, "cell %s: %v", c.ID, err)
 		}
 		if m.sessions[c.ID] != nil || m.creating[c.ID] {
 			return errf(http.StatusConflict, "session %s already exists on shard %d", c.ID, m.shard)

@@ -163,9 +163,9 @@ func FuzzShardSweep(f *testing.F) {
 	f.Add([]byte(`{"cells":[{"id":"s-011","config":{"vm_type":"n1-highcpu-16","zone":"us-east1-b","vms":4,"model":{"a":0.45,"tau1":1,"tau2":0.8,"b":24,"l":24}},"epoch":7}],"bag":{"app":"shapes","jobs":2},"group":1}`))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		// The shard allocates what a group asks for, with no bound on a
-		// bag's jobs or a config's VMs; skip inputs asking for more than a
-		// handful, so one input cannot exhaust the fuzzing process.
+		// The shard allocates what a group asks for, up to the size
+		// bounds; skip inputs asking for more than a handful, so each
+		// input stays fast.
 		var req shardSweepRequest
 		decodeErr := json.Unmarshal(in, &req)
 		for _, c := range req.Cells {

@@ -188,6 +188,9 @@ func expandSweep(m *Manager, req SweepRequest) ([]SweepCell, []shardCreateReques
 	if err != nil {
 		return nil, nil, errf(http.StatusBadRequest, "bag: %v", err)
 	}
+	if err := (SessionConfig{VMs: req.VMs, Fit: req.Fit}).checkSizes(); err != nil {
+		return nil, nil, errf(http.StatusBadRequest, "%v", err)
+	}
 	var cells []SweepCell
 	var creates []shardCreateRequest
 	for _, vt := range req.VMTypes {

@@ -1,14 +1,15 @@
 package store
 
-// Chaos tests: the fault-injection matrix from ISSUE 6, driving the store
-// through scripted syscall failures (Nth fsync, torn write, ENOSPC, broken
-// rename/remove) at each phase (append, rotation, online compaction, boot
-// replay) and asserting it recovers byte-identical state or refuses to
-// serve — never silently corrupts.
+// Chaos tests: the fault-injection matrix, driving the store through
+// scripted syscall failures (Nth fsync, torn write, ENOSPC, broken
+// rename/remove) at each phase (append, online compaction, boot replay)
+// and asserting it recovers byte-identical state or refuses to serve —
+// never silently corrupts.
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,57 +50,6 @@ func mustAppend(t *testing.T, l *Log, kind string, n int) Record {
 		t.Fatal(err)
 	}
 	return rec
-}
-
-func TestSegmentRotationAndReplay(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenOptions(dir, Options{SegmentMaxRecords: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 10; i++ {
-		mustAppend(t, l, "event", i)
-	}
-	st := l.Stats()
-	if st.Segments != 4 || st.Rotations != 3 {
-		t.Fatalf("stats = %+v, want 4 segments / 3 rotations", st)
-	}
-	if st.WALRecords != 10 {
-		t.Fatalf("WALRecords = %d, want 10", st.WALRecords)
-	}
-	l.Close()
-	for _, name := range []string{"wal.jsonl", "wal-000001.jsonl", "wal-000002.jsonl", "wal-000003.jsonl"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("segment %s: %v", name, err)
-		}
-	}
-	recs := replayAll(t, dir)
-	if len(recs) != 10 {
-		t.Fatalf("replayed %d records across segments, want 10", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Seq != uint64(i+1) {
-			t.Fatalf("record %d seq = %d", i, rec.Seq)
-		}
-	}
-}
-
-func TestSegmentRotationBySize(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenOptions(dir, Options{SegmentMaxBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 8; i++ {
-		mustAppend(t, l, "event", i)
-	}
-	if st := l.Stats(); st.Rotations == 0 {
-		t.Fatalf("no size-based rotation after 8 appends: %+v", st)
-	}
-	if n := len(replayAllLive(t, l)); n != 8 {
-		t.Fatalf("live records = %d, want 8", n)
-	}
 }
 
 // replayAllLive closes l and reopens its dir cleanly.
@@ -208,59 +158,13 @@ func TestRollbackFailurePoisonsThenRecovers(t *testing.T) {
 	}
 }
 
-// TestRotationOpenFaultLeavesOldSegmentActive: a fault creating the next
-// segment fails that append but the old segment keeps accepting once the
-// fault clears (the rotation is retried).
-func TestRotationOpenFaultLeavesOldSegmentActive(t *testing.T) {
-	dir := t.TempDir()
-	l, inj := openInjected(t, dir, Options{SegmentMaxRecords: 2})
-	mustAppend(t, l, "event", 1)
-	mustAppend(t, l, "event", 2)
-	inj.Script(faultfs.Rule{Op: faultfs.OpOpen, Path: "wal-", Count: 1})
-	if _, err := l.Append("event", "id", payload{N: 3}); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("append during broken rotation: err = %v", err)
-	}
-	mustAppend(t, l, "event", 4) // rotation retried and succeeds
-	if st := l.Stats(); st.Rotations != 1 || st.Segments != 2 {
-		t.Fatalf("stats = %+v, want 1 rotation / 2 segments", st)
-	}
-	recs := replayAllLive(t, l)
-	if len(recs) != 3 || decodePayload(t, recs[2]).N != 4 {
-		t.Fatalf("replay = %+v", recs)
-	}
-}
-
-// TestRotationDirSyncFaultRemovesNewSegment: the directory fsync that seals
-// a rotation fails — the append fails, the half-created segment is removed,
-// and the next append rotates cleanly.
-func TestRotationDirSyncFaultRemovesNewSegment(t *testing.T) {
-	dir := t.TempDir()
-	l, inj := openInjected(t, dir, Options{SegmentMaxRecords: 2})
-	mustAppend(t, l, "event", 1)
-	mustAppend(t, l, "event", 2)
-	inj.Script(faultfs.Rule{Op: faultfs.OpSync, Path: dir, Exact: true, Count: 1})
-	if _, err := l.Append("event", "id", payload{N: 3}); err == nil {
-		t.Fatal("append succeeded through a failed rotation dir-sync")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("half-created segment not removed: %v", err)
-	}
-	mustAppend(t, l, "event", 4)
-	if st := l.Stats(); st.Rotations != 1 {
-		t.Fatalf("stats = %+v, want 1 rotation", st)
-	}
-	if recs := replayAllLive(t, l); len(recs) != 3 {
-		t.Fatalf("replay = %+v", recs)
-	}
-}
-
 // TestOnlineCompactCrashWindowRoundTrips simulates kill -9 in the window
-// between Compact's snapshot rename and its WAL cleanup, with multiple
-// segments live: the restored stale segments must be ignored by sequence
-// filtering and retired at the next open.
+// between Compact's snapshot rename and its WAL truncation while the log
+// is live: the restored stale records must be shadowed by the snapshot's
+// seq, and appends must continue past them.
 func TestOnlineCompactCrashWindowRoundTrips(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOptions(dir, Options{SegmentMaxRecords: 2})
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,36 +172,25 @@ func TestOnlineCompactCrashWindowRoundTrips(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		live = append(live, mustAppend(t, l, "event", i))
 	}
-	// Capture every WAL segment as of just before compaction.
-	pre := map[string][]byte{}
-	for _, name := range []string{"wal.jsonl", "wal-000001.jsonl", "wal-000002.jsonl"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pre[name] = raw
+	walPath := filepath.Join(dir, walName)
+	pre, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Compact(live); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	// "kill -9 before cleanup": resurrect the pre-compaction segments.
-	for name, raw := range pre {
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// "kill -9 before the truncate": resurrect the pre-compaction WAL.
+	if err := os.WriteFile(walPath, pre, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	l2, err := OpenOptions(dir, Options{SegmentMaxRecords: 2})
+	l2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := append([]Record(nil), l2.Records()...)
-	if len(recs) != 6 {
-		t.Fatalf("replayed %d records, want 6 (stale segments must be shadowed): %+v", len(recs), recs)
-	}
-	// Fully-shadowed closed segments were retired during open.
-	if st := l2.Stats(); st.Segments != 1 {
-		t.Fatalf("stale segments not retired: %+v", st)
+	if recs := l2.Records(); len(recs) != 6 {
+		t.Fatalf("replayed %d records, want 6 (stale WAL must be shadowed): %+v", len(recs), recs)
 	}
 	rec := mustAppend(t, l2, "event", 7)
 	if rec.Seq != 7 {
@@ -309,34 +202,116 @@ func TestOnlineCompactCrashWindowRoundTrips(t *testing.T) {
 	}
 }
 
-// TestCompactRemoveFaultLeavesShadowedSegments: Compact succeeds even when
-// removing closed segments fails; the leftovers are shadowed and retired
-// on the next open.
-func TestCompactRemoveFaultLeavesShadowedSegments(t *testing.T) {
+// writeWAL writes one WAL file of records numbered seqs, as Append writes
+// them, to dir/name.
+func writeWAL(t *testing.T, dir, name string, seqs ...int) {
+	t.Helper()
+	var buf []byte
+	for _, seq := range seqs {
+		line, err := json.Marshal(Record{Seq: uint64(seq), Kind: "event", ID: "id", Data: json.RawMessage(fmt.Sprintf(`{"n":%d}`, seq))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(append(buf, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendBytes appends raw bytes to dir/name.
+func appendBytes(t *testing.T, dir, name, raw string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legacySegmentsLeft lists the wal-*.jsonl files in dir.
+func legacySegmentsLeft(t *testing.T, dir string) []string {
+	t.Helper()
+	left, err := filepath.Glob(filepath.Join(dir, "wal-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return left
+}
+
+// TestLegacySegmentedDirBoots boots a data dir as the rotating WAL left it
+// — wal.jsonl, wal-000001.jsonl and wal-000002.jsonl, with a torn tail in
+// the last — and requires every acknowledged record back in seq order,
+// folded into the snapshot with no segment file left behind, and a reopen
+// that replays identical records.
+func TestLegacySegmentedDirBoots(t *testing.T) {
 	dir := t.TempDir()
-	l, inj := openInjected(t, dir, Options{SegmentMaxRecords: 2})
-	var live []Record
-	for i := 1; i <= 5; i++ {
-		live = append(live, mustAppend(t, l, "event", i))
+	writeWAL(t, dir, walName, 1, 2, 3)
+	writeWAL(t, dir, "wal-000001.jsonl", 4, 5, 6)
+	writeWAL(t, dir, "wal-000002.jsonl", 7, 8)
+	appendBytes(t, dir, "wal-000002.jsonl", `{"seq":9,"kind":"ev`)
+
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Removing the closed wal-000001 segment fails; wal.jsonl (segment 0,
-	// no "wal-" in its name) is removed fine.
-	inj.Script(faultfs.Rule{Op: faultfs.OpRemove, Path: "wal-"})
-	if err := l.Compact(live); err != nil {
-		t.Fatalf("compact with failing removes: %v", err)
+	first := append([]Record(nil), l.Records()...)
+	if len(first) != 8 {
+		t.Fatalf("replayed %d records, want 8", len(first))
 	}
-	if st := l.Stats(); st.Segments != 2 {
-		t.Fatalf("stats after tolerated remove failures = %+v, want 2 segments (stale + active)", st)
+	for i, rec := range first {
+		if rec.Seq != uint64(i+1) || decodePayload(t, rec).N != i+1 {
+			t.Fatalf("record %d = %+v", i, rec)
+		}
 	}
-	mustAppend(t, l, "event", 6)
+	if st := l.Stats(); !st.TornTail || st.WALRecords != 0 || st.WALBytes != 0 {
+		t.Fatalf("stats = %+v, want a torn tail and an empty WAL after the fold", st)
+	}
+	if left := legacySegmentsLeft(t, dir); len(left) != 0 {
+		t.Fatalf("legacy segments left behind: %v", left)
+	}
 	l.Close()
-	recs := replayAll(t, dir)
-	if len(recs) != 6 {
-		t.Fatalf("replay = %d records, want 6: %+v", len(recs), recs)
+	if again := replayAll(t, dir); !reflect.DeepEqual(first, again) {
+		t.Fatalf("reopen replayed\n%+v\nwant\n%+v", again, first)
 	}
-	// The clean open retired the stale segments.
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("shadowed segment survived a clean open: %v", err)
+	l, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := mustAppend(t, l, "event", 9); rec.Seq != 9 {
+		t.Fatalf("first append after the fold has seq %d, want 9", rec.Seq)
+	}
+	if recs := replayAllLive(t, l); len(recs) != 9 || !reflect.DeepEqual(recs[:8], first) {
+		t.Fatalf("replay after an append = %+v", recs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal-000003.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("an append wrote a segment file: %v", err)
+	}
+}
+
+// TestLegacySegmentRemoveFaultRefusesOpen: a fault removing a legacy
+// segment after the fold refuses the open, since a leftover segment would
+// sit after wal.jsonl in replay order. The snapshot already shadows it, so
+// a clean reopen replays the same records and finishes the removal.
+func TestLegacySegmentRemoveFaultRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	writeWAL(t, dir, walName, 1, 2)
+	writeWAL(t, dir, "wal-000001.jsonl", 3, 4)
+	writeWAL(t, dir, "wal-000002.jsonl", 5)
+	inj := faultfs.Wrap(nil)
+	inj.Script(faultfs.Rule{Op: faultfs.OpRemove, Path: "wal-000002"})
+	if _, err := OpenOptions(dir, Options{FS: inj}); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("open with a failing remove: err = %v, want ErrInjected", err)
+	}
+	recs := replayAll(t, dir)
+	if len(recs) != 5 || recs[4].Seq != 5 {
+		t.Fatalf("replay after the refused open = %+v", recs)
+	}
+	if left := legacySegmentsLeft(t, dir); len(left) != 0 {
+		t.Fatalf("legacy segments left behind: %v", left)
 	}
 }
 
@@ -377,28 +352,15 @@ func TestSnapshotWriteENOSPCKeepsOldState(t *testing.T) {
 	}
 }
 
-// TestTornTailInClosedSegmentRefusesOpen: only the final segment may carry
-// a torn tail; a tear in a sealed segment means acknowledged records were
-// damaged, and the store must refuse to serve rather than guess.
+// TestTornTailInClosedSegmentRefusesOpen: only the last WAL file may
+// carry a torn tail, since appends only ever went to the last one; a tear
+// in an earlier one means acknowledged records were damaged, and the store
+// must refuse to serve rather than guess.
 func TestTornTailInClosedSegmentRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOptions(dir, Options{SegmentMaxRecords: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4; i++ {
-		mustAppend(t, l, "event", i)
-	}
-	l.Close()
-	// Tear the tail of the sealed first segment.
-	seg0 := filepath.Join(dir, "wal.jsonl")
-	raw, err := os.ReadFile(seg0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seg0, raw[:len(raw)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeWAL(t, dir, walName, 1, 2)
+	writeWAL(t, dir, "wal-000001.jsonl", 3, 4)
+	appendBytes(t, dir, walName, `{"seq":3,"kind":"ev`)
 	if _, err := Open(dir); err == nil {
 		t.Fatal("open succeeded with a torn tail in a closed segment")
 	}
@@ -409,7 +371,8 @@ func TestTornTailInClosedSegmentRefusesOpen(t *testing.T) {
 // then fires again.
 func TestCompactionTriggerFiresOnceUntilCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOptions(dir, Options{CompactAtRecords: 3})
+	// Each record line is ~50 bytes, so the third append crosses the bound.
+	l, err := OpenOptions(dir, Options{CompactAtBytes: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +396,7 @@ func TestCompactionTriggerFiresOnceUntilCompact(t *testing.T) {
 	}
 }
 
-// TestBootReplayReadFaultRefusesOpen: an I/O error reading a segment at
+// TestBootReplayReadFaultRefusesOpen: an I/O error reading the WAL at
 // boot refuses the open instead of serving partial state.
 func TestBootReplayReadFaultRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
@@ -450,11 +413,11 @@ func TestBootReplayReadFaultRefusesOpen(t *testing.T) {
 	}
 }
 
-// TestReopenStateIdentical: a rotated, compacted, re-appended log replays
-// the exact same records across a clean close/open cycle.
+// TestReopenStateIdentical: a compacted, re-appended log replays the exact
+// same records across a clean close/open cycle.
 func TestReopenStateIdentical(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOptions(dir, Options{SegmentMaxRecords: 2})
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Shard directory layout for the sharded serving tier: each executor shard
-// owns its own store (its own snapshot, WAL segments, lock file, and fsync
-// stream). Shard 0's store lives in the data-dir root itself — exactly the
+// owns its own store (its own snapshot, WAL, lock file, and fsync stream).
+// Shard 0's store lives in the data-dir root itself — exactly the
 // pre-sharding layout, so a data dir written by an unsharded service boots
 // unchanged as shard 0 of a sharded one — and shard i > 0 lives in the
-// root's shard-00i subdirectory. The store ignores subdirectories when
-// scanning for segments, so the nested layout never confuses shard 0.
+// root's shard-00i subdirectory. The store reads only its own files, so
+// the nested layout never confuses shard 0.
 
 package store
 

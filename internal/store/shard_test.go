@@ -52,7 +52,8 @@ func TestFindShardDirsMissingRoot(t *testing.T) {
 
 // TestShardStoresCoexist opens a store in the root and one in a shard
 // subdirectory and verifies neither replays the other's records: the root
-// store's segment scan must ignore the shard-001 directory.
+// store's scan for legacy WAL segments must ignore the shard-001
+// directory.
 func TestShardStoresCoexist(t *testing.T) {
 	root := t.TempDir()
 	s1 := ShardDir(root, 1)

@@ -1,16 +1,14 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -46,10 +44,6 @@ type Stats struct {
 	// TornTail reports whether Open found (and discarded) a torn final WAL
 	// line from a crash mid-write.
 	TornTail bool `json:"torn_tail,omitempty"`
-	// Segments is the number of WAL segment files currently on disk.
-	Segments int `json:"wal_segments"`
-	// Rotations counts segment rotations since Open.
-	Rotations int `json:"wal_rotations,omitempty"`
 	// WALRecords and WALBytes measure the WAL since the last compaction
 	// (what a crash right now would have to replay).
 	WALRecords int   `json:"wal_records"`
@@ -59,23 +53,15 @@ type Stats struct {
 	Poisoned bool `json:"poisoned,omitempty"`
 }
 
-// Options tunes an OpenOptions call. The zero value matches the classic
-// behavior: the real filesystem, a single unbounded segment, and no
-// compaction trigger.
+// Options tunes an OpenOptions call. The zero value is the real filesystem
+// and no compaction trigger.
 type Options struct {
 	// FS is the filesystem seam; nil means faultfs.OS (the real one).
 	FS faultfs.FS
-	// SegmentMaxBytes rotates the active segment before an append that
-	// would push it past this size. 0 disables size-based rotation.
-	SegmentMaxBytes int64
-	// SegmentMaxRecords rotates once the active segment holds this many
-	// records. 0 disables count-based rotation.
-	SegmentMaxRecords int
-	// CompactAtBytes / CompactAtRecords arm the compaction trigger: when
-	// the total WAL (all segments) crosses either bound after an append,
-	// the SetCompactionTrigger callback fires once. 0 disables that bound.
-	CompactAtBytes   int64
-	CompactAtRecords int
+	// CompactAtBytes arms the compaction trigger: when the WAL grows past
+	// this size after an append, the SetCompactionTrigger callback fires
+	// once. 0 disables it.
+	CompactAtBytes int64
 }
 
 // Log is an open snapshot+WAL pair. All methods are safe for concurrent
@@ -88,13 +74,9 @@ type Log struct {
 	mu       sync.Mutex
 	wal      faultfs.File
 	lock     faultfs.File
-	seg      int   // active (highest) segment index
-	segments []int // segment files on disk, ascending; last is active
 	seq      uint64
-	walSize  int64 // acknowledged bytes in the active segment
-	walRecs  int   // records in the active segment
-	totBytes int64 // bytes across all segments since the last compaction
-	totRecs  int   // records across all segments since the last compaction
+	walBytes int64 // acknowledged bytes in the WAL since the last compaction
+	walRecs  int   // records in the WAL since the last compaction
 	replayed []Record
 	stats    Stats
 	sync     bool
@@ -112,38 +94,35 @@ const (
 	snapshotName = "snapshot.json"
 	walName      = "wal.jsonl"
 	lockName     = "lock"
-	segPrefix    = "wal-"
-	segSuffix    = ".jsonl"
 )
 
-// segmentPath returns the path of segment i: segment 0 is wal.jsonl (the
-// pre-segmentation layout, so old data dirs need no migration), later
-// segments are wal-000001.jsonl and up.
-func (l *Log) segmentPath(i int) string {
-	if i == 0 {
-		return filepath.Join(l.dir, walName)
-	}
-	return filepath.Join(l.dir, fmt.Sprintf("%s%06d%s", segPrefix, i, segSuffix))
-}
+// legacySegmentName is the name of the WAL segment files logs wrote while
+// the WAL rotated; segment 0 was wal.jsonl itself.
+const legacySegmentName = "wal-%06d.jsonl"
 
-// segmentIndex parses a directory entry name as a WAL segment index,
-// returning -1 for non-segment files.
-func segmentIndex(name string) int {
-	if name == walName {
-		return 0
+// legacySegments lists the legacy segment files in dir in index order.
+// Open folds them into the snapshot and removes them; nothing writes them
+// any more.
+func legacySegments(fsys faultfs.FS, dir string) ([]string, error) {
+	ents, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return -1
+	var idxs []int
+	for _, e := range ents {
+		var i int
+		// Round-trip through the canonical name so "wal-1.jsonl" or
+		// "wal-000001.jsonl.tmp" is never misclaimed.
+		if n, _ := fmt.Sscanf(e.Name(), "wal-%d.jsonl", &i); n == 1 && i > 0 && fmt.Sprintf(legacySegmentName, i) == e.Name() {
+			idxs = append(idxs, i)
+		}
 	}
-	mid := name[len(segPrefix) : len(name)-len(segSuffix)]
-	if len(mid) != 6 {
-		return -1
+	sort.Ints(idxs)
+	names := make([]string, len(idxs))
+	for k, i := range idxs {
+		names[k] = fmt.Sprintf(legacySegmentName, i)
 	}
-	n, err := strconv.Atoi(mid)
-	if err != nil || n <= 0 {
-		return -1
-	}
-	return n
+	return names, nil
 }
 
 // Open opens (creating if needed) the log in dir with default Options and
@@ -153,9 +132,11 @@ func Open(dir string) (*Log, error) {
 }
 
 // OpenOptions opens (creating if needed) the log in dir and replays its
-// state: snapshot first, then each WAL segment in index order. The
-// replayed records are available from Records until the first Compact.
-// The directory is flock'd for the lifetime of the Log: a second process
+// state: snapshot first, then wal.jsonl, then any legacy segment files in
+// index order. The replayed records are available from Records until the
+// first Compact. Legacy segments are folded into the snapshot and removed
+// before OpenOptions returns, so appends only ever go to wal.jsonl. The
+// directory is flock'd for the lifetime of the Log: a second process
 // pointed at the same dir fails here instead of interleaving WAL appends
 // (the kernel releases the lock on process death, so a kill -9 never
 // strands it).
@@ -179,6 +160,9 @@ func OpenOptions(dir string, opts Options) (*Log, error) {
 	opened := false
 	defer func() {
 		if !opened {
+			if l.wal != nil {
+				l.wal.Close()
+			}
 			lock.Close() // releases the flock on every error path
 		}
 	}()
@@ -191,34 +175,35 @@ func OpenOptions(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("store: corrupt %s: %w", snapshotName, err)
 		}
 		recs = append(recs, snap.Records...)
-		l.seq = snap.Seq
 		snapSeq = snap.Seq
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
 
-	segs, err := findSegments(fsys, dir)
+	legacy, err := legacySegments(fsys, dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: listing WAL segments: %w", err)
+		return nil, fmt.Errorf("store: listing WAL files: %w", err)
 	}
-	for i, idx := range segs {
-		path := l.segmentPath(idx)
+	var lastSeq uint64 // highest seq on any WAL line read so far
+	for i, name := range append([]string{walName}, legacy...) {
+		path := filepath.Join(dir, name)
 		raw, err := fsys.ReadFile(path)
+		if errors.Is(err, os.ErrNotExist) && i == 0 {
+			continue
+		}
 		if err != nil {
 			return nil, fmt.Errorf("store: reading %s: %w", path, err)
 		}
-		final := i == len(segs)-1
 		// A file not ending in '\n' carries a torn final append: each
 		// record is written (line + '\n') in one call, so any prefix may
 		// have survived a crash — including one that still parses as JSON.
 		// The append was never acknowledged, so the partial line is
 		// discarded wholesale; keeping it would let the next append merge
 		// two records onto one line and brick the following boot. Only the
-		// active (final) segment can legally carry one: closed segments
-		// were sealed by a successful rotation.
+		// last file can carry one: appends only ever went to the last.
 		if len(raw) > 0 && raw[len(raw)-1] != '\n' {
-			if !final {
-				return nil, fmt.Errorf("store: closed segment %s has a torn tail; refusing to open", path)
+			if i != len(legacy) {
+				return nil, fmt.Errorf("store: %s has a torn tail but is not the last WAL file; refusing to open", path)
 			}
 			cut := bytes.LastIndexByte(raw, '\n') + 1
 			raw = raw[:cut]
@@ -229,91 +214,89 @@ func OpenOptions(dir string, opts Options) (*Log, error) {
 		}
 		// Every surviving line is newline-terminated and therefore was
 		// written whole; a malformed one is corruption, not a tear.
-		lines, maxSeq, err := parseWAL(raw, snapSeq, &recs, &l.seq)
+		lines, err := parseWAL(raw, snapSeq, &recs, &lastSeq)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading %s: %w", path, err)
 		}
-		// A closed segment whose every record the snapshot already covers
-		// is a leftover from a compaction whose Remove failed; retire it.
-		if !final && maxSeq <= snapSeq {
-			if fsys.Remove(path) == nil {
-				continue
-			}
-		}
-		l.segments = append(l.segments, idx)
-		l.totBytes += int64(len(raw))
-		l.totRecs += lines
-		if final {
-			l.seg = idx
-			l.walSize = int64(len(raw))
-			l.walRecs = lines
+		if i == 0 {
+			l.walBytes, l.walRecs = int64(len(raw)), lines
 		}
 	}
-	if len(l.segments) == 0 {
-		l.seg = 0
-		l.segments = []int{0}
+	l.seq = max(snapSeq, lastSeq)
+	// No honest log comes near this; refusing it keeps l.seq++ from
+	// wrapping around to a sequence number replay would reject.
+	if l.seq > math.MaxInt64 {
+		return nil, fmt.Errorf("store: sequence number %d is implausibly large; refusing to open", l.seq)
 	}
 
-	wal, err := fsys.OpenFile(l.segmentPath(l.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := fsys.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening WAL: %w", err)
 	}
 	l.wal = wal
+	if len(legacy) > 0 {
+		if err := l.foldLegacy(recs, legacy); err != nil {
+			return nil, err
+		}
+	}
 	l.replayed = recs
 	l.stats.Replayed = len(recs)
 	opened = true
 	return l, nil
 }
 
-// findSegments lists the WAL segment indices present in dir, ascending.
-func findSegments(fsys faultfs.FS, dir string) ([]int, error) {
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// foldLegacy writes every replayed record into the snapshot, then empties
+// wal.jsonl and removes the legacy segment files. The snapshot is durable
+// before any WAL byte is dropped, and its seq shadows every record in
+// them, so a crash anywhere here replays the same records and folds
+// again. The records keep their sequence numbers, so a reopen replays
+// exactly what this one did.
+func (l *Log) foldLegacy(recs []Record, legacy []string) error {
+	if err := l.writeSnapshot(snapshotFile{Seq: l.seq, Records: recs}); err != nil {
+		return err
 	}
-	var idxs []int
-	for _, e := range ents {
-		if idx := segmentIndex(e.Name()); idx >= 0 {
-			idxs = append(idxs, idx)
+	if err := l.wal.Truncate(0); err != nil {
+		return fmt.Errorf("store: truncating WAL: %w", err)
+	}
+	l.walBytes, l.walRecs = 0, 0
+	for _, name := range legacy {
+		if err := l.fs.Remove(filepath.Join(l.dir, name)); err != nil {
+			return fmt.Errorf("store: removing legacy WAL segment: %w", err)
 		}
 	}
-	sort.Ints(idxs)
-	return idxs, nil
+	// A removal that did not survive a power failure would bring back a
+	// shadowed file after wal.jsonl, where a later torn tail in wal.jsonl
+	// would refuse the boot.
+	return syncDir(l.fs, l.dir)
 }
 
-// parseWAL appends each valid record line to recs, advancing seq, and
-// returns the segment's line count and highest sequence number. Records
-// with Seq <= snapSeq are already covered by the snapshot and are skipped:
-// a crash between Compact's snapshot rename and its WAL truncation leaves
-// the pre-compaction WAL behind, and replaying it on top of the snapshot
-// would duplicate every session. The caller has already stripped any torn
-// final line, so a malformed line here (or a scan failure, e.g. a line
-// beyond the buffer bound) is corruption: the error refuses the open
-// rather than silently truncating acknowledged records.
-func parseWAL(raw []byte, snapSeq uint64, recs *[]Record, seq *uint64) (int, uint64, error) {
-	offset, lines := 0, 0
-	var maxSeq uint64
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 1024*1024), 256*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
+// parseWAL appends each record line in raw to recs and returns the line
+// count. raw is empty or ends in '\n'. Records with Seq <= snapSeq are
+// already covered by the snapshot and are skipped: a crash between
+// Compact's snapshot rename and its WAL truncation leaves the
+// pre-compaction WAL behind, and replaying it on top of the snapshot
+// would duplicate every session. Appends number records upwards, so each
+// line's Seq must exceed *lastSeq, the previous line's, which it then
+// becomes. A malformed or out-of-order line is corruption: the error
+// refuses the open rather than silently truncating acknowledged records.
+func parseWAL(raw []byte, snapSeq uint64, recs *[]Record, lastSeq *uint64) (int, error) {
+	lines := 0
+	for off := 0; off < len(raw); lines++ {
+		n := bytes.IndexByte(raw[off:], '\n')
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return lines, maxSeq, fmt.Errorf("malformed record at byte %d: %w", offset, err)
+		if err := json.Unmarshal(raw[off:off+n], &rec); err != nil {
+			return lines, fmt.Errorf("malformed record at byte %d: %w", off, err)
 		}
+		if rec.Seq <= *lastSeq {
+			return lines, fmt.Errorf("record at byte %d has seq %d, not above the previous %d", off, rec.Seq, *lastSeq)
+		}
+		*lastSeq = rec.Seq
 		if rec.Seq > snapSeq {
 			*recs = append(*recs, rec)
 		}
-		if rec.Seq > *seq {
-			*seq = rec.Seq
-		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		offset += len(line) + 1 // the newline
-		lines++
+		off += n + 1
 	}
-	return lines, maxSeq, sc.Err()
+	return lines, nil
 }
 
 // SetSync controls whether each append fsyncs the WAL (default true).
@@ -325,11 +308,11 @@ func (l *Log) SetSync(on bool) {
 }
 
 // Instrument wires latency histograms into the append path: appendHist
-// observes the full durable-append latency (marshal to acknowledged,
-// rotation included), fsyncHist just the WAL fsync. Either may be nil.
-// The serving layer calls this with shard-labeled series when it attaches
-// a store; counters like rotations and compactions are already in Stats
-// and are exported from there at scrape time.
+// observes the full durable-append latency (marshal to acknowledged),
+// fsyncHist just the WAL fsync. Either may be nil. The serving layer calls
+// this with shard-labeled series when it attaches a store; counters like
+// compactions are already in Stats and are exported from there at scrape
+// time.
 func (l *Log) Instrument(appendHist, fsyncHist *obs.Histogram) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -338,10 +321,10 @@ func (l *Log) Instrument(appendHist, fsyncHist *obs.Histogram) {
 }
 
 // SetCompactionTrigger installs fn, called at most once — from inside an
-// Append, with the log's lock held — when the total WAL crosses the
-// Options compaction bounds; Compact re-arms it. fn must not block and
-// must not call back into the Log (typically it does a non-blocking send
-// on a channel a maintenance goroutine drains). If the bounds are already
+// Append, with the log's lock held — when the WAL grows past
+// Options.CompactAtBytes; Compact re-arms it. fn must not block and must
+// not call back into the Log (typically it does a non-blocking send on a
+// channel a maintenance goroutine drains). If the bound is already
 // exceeded, fn fires immediately.
 func (l *Log) SetCompactionTrigger(fn func()) {
 	l.mu.Lock()
@@ -356,9 +339,7 @@ func (l *Log) maybeSignal() {
 	if l.signaled || l.compactCb == nil {
 		return
 	}
-	over := (l.opts.CompactAtBytes > 0 && l.totBytes > l.opts.CompactAtBytes) ||
-		(l.opts.CompactAtRecords > 0 && l.totRecs > l.opts.CompactAtRecords)
-	if over {
+	if l.opts.CompactAtBytes > 0 && l.walBytes > l.opts.CompactAtBytes {
 		l.signaled = true
 		l.compactCb()
 	}
@@ -373,8 +354,7 @@ func (l *Log) Records() []Record {
 }
 
 // Append marshals v, assigns the next sequence number, and durably appends
-// the record to the active WAL segment (write + fsync before returning),
-// rotating to a fresh segment first when the active one is full.
+// the record to the WAL (write + fsync before returning).
 func (l *Log) Append(kind, id string, v any) (Record, error) {
 	start := time.Now()
 	data, err := json.Marshal(v)
@@ -396,9 +376,6 @@ func (l *Log) Append(kind, id string, v any) (Record, error) {
 		return Record{}, fmt.Errorf("store: marshaling record: %w", err)
 	}
 	line = append(line, '\n')
-	if err := l.maybeRotate(int64(len(line))); err != nil {
-		return Record{}, err
-	}
 	if _, err := l.wal.Write(line); err != nil {
 		// A short write may have left partial bytes on the last line; if
 		// the next append succeeded anyway, its record would merge with the
@@ -415,52 +392,12 @@ func (l *Log) Append(kind, id string, v any) (Record, error) {
 		}
 		l.fsyncHist.Observe(time.Since(syncStart).Seconds())
 	}
-	l.walSize += int64(len(line))
+	l.walBytes += int64(len(line))
 	l.walRecs++
-	l.totBytes += int64(len(line))
-	l.totRecs++
 	l.stats.Appended++
 	l.maybeSignal()
 	l.appendHist.Observe(time.Since(start).Seconds())
 	return rec, nil
-}
-
-// maybeRotate seals the active segment and opens the next one when the
-// incoming line would overflow the Options bounds. A fault while rotating
-// fails the append and leaves the old segment active and intact; the next
-// append retries. Caller holds l.mu.
-func (l *Log) maybeRotate(lineLen int64) error {
-	if l.walRecs == 0 {
-		return nil // never rotate an empty segment
-	}
-	overBytes := l.opts.SegmentMaxBytes > 0 && l.walSize+lineLen > l.opts.SegmentMaxBytes
-	overRecs := l.opts.SegmentMaxRecords > 0 && l.walRecs >= l.opts.SegmentMaxRecords
-	if !overBytes && !overRecs {
-		return nil
-	}
-	idx := l.segments[len(l.segments)-1] + 1
-	path := l.segmentPath(idx)
-	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating WAL segment: %w", err)
-	}
-	// The new segment's dirent must be durable before any record lands in
-	// it — otherwise a power failure could lose a whole acknowledged
-	// segment while its predecessor claims to be sealed.
-	if err := syncDir(l.fs, l.dir); err != nil {
-		f.Close()
-		l.fs.Remove(path)
-		return err
-	}
-	// Every record in the old segment was fsynced at append time, so a
-	// close error cannot lose acknowledged data.
-	l.wal.Close()
-	l.wal = f
-	l.seg = idx
-	l.segments = append(l.segments, idx)
-	l.walSize, l.walRecs = 0, 0
-	l.stats.Rotations++
-	return nil
 }
 
 // rollbackTail discards any partially-written bytes past the last fully
@@ -468,16 +405,16 @@ func (l *Log) maybeRotate(lineLen int64) error {
 // nil): better to refuse every later append than to risk an acknowledged
 // record sharing a line with garbage.
 func (l *Log) rollbackTail() {
-	if err := l.wal.Truncate(l.walSize); err != nil {
+	if err := l.wal.Truncate(l.walBytes); err != nil {
 		l.wal.Close()
 		l.wal = nil
 	}
 }
 
 // Recover retries the rollback that poisoned the log: it re-truncates the
-// active segment to the last acknowledged boundary and reopens it. A nil
-// return means the log accepts appends again. Recover on a healthy log is
-// a no-op; on a closed log it fails.
+// WAL to the last acknowledged boundary and reopens it. A nil return means
+// the log accepts appends again. Recover on a healthy log is a no-op; on a
+// closed log it fails.
 func (l *Log) Recover() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -487,8 +424,8 @@ func (l *Log) Recover() error {
 	if l.lock == nil {
 		return fmt.Errorf("store: log is closed")
 	}
-	path := l.segmentPath(l.seg)
-	if err := l.fs.Truncate(path, l.walSize); err != nil {
+	path := filepath.Join(l.dir, walName)
+	if err := l.fs.Truncate(path, l.walBytes); err != nil {
 		return fmt.Errorf("store: re-truncating WAL tail: %w", err)
 	}
 	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -500,12 +437,13 @@ func (l *Log) Recover() error {
 }
 
 // Compact atomically replaces the snapshot with the given records (the
-// caller's compacted view of current state), truncates the active WAL
-// segment, and removes the closed ones. The records are renumbered 1..n —
-// the caller may synthesize them without assigning sequence numbers — and
-// future appends continue from n. Safe to call while appends are blocked
-// on the same lock; the caller is responsible for ensuring the records
-// reflect every acknowledged append (see serve.Manager's persist gate).
+// caller's compacted view of current state) and truncates the WAL. The
+// records are renumbered 1..n — the caller may synthesize them without
+// assigning sequence numbers — and future appends continue past both n
+// and every sequence number issued before. Safe to call while appends are
+// blocked on the same lock; the caller is
+// responsible for ensuring the records reflect every acknowledged append
+// (see serve.Manager's persist gate).
 func (l *Log) Compact(records []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -523,11 +461,37 @@ func (l *Log) Compact(records []Record) error {
 	if uint64(len(renumbered)) > l.seq {
 		l.seq = uint64(len(renumbered))
 	}
-	snap := snapshotFile{Seq: l.seq, Records: renumbered}
+	if err := l.writeSnapshot(snapshotFile{Seq: l.seq, Records: renumbered}); err != nil {
+		return err
+	}
+	// The snapshot now covers everything; empty the WAL. On failure the
+	// stale bytes stay, but every record in them is shadowed by the
+	// snapshot's sequence, so later appends and replays stay correct.
+	if err := l.wal.Truncate(0); err != nil {
+		return fmt.Errorf("store: truncating WAL: %w", err)
+	}
+	if _, err := l.wal.Seek(0, 0); err != nil {
+		return fmt.Errorf("store: rewinding WAL: %w", err)
+	}
+	l.walBytes, l.walRecs = 0, 0
+	l.signaled = false
+	l.replayed = nil
+	l.stats.Compactions++
+	return nil
+}
+
+// writeSnapshot installs snap as snapshot.json and makes it durable: temp
+// file, fsync, rename, and a directory fsync so the rename itself survives
+// a power failure before the caller drops any WAL byte — otherwise the old
+// snapshot could surface next to an already-empty WAL, losing acknowledged
+// records.
+func (l *Log) writeSnapshot(snap snapshotFile) error {
 	if snap.Records == nil {
 		snap.Records = []Record{}
 	}
-	raw, err := json.MarshalIndent(snap, "", " ")
+	// Not indented: indenting would rewrite each record's Data, and a
+	// replay must hand back the bytes Append logged.
+	raw, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("store: marshaling snapshot: %w", err)
 	}
@@ -538,37 +502,7 @@ func (l *Log) Compact(records []Record) error {
 	if err := l.fs.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
 		return fmt.Errorf("store: installing snapshot: %w", err)
 	}
-	// Fsync the directory so the rename itself is durable before any WAL
-	// byte is dropped — otherwise a power failure could surface the old
-	// snapshot next to an already-empty WAL, losing acknowledged records.
-	if err := syncDir(l.fs, l.dir); err != nil {
-		return err
-	}
-	// The snapshot now covers everything; restart the active segment. On
-	// failure the stale bytes stay, but every record in them is shadowed
-	// by the snapshot's sequence, so later appends and replays stay
-	// correct.
-	if err := l.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating WAL: %w", err)
-	}
-	if _, err := l.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("store: rewinding WAL: %w", err)
-	}
-	// Closed segments are now fully shadowed; removal failures leave them
-	// for the next Compact or Open to retry.
-	kept := l.segments[:0]
-	for _, idx := range l.segments {
-		if idx == l.seg || l.fs.Remove(l.segmentPath(idx)) != nil {
-			kept = append(kept, idx)
-		}
-	}
-	l.segments = kept
-	l.walSize, l.walRecs = 0, 0
-	l.totBytes, l.totRecs = 0, 0
-	l.signaled = false
-	l.replayed = nil
-	l.stats.Compactions++
-	return nil
+	return syncDir(l.fs, l.dir)
 }
 
 // syncDir fsyncs a directory, making previously-renamed entries durable.
@@ -607,9 +541,8 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.stats
-	st.Segments = len(l.segments)
-	st.WALRecords = l.totRecs
-	st.WALBytes = l.totBytes
+	st.WALRecords = l.walRecs
+	st.WALBytes = l.walBytes
 	st.Poisoned = l.wal == nil && l.lock != nil
 	return st
 }

@@ -1,16 +1,21 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // The size-bound tests send one request just past each bound to every
 // endpoint that takes it, including the POST /shard/sweep a router sends a
 // remote shard, and require a 400 naming the field. A bound sits well
 // above any size the repo uses, so the sizes at the bound are checked on
-// the validators alone, without allocating them.
+// the checks alone, without allocating them.
 
 // requireRefused fails unless code is a 400 whose error names field.
 func requireRefused(t *testing.T, what string, code int, out map[string]any, field string) {
@@ -35,7 +40,7 @@ func postShardSweep(t *testing.T, req shardSweepRequest) (int, map[string]any, i
 }
 
 func TestBagJobsBounded(t *testing.T) {
-	if _, err := validateBagRequest(BagRequest{App: "shapes", Jobs: maxBagJobs}); err != nil {
+	if err := (BagRequest{App: "shapes", Jobs: maxBagJobs}).checkSize(); err != nil {
 		t.Fatalf("a bag at the bound: %v", err)
 	}
 	over := BagRequest{App: "shapes", Jobs: maxBagJobs + 1}
@@ -61,7 +66,7 @@ func TestBagJobsBounded(t *testing.T) {
 func TestVMsBounded(t *testing.T) {
 	at := testConfig(1)
 	at.VMs = maxVMs
-	if err := at.withDefaults().Validate(); err != nil {
+	if err := at.withDefaults().checkSizes(); err != nil {
 		t.Fatalf("a cluster at the bound: %v", err)
 	}
 	over := testConfig(1)
@@ -81,7 +86,7 @@ func TestVMsBounded(t *testing.T) {
 func TestFitSamplesBounded(t *testing.T) {
 	at := testConfig(1)
 	at.Model, at.Fit = nil, &FitSpec{Samples: maxFitSamples}
-	if err := at.withDefaults().Validate(); err != nil {
+	if err := at.withDefaults().checkSizes(); err != nil {
 		t.Fatalf("a fit at the bound: %v", err)
 	}
 	over := testConfig(1)
@@ -97,5 +102,46 @@ func TestFitSamplesBounded(t *testing.T) {
 	requireRefused(t, shardSweepPath, code, out, "fit.samples")
 	if appended != 0 {
 		t.Fatalf("refused shard sweep appended %d records", appended)
+	}
+}
+
+// TestReplayIgnoresRequestBounds boots a log written before the bounds
+// existed: a session past the VM bound holding a bag past the job bound.
+// The bounds refuse requests only, so the data dir must boot with the
+// session as logged. (The sample bound sits in the same config check as
+// the VM bound; a recipe past it is left out because fitting it takes
+// seconds.)
+func TestReplayIgnoresRequestBounds(t *testing.T) {
+	big := testConfig(1)
+	big.VMs = maxVMs + 1
+	var wal []byte
+	for i, r := range []struct {
+		kind string
+		v    any
+	}{
+		{kindCreate, createRecord{Config: big.withDefaults()}},
+		{kindBag, BagRequest{App: "shapes", Jobs: maxBagJobs + 1, Seed: 1}},
+	} {
+		line, err := json.Marshal(store.Record{Seq: uint64(i + 1), Kind: r.kind, ID: "s-001", Data: mustJSON(t, r.v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = append(append(wal, line...), '\n')
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(1)
+	defer m.Close()
+	if err := m.Restore(openStore(t, dir)); err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	s, err := m.Get("s-001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(); st.Config.VMs != maxVMs+1 || st.JobsSubmitted != maxBagJobs+1 {
+		t.Fatalf("restored s-001: %d VMs, %d jobs; want %d, %d", st.Config.VMs, st.JobsSubmitted, maxVMs+1, maxBagJobs+1)
 	}
 }

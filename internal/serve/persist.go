@@ -554,9 +554,9 @@ func (m *Manager) rebuild(id string, p *pendingSession) (*Session, error) {
 		shard:    m.shard,
 	}
 	// Replay bags and the run with no store attached: the records already
-	// exist.
+	// exist, and the request size bounds do not apply to them.
 	for _, bag := range p.bags {
-		if _, _, err := s.SubmitBag(bag); err != nil {
+		if _, _, err := s.submitBag(bag); err != nil {
 			return nil, fmt.Errorf("replaying bag: %w", err)
 		}
 	}

@@ -212,8 +212,8 @@ func validateBagRequest(req BagRequest) (workload.App, error) {
 	if err != nil {
 		return workload.App{}, err
 	}
-	if req.Jobs <= 0 || req.Jobs > maxBagJobs {
-		return workload.App{}, fmt.Errorf("jobs must be in [1, %d] (got %d)", maxBagJobs, req.Jobs)
+	if req.Jobs <= 0 {
+		return workload.App{}, fmt.Errorf("jobs must be positive")
 	}
 	if req.Jitter < 0 || req.Jitter >= 1 {
 		return workload.App{}, fmt.Errorf("jitter must be in [0, 1) (got %v)", req.Jitter)
@@ -222,6 +222,15 @@ func validateBagRequest(req BagRequest) (workload.App, error) {
 		return workload.App{}, fmt.Errorf("at must be non-negative")
 	}
 	return app, nil
+}
+
+// checkSize refuses a bag larger than one request may ask for. Like
+// SessionConfig.checkSizes it bounds requests only, not replay.
+func (req BagRequest) checkSize() error {
+	if req.Jobs > maxBagJobs {
+		return fmt.Errorf("jobs must be at most %d (got %d)", maxBagJobs, req.Jobs)
+	}
+	return nil
 }
 
 // rlockGate holds the manager's persist gate for a persist-then-apply
@@ -238,6 +247,14 @@ func (s *Session) rlockGate() func() {
 
 // SubmitBag adds a bag of jobs; only valid before the session runs.
 func (s *Session) SubmitBag(req BagRequest) (int, float64, error) {
+	if err := req.checkSize(); err != nil {
+		return 0, 0, err
+	}
+	return s.submitBag(req)
+}
+
+// submitBag is SubmitBag without the request size bound, for replay.
+func (s *Session) submitBag(req BagRequest) (int, float64, error) {
 	if s.receipt != nil {
 		return 0, 0, errRemoteHomed(s.id)
 	}
@@ -278,6 +295,9 @@ func (s *Session) SubmitBag(req BagRequest) (int, float64, error) {
 func (s *Session) Estimate(req BagRequest) (batch.Estimate, error) {
 	if s.receipt != nil {
 		return batch.Estimate{}, errRemoteHomed(s.id)
+	}
+	if err := req.checkSize(); err != nil {
+		return batch.Estimate{}, err
 	}
 	app, err := validateBagRequest(req)
 	if err != nil {
@@ -584,6 +604,9 @@ func (m *Manager) createSession(ctx context.Context, id, name string, cfg Sessio
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.checkSizes(); err != nil {
 		return nil, err
 	}
 	if err := ctxErr(ctx); err != nil {

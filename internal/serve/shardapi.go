@@ -145,7 +145,11 @@ func (sa *shardAPI) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // checkSweepGroup refuses a sweep group this shard cannot run as sent.
 func (m *Manager) checkSweepGroup(req shardSweepRequest) error {
-	if _, err := validateBagRequest(req.Bag); err != nil {
+	_, err := validateBagRequest(req.Bag)
+	if err == nil {
+		err = req.Bag.checkSize()
+	}
+	if err != nil {
 		return errf(http.StatusBadRequest, "bag: %v", err)
 	}
 	m.mu.Lock()

@@ -185,6 +185,9 @@ func expandSweep(m *Manager, req SweepRequest) ([]SweepCell, []shardCreateReques
 		refs = []string{""}
 	}
 	app, err := validateBagRequest(req.Bag)
+	if err == nil {
+		err = req.Bag.checkSize()
+	}
 	if err != nil {
 		return nil, nil, errf(http.StatusBadRequest, "bag: %v", err)
 	}

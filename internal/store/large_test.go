@@ -1,4 +1,4 @@
-//go:build !race
+//go:build largewal && !race
 
 package store
 
@@ -12,8 +12,10 @@ import (
 // TestAppendOver256MiBReplays appends one record whose line is over 256
 // MiB and requires the reopen to hand it back: replay reads back every
 // record Append acknowledged, however long its line. It allocates about a
-// gigabyte at its peak, too much for the race detector's shadow memory, so
-// the race build leaves it out.
+// gigabyte at its peak, so it is left out of the default suite, where
+// packages test in parallel, and out of race builds; run it alone with
+//
+//	go test -tags largewal -run '^TestAppendOver256MiBReplays$' ./internal/store
 func TestAppendOver256MiBReplays(t *testing.T) {
 	const size = 257 << 20
 	dir := t.TempDir()

@@ -71,12 +71,15 @@
 //
 // -distribute takes the shard boundary across processes: shard 0 (the
 // control plane) stays in this process, and shards 1..N-1 run as
-// supervised subprocesses (`batchsvc -shard-server`) on loopback ports
-// from -shard-port-base, each with its own WAL under DIR/shard-00i. The
-// supervisor health-checks each shard and restarts it if it crashes or
-// hangs — WAL replay makes the restart safe — while the router wraps every
-// cross-process call in deadlines, retries, and a per-shard circuit
-// breaker. Model references are resolved once, on the control plane in
+// supervised subprocesses (`batchsvc -shard-server`), each with its own
+// WAL under DIR/shard-00i. This process binds shard i's socket on
+// 127.0.0.1:(-shard-port-base + i) once and hands it to every
+// incarnation of the child (fd 3, LISTEN_FDS=1), so a shard is ready as
+// soon as it serves and requests sent while it restarts wait for it
+// instead of being refused. The supervisor health-checks each shard and
+// restarts it if it crashes or hangs — WAL replay makes the restart safe
+// — while the router wraps every cross-process call in deadlines,
+// retries, and a per-shard circuit breaker. Model references are resolved once, on the control plane in
 // this process, and each create carries the pinned version's parameters
 // to its shard. A dead shard degrades its own sessions to
 // 503 (Retry-After set) and listings/stats/sweeps to partial results; the
@@ -85,7 +88,9 @@
 //
 // -shard-server ADDR runs one such executor shard by hand (or under an
 // external process manager) serving the shard protocol on ADDR; point the
-// router process at it by running it with the same topology.
+// router process at it by running it with the same topology. With
+// LISTEN_FDS=1 in its environment it serves the socket on fd 3 instead,
+// as the supervisor starts it.
 //
 // Observability: GET /metrics renders every counter, gauge, and latency
 // histogram (per-shard sessions, queue depth, WAL and DP-solve latency,
@@ -458,10 +463,13 @@ func runShardServer(cfg shardServerConfig) {
 		}
 	}
 	defer m.Close()
+	ln, err := serve.ShardListener(cfg.addr)
+	if err != nil {
+		fatal(logger, "shard listener failed", "err", err)
+	}
 	connCtx, closeConns := context.WithCancel(context.Background())
 	defer closeConns()
 	srv := &http.Server{
-		Addr:        cfg.addr,
 		Handler:     serve.ShardHandler(m),
 		BaseContext: func(net.Listener) context.Context { return connCtx },
 	}
@@ -471,8 +479,8 @@ func runShardServer(cfg shardServerConfig) {
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("serving shard protocol", "addr", cfg.addr, "parallelism", cfg.parallelism)
-		errc <- srv.ListenAndServe()
+		logger.Info("serving shard protocol", "addr", ln.Addr().String(), "parallelism", cfg.parallelism)
+		errc <- srv.Serve(ln)
 	}()
 
 	select {

@@ -1,13 +1,12 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"os"
 	"runtime"
 	"sync"
-	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/policy"
@@ -154,14 +153,15 @@ func BenchmarkServiceSessionsSharded4(b *testing.B) { benchSessionsSharded(b, 4)
 
 // BenchmarkServiceSessionsRemote runs the sharded workload with the second
 // shard across a real process boundary: a loopback shard subprocess (the
-// re-exec'd test binary, booted outside the timer) behind a RemoteBackend.
-// Each session is driven through the router's HTTP API, as a client would:
-// the timed path is therefore the shard protocol itself — a create, then
-// forwarded bag, run, event-stream and report requests, JSON over loopback
-// HTTP — on top of the same planner work, so the gap to
-// BenchmarkServiceSessionsSharded1 is the transport cost of distribution
-// (plus the API's own encoding, which local sessions pay here too).
-// Sessions placed on shard 0 never see a socket.
+// re-exec'd test binary under a Supervisor on a free port, booted outside
+// the timer) behind a RemoteBackend. Each session is driven through the
+// router's HTTP API, as a client would: the timed path is therefore the
+// shard protocol itself — a create, then forwarded bag, run, event-stream
+// and report requests, JSON over loopback HTTP — on top of the same
+// planner work, so the gap to BenchmarkServiceSessionsSharded1 is the
+// transport cost of distribution (plus the API's own encoding, which
+// local sessions pay here too). Sessions placed on shard 0 never see a
+// socket.
 func BenchmarkServiceSessionsRemote(b *testing.B) {
 	const batchSize = 8
 	par := runtime.GOMAXPROCS(0)
@@ -171,12 +171,7 @@ func BenchmarkServiceSessionsRemote(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		addr := freeAddr(b)
-		cmd := shardSpawn(addr, "")(0, addr)
-		if err := cmd.Start(); err != nil {
-			b.Fatal(err)
-		}
-		waitShardReady(b, addr)
+		sup, addr := superviseShard(b, "", nil, nil)
 		r, err := NewRouterTopology([]string{"", addr}, par, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -205,33 +200,12 @@ func BenchmarkServiceSessionsRemote(b *testing.B) {
 		}
 		b.StopTimer()
 		r.Close()
-		cmd.Process.Signal(syscall.SIGTERM)
-		cmd.Wait()
+		sup.Stop(context.Background())
 		b.StartTimer()
 	}
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N*batchSize)/sec, "sessions/sec")
-	}
-}
-
-// waitShardReady polls the shard subprocess's ping endpoint until it
-// answers, so process boot never lands inside a timed section.
-func waitShardReady(b *testing.B, addr string) {
-	b.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get("http://" + addr + "/shard/ping")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("shard subprocess on %s never became ready", addr)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

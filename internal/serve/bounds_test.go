@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/store"
 )
 
@@ -105,24 +106,51 @@ func TestFitSamplesBounded(t *testing.T) {
 	}
 }
 
+func TestObservationLifetimesBounded(t *testing.T) {
+	m := NewManager(1)
+	t.Cleanup(m.Close)
+	if err := m.Restore(openStore(t, t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	h := NewAPI(m).Handler()
+	p := testModelParams()
+	if rec, _ := doJSON(t, h, "POST", "/api/models", ModelCreateRequest{Name: "east", VMType: "n1-highcpu-16", Zone: "us-east1-b", Model: &p}); rec.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body)
+	}
+	const path = "/api/models/east/observations"
+	before := m.StoreStats().Appended
+	rec, out := doJSON(t, h, "POST", path, ObservationsRequest{Lifetimes: driftedLifetimes(maxObsLifetimes+1, 1)})
+	requireRefused(t, path, rec.Code, out, "lifetimes")
+	if n := m.StoreStats().Appended - before; n != 0 {
+		t.Fatalf("refused observation batch appended %d records", n)
+	}
+	if rec, _ := doJSON(t, h, "POST", path, ObservationsRequest{Lifetimes: driftedLifetimes(maxObsLifetimes, 1)}); rec.Code != http.StatusAccepted {
+		t.Fatalf("a batch at the bound: %d %s", rec.Code, rec.Body)
+	}
+}
+
 // TestReplayIgnoresRequestBounds boots a log written before the bounds
-// existed: a session past the VM bound holding a bag past the job bound.
-// The bounds refuse requests only, so the data dir must boot with the
-// session as logged. (The sample bound sits in the same config check as
-// the VM bound; a recipe past it is left out because fitting it takes
-// seconds.)
+// existed: a session past the VM bound holding a bag past the job bound,
+// and a model fed an observation batch past the lifetimes bound. The
+// bounds refuse requests only, so the data dir must boot with the session
+// and the model as logged. (The sample bound sits in the same config
+// check as the VM bound; a recipe past it is left out because fitting it
+// takes seconds.)
 func TestReplayIgnoresRequestBounds(t *testing.T) {
 	big := testConfig(1)
 	big.VMs = maxVMs + 1
+	scenario := registry.Scenario{VMType: "n1-highcpu-16", Zone: "us-east1-b"}
 	var wal []byte
 	for i, r := range []struct {
-		kind string
-		v    any
+		kind, id string
+		v        any
 	}{
-		{kindCreate, createRecord{Config: big.withDefaults()}},
-		{kindBag, BagRequest{App: "shapes", Jobs: maxBagJobs + 1, Seed: 1}},
+		{kindCreate, "s-001", createRecord{Config: big.withDefaults()}},
+		{kindBag, "s-001", BagRequest{App: "shapes", Jobs: maxBagJobs + 1, Seed: 1}},
+		{kindModelCreate, "east", modelCreateRecord{Scenario: scenario, Version: registry.Provenance{Family: "manual", Params: testModelParams(), Source: "register"}}},
+		{kindModelObs, "east", modelObsRecord{Lifetimes: driftedLifetimes(maxObsLifetimes+1, 1)}},
 	} {
-		line, err := json.Marshal(store.Record{Seq: uint64(i + 1), Kind: r.kind, ID: "s-001", Data: mustJSON(t, r.v)})
+		line, err := json.Marshal(store.Record{Seq: uint64(i + 1), Kind: r.kind, ID: r.id, Data: mustJSON(t, r.v)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,5 +171,12 @@ func TestReplayIgnoresRequestBounds(t *testing.T) {
 	}
 	if st := s.Status(); st.Config.VMs != maxVMs+1 || st.JobsSubmitted != maxBagJobs+1 {
 		t.Fatalf("restored s-001: %d VMs, %d jobs; want %d, %d", st.Config.VMs, st.JobsSubmitted, maxVMs+1, maxBagJobs+1)
+	}
+	info, err := m.ModelInfo("east")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Observations != maxObsLifetimes+1 {
+		t.Fatalf("restored model east has %d observations, want %d", info.Observations, maxObsLifetimes+1)
 	}
 }

@@ -38,14 +38,16 @@ type FitSpec struct {
 }
 
 // Request size bounds. A bag materialises every job, a session every VM,
-// and a fitting recipe every sample, so one request could otherwise make
-// the service allocate without limit; past a bound the API answers 400.
-// Each sits well above the largest size the repo's examples and
-// benchmarks use: 20,000 jobs, 32 VMs and 2,000 samples.
+// a fitting recipe every sample, and an observation batch becomes one WAL
+// record, so one request could otherwise make the service allocate (or
+// log) without limit; past a bound the API answers 400. Each sits well
+// above the largest size the repo's examples and benchmarks use: 20,000
+// jobs, 32 VMs, 2,000 samples and 300 lifetimes a batch.
 const (
-	maxBagJobs    = 500_000
-	maxVMs        = 4096
-	maxFitSamples = 100_000
+	maxBagJobs      = 500_000
+	maxVMs          = 4096
+	maxFitSamples   = 100_000
+	maxObsLifetimes = 100_000
 )
 
 // SessionConfig is the serializable configuration snapshot a session is

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -85,7 +86,7 @@ func TestSupervisorPingReusesConnection(t *testing.T) {
 	srv, conns := countConns(t, ShardHandler(m))
 	sv := NewSupervisor([]string{hostOf(srv)}, nil, nil)
 	for i := 0; i < 50; i++ {
-		if err := sv.ping(hostOf(srv)); err != nil {
+		if err := sv.ping(context.Background(), hostOf(srv)); err != nil {
 			t.Fatalf("ping %d: %v", i, err)
 		}
 	}

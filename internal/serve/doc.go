@@ -216,12 +216,21 @@
 // accepts.
 //
 // In distributed mode (`batchsvc -distribute`), a Supervisor owns the
-// shard subprocesses: it spawns them, health-checks each with periodic
-// pings, SIGKILLs and respawns (with linear backoff) any that exit or stop
-// answering, and on shutdown fans SIGTERM out and reaps every child —
-// process death is a restart, not an outage, because the shard's WAL
-// replay (Manager.Restore) brings every session back byte-identically and
-// the supervisor's restart closes the loop end to end.
+// shard subprocesses. It binds each shard's listening socket once, in
+// Start (on port 0 it takes a free port, which Addrs reports), and passes
+// it to every incarnation of the shard as fd 3 with LISTEN_FDS=1, as
+// systemd socket activation does; the child takes it with ShardListener,
+// which binds the -shard-server address itself when run by hand. A
+// shard is ready at its first answered ping: the ping waits in the
+// socket's backlog until the child serves, and is dropped at once if the
+// child exits first. The supervisor health-checks each shard with
+// periodic pings, SIGKILLs and respawns (with linear backoff) any that
+// exit or stop answering, and on shutdown fans SIGTERM out, reaps every
+// child and only then closes the sockets. Process death is a restart,
+// not an outage: requests sent meanwhile wait in the backlog for the next
+// incarnation (a 503 with Retry-After only past the per-op deadline),
+// and the shard's WAL replay (Manager.Restore) brings every session back
+// byte-identically.
 //
 // # Persistence
 //

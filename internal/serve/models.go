@@ -152,10 +152,14 @@ func (m *Manager) ModelStats() registry.Stats { return m.registry.Stats() }
 
 // IngestObservations durably logs and ingests one batch of observed
 // lifetimes, then (in auto-refit mode) launches a background refit when
-// the batch made the entry refit-ready.
+// the batch made the entry refit-ready. A batch past maxObsLifetimes is
+// refused; replay ingests logged batches without the bound.
 func (m *Manager) IngestObservations(name string, lifetimes []float64) (registry.IngestResult, error) {
 	if len(lifetimes) == 0 {
 		return registry.IngestResult{}, errf(http.StatusBadRequest, "lifetimes must be non-empty")
+	}
+	if len(lifetimes) > maxObsLifetimes {
+		return registry.IngestResult{}, errf(http.StatusBadRequest, "lifetimes must hold at most %d (got %d)", maxObsLifetimes, len(lifetimes))
 	}
 	res, err := func() (registry.IngestResult, error) {
 		defer m.rlockPersistGate()()

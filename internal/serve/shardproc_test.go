@@ -6,13 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"os/signal"
+	"path/filepath"
 	"sort"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -37,9 +39,11 @@ func TestMain(m *testing.M) {
 }
 
 // runShardProcess is the subprocess body: a shard Manager behind
-// ShardHandler on addr, warm-started from dir's WAL when set, shut down
-// gracefully on SIGTERM — in-flight runs drain before it exits. It mirrors
-// `batchsvc -shard-server` without needing a second binary on disk.
+// ShardHandler on the socket ShardListener hands it, warm-started from
+// dir's WAL when set, shut down gracefully on SIGTERM — in-flight runs
+// drain before it exits. It mirrors `batchsvc -shard-server` without
+// needing a second binary on disk. It serves once its stdin reaches EOF,
+// at once for the /dev/null an ungated spawn gets (see shardGate).
 func runShardProcess(addr, dir string) {
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "shard process: %v\n", err)
@@ -59,10 +63,11 @@ func runShardProcess(addr, dir string) {
 			die(err)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := ShardListener(addr)
 	if err != nil {
 		die(err)
 	}
+	_, _ = io.Copy(io.Discard, os.Stdin)
 	srv := &http.Server{Handler: ShardHandler(m)}
 	go srv.Serve(ln)
 
@@ -77,60 +82,106 @@ func runShardProcess(addr, dir string) {
 	os.Exit(0)
 }
 
-// freeAddr reserves a loopback port and releases it for the subprocess.
-func freeAddr(t testing.TB) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+// shardGate holds back the shard incarnations spawned while it is shut:
+// each gets the read end of a pipe as its stdin, and serves only once
+// release closes the write end. The supervisor's socket keeps every
+// connection made meanwhile in its backlog, so a test sees a shard that is
+// down without being refused. A nil gate never holds.
+type shardGate struct {
+	mu    sync.Mutex
+	shut  bool
+	pipes []*os.File
 }
 
-// shardSpawn re-execs the test binary as a shard server on addr with its
-// WAL in dir.
-func shardSpawn(addr, dir string) func(int, string) *exec.Cmd {
-	return func(i int, a string) *exec.Cmd {
+// close holds back every incarnation spawned from now until release.
+func (g *shardGate) close() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.shut = true
+}
+
+// release lets every held incarnation serve; later ones serve at once.
+func (g *shardGate) release() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.shut = false
+	for _, f := range g.pipes {
+		f.Close()
+	}
+	g.pipes = nil
+}
+
+// hold gives cmd a pipe for stdin while the gate is shut.
+func (g *shardGate) hold(cmd *exec.Cmd) {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.shut {
+		return
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		panic(err)
+	}
+	cmd.Stdin = r
+	g.pipes = append(g.pipes, r, w)
+}
+
+// shardSpawn re-execs the test binary as a shard server with its WAL in
+// dir, held back by gate while it is shut.
+func shardSpawn(dir string, gate *shardGate) func(int, string) *exec.Cmd {
+	return func(_ int, addr string) *exec.Cmd {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(),
 			"SERVE_SHARD_SERVER="+addr,
 			"SERVE_SHARD_DIR="+dir,
 		)
 		cmd.Stderr = os.Stderr
+		gate.hold(cmd)
 		return cmd
 	}
 }
 
+// superviseShard starts one supervised shard subprocess on a free loopback
+// port (see shardSpawn) and returns its supervisor and address. The shard
+// is killed at cleanup.
+func superviseShard(t testing.TB, dir string, gate *shardGate, opts *SupervisorOptions) (*Supervisor, string) {
+	t.Helper()
+	sup := NewSupervisor([]string{"127.0.0.1:0"}, shardSpawn(dir, gate), opts)
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Kill)
+	return sup, sup.Addrs()[0]
+}
+
 // TestShardProcessKillRestartWALReplay is the end-to-end chaos walk: kill
 // -9 one shard subprocess mid-run and check, in order, that (1) the other
-// shard keeps serving and reads go partial, (2) the dead shard's
-// operations fail fast with 503 + Retry-After and the breaker opens, (3)
-// the supervisor restarts it and WAL replay brings every one of its
-// sessions back byte-identically — the run the kill interrupted included,
-// re-run from its inputs to the report an uncrashed run gives — and (4)
-// a model_ref session homed there comes back from the parameters its own
-// log holds, while new creates keep pinning the control plane's model.
+// shard keeps serving and reads go partial, (2) while a gate keeps the
+// shard from serving, its operations 503 with Retry-After once the per-op
+// deadline passes and the breaker opens, (3) once released, the
+// supervisor's next incarnation serves and WAL replay brings every one of
+// its sessions back byte-identically — the run the kill interrupted
+// included, re-run from its inputs to the report an uncrashed run gives —
+// and (4) a model_ref session homed there comes back from the parameters
+// its own log holds, while new creates keep pinning the control plane's
+// model.
 func TestShardProcessKillRestartWALReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
 	}
 	root := t.TempDir()
-	addr := freeAddr(t)
-	shardDir := store.ShardDir(root, 1)
-
-	sup := NewSupervisor([]string{addr}, shardSpawn(addr, shardDir), &SupervisorOptions{
+	gate := &shardGate{}
+	t.Cleanup(gate.release)
+	sup, addr := superviseShard(t, store.ShardDir(root, 1), gate, &SupervisorOptions{
 		PingInterval:   50 * time.Millisecond,
 		PingTimeout:    time.Second,
 		PingFailures:   3,
 		RestartBackoff: 300 * time.Millisecond,
 		ReadyTimeout:   15 * time.Second,
 	})
-	if err := sup.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Kill()
 
 	r, err := NewRouterTopology([]string{"", addr}, 2, &RemoteOptions{
 		OpTimeout:        2 * time.Second,
@@ -209,6 +260,10 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		return st.Progress != nil
 	})
 
+	// The supervisor's socket holds requests for a restarting shard until
+	// its next incarnation serves; the gate keeps every incarnation from
+	// serving until the down-shard checks are done.
+	gate.close()
 	pid := sup.Pid(0)
 	if pid <= 0 {
 		t.Fatalf("supervisor has no pid for the shard (got %d)", pid)
@@ -217,8 +272,9 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Survivors keep serving; the dead shard's reads 503 with Retry-After
-	// until the breaker opens and fails them fast.
+	// Survivors keep serving; the dead shard's reads wait out the per-op
+	// deadline and 503 with Retry-After until the breaker opens and fails
+	// them fast.
 	if _, err := r.Get(localIDs[0]); err != nil {
 		t.Fatalf("local session unreadable while remote shard dead: %v", err)
 	}
@@ -238,10 +294,12 @@ func TestShardProcessKillRestartWALReplay(t *testing.T) {
 		t.Fatalf("list while shard dead: errors = %+v, want exactly shard 1", errs)
 	}
 
-	// The supervisor notices, restarts, and the shard comes back ready.
+	// The supervisor notices and restarts; released, the shard comes back
+	// ready.
 	waitUntil(t, "supervisor to restart the shard", func() bool {
 		return sup.Restarts(0) >= 1
 	})
+	gate.release()
 	waitUntil(t, "restarted shard to serve reads again", func() bool {
 		_, err := statusOn(rb, remoteIDs[0])
 		return err == nil
@@ -317,14 +375,9 @@ func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
 	}
-	addr := freeAddr(t)
-	spawn := shardSpawn(addr, store.ShardDir(t.TempDir(), 1))
+	dir := store.ShardDir(t.TempDir(), 1)
 	opts := &SupervisorOptions{PingInterval: 50 * time.Millisecond, ReadyTimeout: 15 * time.Second}
-	sup := NewSupervisor([]string{addr}, spawn, opts)
-	if err := sup.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Kill()
+	sup, addr := superviseShard(t, dir, nil, opts)
 	r, err := NewRouterTopology([]string{"", addr}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +412,8 @@ func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 	defer cancel()
 	sup.Stop(ctx)
 
-	sup = NewSupervisor([]string{addr}, spawn, opts)
+	// Stop closed the socket, so a new supervisor can bind the same address.
+	sup = NewSupervisor([]string{addr}, shardSpawn(dir, nil), opts)
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -384,16 +438,11 @@ func TestShardProcessTracePropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
 	}
-	addr := freeAddr(t)
 	// The shard gets a WAL so the trace includes its wal.persist spans.
-	sup := NewSupervisor([]string{addr}, shardSpawn(addr, store.ShardDir(t.TempDir(), 1)), &SupervisorOptions{
+	_, addr := superviseShard(t, store.ShardDir(t.TempDir(), 1), nil, &SupervisorOptions{
 		PingInterval: 50 * time.Millisecond,
 		ReadyTimeout: 15 * time.Second,
 	})
-	if err := sup.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Kill()
 
 	r, err := NewRouterTopology([]string{"", addr}, 2, nil)
 	if err != nil {
@@ -529,18 +578,13 @@ func TestSupervisorRestartsUnresponsiveShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
 	}
-	addr := freeAddr(t)
-	sup := NewSupervisor([]string{addr}, shardSpawn(addr, ""), &SupervisorOptions{
+	sup, addr := superviseShard(t, "", nil, &SupervisorOptions{
 		PingInterval:   50 * time.Millisecond,
 		PingTimeout:    250 * time.Millisecond,
 		PingFailures:   3,
 		RestartBackoff: 100 * time.Millisecond,
 		ReadyTimeout:   15 * time.Second,
 	})
-	if err := sup.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Kill()
 
 	pid := sup.Pid(0)
 	if err := syscall.Kill(pid, syscall.SIGSTOP); err != nil {
@@ -554,7 +598,133 @@ func TestSupervisorRestartsUnresponsiveShard(t *testing.T) {
 	waitUntil(t, "frozen incarnation to be reaped", func() bool {
 		return syscall.Kill(pid, 0) != nil
 	})
-	waitUntil(t, "replacement shard to answer pings", func() bool {
-		return sup.ping(addr) == nil
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := sup.ping(ctx, addr); err != nil {
+		t.Fatalf("replacement shard does not answer pings: %v", err)
+	}
+}
+
+// TestRequestDuringRespawnWaits sends a status read and a bag submission
+// for a remote-homed session after its shard process was killed and before
+// the next incarnation serves. The supervisor's socket keeps both in its
+// backlog, so both succeed once that incarnation serves: no 503, and the
+// breaker never sees a failure.
+func TestRequestDuringRespawnWaits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test")
+	}
+	gate := &shardGate{}
+	t.Cleanup(gate.release)
+	sup, addr := superviseShard(t, store.ShardDir(t.TempDir(), 1), gate, &SupervisorOptions{
+		PingInterval:   50 * time.Millisecond,
+		RestartBackoff: 50 * time.Millisecond,
+		ReadyTimeout:   15 * time.Second,
 	})
+	r, err := NewRouterTopology([]string{"", addr}, 2, &RemoteOptions{
+		OpTimeout:        15 * time.Second,
+		BreakerThreshold: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var id string
+	for id == "" {
+		s, err := r.Create("respawn", testConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placement.Shard(s.ID(), 2) == 1 {
+			id = s.ID()
+		}
+	}
+	h := NewAPI(r).Handler()
+	statusOf(t, h, id) // leaves an idle connection to the incarnation about to die
+
+	gate.close()
+	pid := sup.Pid(0)
+	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the killed incarnation to be reaped", func() bool { return sup.Restarts(0) >= 1 })
+
+	type answer struct {
+		what string
+		code int
+		body string
+	}
+	answers := make(chan answer, 2)
+	send := func(what, method, path, body string) {
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			answers <- answer{what, rec.Code, rec.Body.String()}
+		}()
+	}
+	p := "/api/sessions/" + id
+	send("status", http.MethodGet, p, "")
+	send("bags", http.MethodPost, p+"/bags", `{"app":"shapes","jobs":7,"seed":1}`)
+
+	waitUntil(t, "the next incarnation to spawn", func() bool {
+		n := sup.Pid(0)
+		return n != 0 && n != pid
+	})
+	select {
+	case a := <-answers:
+		t.Fatalf("%s answered %d before any incarnation served: %s", a.what, a.code, a.body)
+	case <-time.After(100 * time.Millisecond):
+	}
+	gate.release()
+	for range 2 {
+		select {
+		case a := <-answers:
+			want := http.StatusOK
+			if a.what == "bags" {
+				want = http.StatusAccepted
+			}
+			if a.code != want {
+				t.Fatalf("%s during the respawn answered %d, want %d: %s", a.what, a.code, want, a.body)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("a request sent during the respawn never answered")
+		}
+	}
+	if got := r.Remote(1).BreakerState(); got != breakerClosed {
+		t.Fatalf("breaker = %s after the respawn, want closed", got)
+	}
+	if st := statusOf(t, h, id); st.JobsSubmitted != 7 {
+		t.Fatalf("the restarted shard holds %d jobs for %s, want the 7 submitted during the respawn", st.JobsSubmitted, id)
+	}
+}
+
+// TestSupervisorStartFailsFastOnEarlyExit starts a shard that exits before
+// it serves (its data dir cannot be made). Its readiness ping waits in the
+// socket's backlog, where nothing will answer it, so Start must end that
+// wait when the process exits, not after PingTimeout or ReadyTimeout.
+func TestSupervisorStartFailsFastOnEarlyExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test")
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sup := NewSupervisor([]string{"127.0.0.1:0"}, shardSpawn(filepath.Join(file, "wal"), nil), &SupervisorOptions{
+		PingTimeout:  10 * time.Second,
+		ReadyTimeout: 10 * time.Second,
+	})
+	start := time.Now()
+	err := sup.Start()
+	elapsed := time.Since(start)
+	if err == nil {
+		sup.Kill()
+		t.Fatal("Start succeeded for a shard that cannot open its data dir")
+	}
+	if !strings.Contains(err.Error(), "exited before ready") {
+		t.Fatalf("Start: %v, want an exited-before-ready error", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("Start took %v to notice the exit, want under 1s", elapsed)
+	}
 }

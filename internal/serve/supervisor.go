@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"strings"
 	"sync"
@@ -15,13 +17,20 @@ import (
 
 // This file implements the shard supervisor: the piece of the distributed
 // deployment that owns the shard subprocesses. The router treats a shard
-// as an address; the supervisor is what makes that address keep answering
-// — it spawns each shard process, health-checks it over /shard/ping,
-// restarts it when it crashes or stops responding (the shard's WAL replay
-// makes a restart safe: Restore rebuilds every session the crash
-// interrupted), and tears the fleet down in order at shutdown. One
-// supervisor per router process; shard i's slot in the supervisor matches
-// its slot in the router topology.
+// as an address; the supervisor is what makes that address keep answering.
+// It binds each shard's listening socket itself, once, in Start, and hands
+// it to every incarnation of the shard process as fd 3 with LISTEN_FDS=1
+// (systemd's socket-activation convention; ShardListener is the child's
+// half). Because the socket outlives every child, a connection made while
+// a shard boots or restarts waits in the backlog instead of being refused:
+// readiness is the first answered ping, with no poll, and requests sent
+// during a respawn are served by the next incarnation. The supervisor
+// health-checks each process over /shard/ping, restarts it when it crashes
+// or stops responding (the shard's WAL replay makes a restart safe:
+// Restore rebuilds every session the crash interrupted), and tears the
+// fleet down in order at shutdown. One supervisor per router process;
+// shard i's slot in the supervisor matches its slot in the router
+// topology.
 
 // SupervisorOptions tunes process supervision. The zero value of any field
 // selects its default.
@@ -29,7 +38,8 @@ type SupervisorOptions struct {
 	// PingInterval is how often each running shard is health-checked
 	// (default 1s).
 	PingInterval time.Duration
-	// PingTimeout bounds one health-check round trip (default 2s).
+	// PingTimeout bounds one health-check round trip (default 2s). A ping
+	// in flight when the process exits is dropped at once.
 	PingTimeout time.Duration
 	// PingFailures is how many consecutive failed pings declare a live
 	// process hung and force a restart (default 3).
@@ -37,8 +47,9 @@ type SupervisorOptions struct {
 	// RestartBackoff is the base delay before a respawn, growing linearly
 	// with consecutive restarts (default 250ms, capped at 2s).
 	RestartBackoff time.Duration
-	// ReadyTimeout bounds how long Start waits for each shard's first
-	// successful ping (default 15s).
+	// ReadyTimeout bounds how long each incarnation may take from spawn to
+	// its first answered ping, replay included (default 15s). Past it,
+	// Start fails, and a respawned process is killed as hung.
 	ReadyTimeout time.Duration
 }
 
@@ -66,14 +77,41 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 // poisoned request that died with the process) clears quickly.
 const maxRestartBackoff = 2 * time.Second
 
+// listenFD is the descriptor a shard process finds its listening socket
+// on: the first of exec.Cmd.ExtraFiles, after stdin, stdout and stderr.
+const listenFD = 3
+
+// ShardListener returns the listener a shard server serves on. Under a
+// Supervisor (LISTEN_FDS=1 in the environment) it is the socket the
+// supervisor bound and passed as fd 3; otherwise it is a new one bound on
+// addr, for a shard started by hand.
+func ShardListener(addr string) (net.Listener, error) {
+	if os.Getenv("LISTEN_FDS") != "1" {
+		return net.Listen("tcp", addr)
+	}
+	f := os.NewFile(listenFD, "shard listener")
+	defer f.Close() // FileListener holds its own descriptor
+	return net.FileListener(f)
+}
+
 // shardProc is one supervised process incarnation. done is closed by the
 // single waiter goroutine once cmd.Wait returns (Wait must be called
 // exactly once per process, so reaping elsewhere observes done instead);
-// err is readable after done.
+// err is readable after done. ctx ends when the process is reaped or the
+// supervisor stops, and bounds every ping sent to this incarnation.
 type shardProc struct {
-	cmd  *exec.Cmd
-	done chan struct{}
-	err  error
+	cmd     *exec.Cmd
+	spawned time.Time
+	done    chan struct{}
+	err     error
+	ctx     context.Context
+}
+
+// kill sends the process SIGKILL.
+func (p *shardProc) kill() {
+	if p.cmd.Process != nil {
+		_ = p.cmd.Process.Kill()
+	}
 }
 
 // exited reports whether the process has been reaped.
@@ -89,40 +127,51 @@ func (p *shardProc) exited() bool {
 // Supervisor spawns and supervises one shard subprocess per address. Spawn
 // builds the (unstarted) command for shard i serving addr — typically
 // re-invoking the server binary with -shard-server and that shard's data
-// directory. It is called again on every restart.
+// directory. It is called again on every restart; the supervisor adds the
+// listening socket (ExtraFiles) and LISTEN_FDS=1 to what it returns.
 type Supervisor struct {
 	addrs []string
 	spawn func(i int, addr string) *exec.Cmd
 	opts  SupervisorOptions
 
-	mu       sync.Mutex
-	procs    []*shardProc
-	restarts []int
-	stopping bool
+	mu        sync.Mutex
+	listeners []*os.File
+	procs     []*shardProc
+	restarts  []int
 
-	stopCh chan struct{}
+	// ctx ends when Stop or Kill begins; stop ends it.
+	ctx    context.Context
+	stop   context.CancelFunc
 	wg     sync.WaitGroup
 	client *http.Client
 }
 
-// NewSupervisor builds a supervisor for the given shard addresses. Nothing
-// runs until Start.
+// NewSupervisor builds a supervisor for the given shard addresses. An
+// address with port 0 gets a free port when Start binds it; Addrs reports
+// it. Nothing runs until Start.
 func NewSupervisor(addrs []string, spawn func(i int, addr string) *exec.Cmd, opts *SupervisorOptions) *Supervisor {
 	var o SupervisorOptions
 	if opts != nil {
 		o = *opts
 	}
 	o = o.withDefaults()
+	ctx, stop := context.WithCancel(context.Background())
 	return &Supervisor{
-		addrs:    addrs,
-		spawn:    spawn,
-		opts:     o,
-		procs:    make([]*shardProc, len(addrs)),
-		restarts: make([]int, len(addrs)),
-		stopCh:   make(chan struct{}),
-		client:   &http.Client{Transport: &shardTransport{}},
+		addrs:     append([]string(nil), addrs...),
+		spawn:     spawn,
+		opts:      o,
+		listeners: make([]*os.File, len(addrs)),
+		procs:     make([]*shardProc, len(addrs)),
+		restarts:  make([]int, len(addrs)),
+		ctx:       ctx,
+		stop:      stop,
+		client:    &http.Client{Transport: &shardTransport{}},
 	}
 }
+
+// Addrs returns the shard addresses, with the ports Start bound in place
+// of any port 0.
+func (sv *Supervisor) Addrs() []string { return append([]string(nil), sv.addrs...) }
 
 // Restarts reports how many times shard i has been respawned after its
 // initial start.
@@ -159,11 +208,9 @@ func (sv *Supervisor) proc(i int) *shardProc {
 	return sv.procs[i]
 }
 
-// ping performs one /shard/ping round trip against addr, reading the
-// reply to EOF so the next ping reuses the connection.
-func (sv *Supervisor) ping(addr string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), sv.opts.PingTimeout)
-	defer cancel()
+// ping performs one /shard/ping round trip against addr under ctx, reading
+// the reply to EOF so the next ping reuses the connection.
+func (sv *Supervisor) ping(ctx context.Context, addr string) error {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -183,17 +230,41 @@ func (sv *Supervisor) ping(addr string) error {
 	return nil
 }
 
-// start spawns shard i, installs its incarnation under the lock, and hands
-// the process to its waiter goroutine.
+// listen binds shard i's socket on its configured address and records the
+// address it got.
+func (sv *Supervisor) listen(i int) error {
+	ln, err := net.Listen("tcp", sv.addrs[i])
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", i, err)
+	}
+	defer ln.Close() // the dup below keeps the socket open
+	f, err := ln.(*net.TCPListener).File()
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", i, err)
+	}
+	sv.mu.Lock()
+	sv.listeners[i] = f
+	sv.mu.Unlock()
+	sv.addrs[i] = ln.Addr().String()
+	return nil
+}
+
+// start spawns shard i on its socket, installs its incarnation under the
+// lock, and hands the process to its waiter goroutine.
 func (sv *Supervisor) start(i int) (*shardProc, error) {
 	cmd := sv.spawn(i, sv.addrs[i])
+	cmd.ExtraFiles = []*os.File{sv.listeners[i]}
+	cmd.Env = append(cmd.Environ(), "LISTEN_FDS=1")
+	spawned := time.Now()
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("shard %d: starting: %w", i, err)
 	}
-	p := &shardProc{cmd: cmd, done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(sv.ctx)
+	p := &shardProc{cmd: cmd, spawned: spawned, done: make(chan struct{}), ctx: ctx}
 	go func() {
 		p.err = cmd.Wait()
 		close(p.done)
+		cancel()
 	}()
 	sv.mu.Lock()
 	sv.procs[i] = p
@@ -201,34 +272,51 @@ func (sv *Supervisor) start(i int) (*shardProc, error) {
 	return p, nil
 }
 
-// Start spawns every shard and blocks until each answers its first ping
-// (or ReadyTimeout passes — then the fleet is torn down and Start fails).
-// After Start returns, a monitor goroutine per shard keeps it alive until
-// Stop.
+// ready waits for incarnation p of shard i to answer its first ping. The
+// socket is already listening, so the ping waits in its backlog until the
+// process serves. The wait ends early when the process exits or the
+// supervisor stops, and fails after ReadyTimeout.
+func (sv *Supervisor) ready(i int, p *shardProc) error {
+	ctx, cancel := context.WithTimeout(p.ctx, sv.opts.ReadyTimeout)
+	defer cancel()
+	if err := sv.ping(ctx, sv.addrs[i]); err == nil {
+		sv.event(i, "shard ready", "ready_ms", float64(time.Since(p.spawned).Microseconds())/1e3)
+		return nil
+	}
+	// A ping can also fail on a connection the process closed on its way
+	// out, before its waiter has seen the exit.
+	<-ctx.Done()
+	switch {
+	case p.exited():
+		return fmt.Errorf("shard %d (%s): exited before ready: %v", i, sv.addrs[i], p.err)
+	case sv.ctx.Err() != nil:
+		return fmt.Errorf("shard %d (%s): supervisor stopping", i, sv.addrs[i])
+	}
+	return fmt.Errorf("shard %d (%s): not ready within %s", i, sv.addrs[i], sv.opts.ReadyTimeout)
+}
+
+// Start binds every shard's socket, spawns every shard, and blocks until
+// each answers its first ping. If a bind or spawn fails, a shard exits
+// before it serves (a config error, which a respawn would only repeat), or
+// ReadyTimeout passes, the fleet is torn down and Start fails. After Start
+// returns, a monitor goroutine per shard keeps it alive until Stop.
 func (sv *Supervisor) Start() error {
+	for i := range sv.addrs {
+		if err := sv.listen(i); err != nil {
+			sv.Kill()
+			return err
+		}
+	}
 	for i := range sv.addrs {
 		if _, err := sv.start(i); err != nil {
 			sv.Kill()
 			return err
 		}
 	}
-	deadline := time.Now().Add(sv.opts.ReadyTimeout)
-	for i, addr := range sv.addrs {
-		for {
-			if err := sv.ping(addr); err == nil {
-				break
-			}
-			if p := sv.proc(i); p.exited() {
-				// Died before ever answering: a config error, not a crash —
-				// respawning would loop on it.
-				sv.Kill()
-				return fmt.Errorf("shard %d (%s): exited before ready: %v", i, addr, p.err)
-			}
-			if time.Now().After(deadline) {
-				sv.Kill()
-				return fmt.Errorf("shard %d (%s): not ready within %s", i, addr, sv.opts.ReadyTimeout)
-			}
-			time.Sleep(50 * time.Millisecond)
+	for i := range sv.addrs {
+		if err := sv.ready(i, sv.proc(i)); err != nil {
+			sv.Kill()
+			return err
 		}
 	}
 	for i := range sv.addrs {
@@ -239,27 +327,20 @@ func (sv *Supervisor) Start() error {
 }
 
 // monitor keeps shard i alive: it watches for process exit and for ping
-// failures (a hung process holds its port, so it is killed and takes the
-// exit path), restarting with linear backoff until Stop. A respawned shard
-// is starting, not hung, until its first answered ping or ReadyTimeout —
-// the same grace Start gives — since its WAL replay re-runs every logged
-// session before it listens.
+// failures (a hung process is killed and takes the exit path), restarting
+// with linear backoff until Stop.
 func (sv *Supervisor) monitor(i int) {
 	defer sv.wg.Done()
 	ticker := time.NewTicker(sv.opts.PingInterval)
 	defer ticker.Stop()
 	pingFailures := 0
-	var startingUntil time.Time
 	for {
 		p := sv.proc(i)
 		select {
-		case <-sv.stopCh:
+		case <-sv.ctx.Done():
 			return
 		case <-p.done:
-			sv.mu.Lock()
-			stopping := sv.stopping
-			sv.mu.Unlock()
-			if stopping {
+			if sv.ctx.Err() != nil {
 				return
 			}
 			sv.event(i, "shard process exited; restarting", "err", p.err)
@@ -267,33 +348,31 @@ func (sv *Supervisor) monitor(i int) {
 				return
 			}
 			pingFailures = 0
-			startingUntil = time.Now().Add(sv.opts.ReadyTimeout)
 		case <-ticker.C:
-			if err := sv.ping(sv.addrs[i]); err != nil {
-				if time.Now().Before(startingUntil) {
-					continue
-				}
-				pingFailures++
-				if pingFailures < sv.opts.PingFailures {
-					continue
-				}
-				// Hung: alive but not answering. Kill it; the next iteration
-				// observes the exit and respawns.
-				sv.event(i, "killing unresponsive shard", "failed_pings", pingFailures)
-				if p.cmd.Process != nil {
-					_ = p.cmd.Process.Kill()
-				}
+			ctx, cancel := context.WithTimeout(p.ctx, sv.opts.PingTimeout)
+			err := sv.ping(ctx, sv.addrs[i])
+			cancel()
+			if err == nil || p.ctx.Err() != nil {
+				// Answered, or dropped because the process exited or the
+				// supervisor is stopping: the next iteration sees which.
 				pingFailures = 0
 				continue
 			}
+			if pingFailures++; pingFailures < sv.opts.PingFailures {
+				continue
+			}
+			// Hung: alive but not answering. Kill it; the next iteration
+			// observes the exit and respawns.
+			sv.event(i, "killing unresponsive shard", "failed_pings", pingFailures)
+			p.kill()
 			pingFailures = 0
-			startingUntil = time.Time{}
 		}
 	}
 }
 
-// respawn restarts shard i after a backoff; false when the supervisor
-// began stopping while it slept.
+// respawn restarts shard i after a backoff and waits for the new
+// incarnation to be ready, killing it if it is not within ReadyTimeout;
+// false when the supervisor began stopping while it slept.
 func (sv *Supervisor) respawn(i int) bool {
 	sv.mu.Lock()
 	sv.restarts[i]++
@@ -301,11 +380,12 @@ func (sv *Supervisor) respawn(i int) bool {
 	sv.mu.Unlock()
 	backoff := min(time.Duration(n)*sv.opts.RestartBackoff, maxRestartBackoff)
 	select {
-	case <-sv.stopCh:
+	case <-sv.ctx.Done():
 		return false
 	case <-time.After(backoff):
 	}
-	if _, err := sv.start(i); err != nil {
+	p, err := sv.start(i)
+	if err != nil {
 		// The spawn itself failed (fork/exec): leave the dead incarnation in
 		// place so the monitor loops back through the exit path with growing
 		// backoff.
@@ -313,23 +393,24 @@ func (sv *Supervisor) respawn(i int) bool {
 		return true
 	}
 	sv.event(i, "shard restarted")
+	if err := sv.ready(i, p); err != nil && !p.exited() && sv.ctx.Err() == nil {
+		sv.event(i, "killing shard that never became ready", "err", err)
+		p.kill()
+	}
 	return true
 }
 
 // Stop shuts the fleet down: monitors stop (so exits are no longer
 // restarts), every shard gets SIGTERM — triggering its own graceful drain —
 // and processes are reaped until ctx expires, at which point stragglers are
-// killed and reaped anyway (no zombies on either path). Kill may follow for
-// a second-signal force.
+// killed and reaped anyway (no zombies on either path). The listening
+// sockets close once every child is reaped. Kill may follow for a
+// second-signal force.
 func (sv *Supervisor) Stop(ctx context.Context) {
-	sv.mu.Lock()
-	if sv.stopping {
-		sv.mu.Unlock()
-		return
+	if sv.ctx.Err() != nil {
+		return // already stopping
 	}
-	sv.stopping = true
-	sv.mu.Unlock()
-	close(sv.stopCh)
+	sv.stop()
 	sv.wg.Wait()
 	sv.client.CloseIdleConnections() // the health loops are done pinging
 	sv.mu.Lock()
@@ -348,26 +429,18 @@ func (sv *Supervisor) Stop(ctx context.Context) {
 		case <-p.done:
 		case <-ctx.Done():
 			sv.event(i, "shard drain timed out; killing")
-			if p.cmd.Process != nil {
-				_ = p.cmd.Process.Kill()
-			}
+			p.kill()
 			<-p.done
 		}
 	}
+	sv.closeListeners()
 }
 
-// Kill force-terminates the fleet immediately and reaps every process —
-// the second-SIGTERM path, and Start's cleanup when a shard never becomes
-// ready.
+// Kill force-terminates the fleet immediately, reaps every process and
+// closes the listening sockets — the second-SIGTERM path, and Start's
+// cleanup when a shard never becomes ready.
 func (sv *Supervisor) Kill() {
-	sv.mu.Lock()
-	sv.stopping = true
-	select {
-	case <-sv.stopCh:
-	default:
-		close(sv.stopCh)
-	}
-	sv.mu.Unlock()
+	sv.stop()
 	// Monitors first: an in-flight respawn must install its process before
 	// the snapshot below, or the new process would outlive the kill.
 	sv.wg.Wait()
@@ -375,13 +448,27 @@ func (sv *Supervisor) Kill() {
 	procs := append([]*shardProc(nil), sv.procs...)
 	sv.mu.Unlock()
 	for _, p := range procs {
-		if p != nil && p.cmd.Process != nil {
-			_ = p.cmd.Process.Kill()
+		if p != nil {
+			p.kill()
 		}
 	}
 	for _, p := range procs {
 		if p != nil {
 			<-p.done
+		}
+	}
+	sv.closeListeners()
+}
+
+// closeListeners closes the shards' sockets, once every child holding a
+// copy is reaped; connections still in a backlog are reset.
+func (sv *Supervisor) closeListeners() {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	for i, f := range sv.listeners {
+		if f != nil {
+			f.Close()
+			sv.listeners[i] = nil
 		}
 	}
 }

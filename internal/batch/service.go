@@ -116,11 +116,11 @@ type Service struct {
 	// callback is the only sanctioned way to observe a Service mid-run from
 	// outside.
 	OnSnapshot func(Snapshot)
-	// SnapshotDetail, optional, is consulted before each periodic snapshot:
-	// when it returns false the snapshot carries only Progress (Jobs and
-	// VMs nil), skipping the O(jobs) status materialization for intervals
-	// nobody is inspecting. The initial and final snapshots always carry
-	// full detail.
+	// SnapshotDetail, optional, is consulted before every snapshot, the
+	// initial and final ones included: when it returns false the snapshot
+	// carries only Progress (Jobs and VMs nil), skipping the O(jobs) status
+	// materialization nobody asked for. Unset, every snapshot carries full
+	// detail.
 	SnapshotDetail func() bool
 	// ProgressEvery is the snapshot (and cancellation-check) cadence in
 	// engine steps (default 4096). A cancelled context is noticed within one
@@ -429,11 +429,11 @@ func (s *Service) Run(ctx context.Context) (Report, error) {
 	}
 	// Drive the simulation until every job completes, surfacing snapshots
 	// (and noticing cancellation) every ProgressEvery events.
-	s.publish(true)
+	s.publish()
 	err := s.Engine.DriveContext(ctx,
 		s.ProgressEvery,
 		func() bool { return s.remaining == 0 },
-		func() { s.publish(false) },
+		s.publish,
 	)
 	switch {
 	case err == sim.ErrStalled:
@@ -447,24 +447,24 @@ func (s *Service) Run(ctx context.Context) (Report, error) {
 		// would otherwise leave fresh gangs running after the drain.
 		s.stopping = true
 		s.drain()
-		s.publish(true)
+		s.publish()
 		return Report{}, fmt.Errorf("batch: run cancelled at t=%.3fh with %d of %d jobs done: %w",
 			s.Engine.Now(), len(s.jobs)-s.remaining, len(s.jobs), err)
 	}
 	s.finishedAt = s.Engine.Now()
 	s.drain()
-	s.publish(true)
+	s.publish()
 	return s.report(), nil
 }
 
-// publish delivers a snapshot to the OnSnapshot observer, if any. Periodic
-// publishes (full=false) defer to SnapshotDetail on whether to pay for the
-// per-job and VM listings.
-func (s *Service) publish(full bool) {
+// publish delivers a snapshot to the OnSnapshot observer, if any. Every
+// publish, at the run's start and end as well as the periodic ones, defers
+// to SnapshotDetail on whether to pay for the per-job and VM listings.
+func (s *Service) publish() {
 	if s.OnSnapshot == nil {
 		return
 	}
-	if !full && s.SnapshotDetail != nil && !s.SnapshotDetail() {
+	if s.SnapshotDetail != nil && !s.SnapshotDetail() {
 		s.OnSnapshot(Snapshot{Progress: s.Progress()})
 		return
 	}

@@ -2,10 +2,14 @@
 // "gang-003.r1", "job-0007") without fmt. Sprintf's interface boxing and
 // verb parsing dominated the per-session allocation profile of the serving
 // benchmarks — every job, VM, and gang mints at least one ID — so the hot
-// constructors build the string with one allocation instead.
+// constructors build the string with one allocation instead. Parse reads
+// the number back out of such an identifier, again without fmt.
 package ids
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // AppendPadded appends n in decimal to b, left-padded with zeros to width.
 // Numbers wider than width print in full, matching fmt's %0*d. n must be
@@ -62,4 +66,20 @@ func pack(digits *[20]byte, n int) int {
 			return i
 		}
 	}
+}
+
+// Parse returns the number in id when id is prefix followed by one or more
+// decimal digits and nothing else (any zero padding), the inverse of
+// Padded. A sign, a space, trailing bytes, no digits or a number past the
+// int range report false.
+func Parse(prefix, id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, prefix)
+	if !ok || digits == "" || digits[0] < '0' || digits[0] > '9' {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }

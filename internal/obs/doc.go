@@ -35,7 +35,12 @@
 // # Metric updates vs. scrape-time collection
 //
 // Hot paths (HTTP requests, WAL appends, session transitions) update
-// atomic series inline. Everything that already has an authoritative
+// atomic series inline, through series they resolved once: the
+// Registry's get-or-create lookups render a label block and take the
+// registry lock, so they belong in set-up code, and a hot path holds the
+// *Counter or *Histogram they return. A series appears on /metrics from
+// its first lookup on, so code that wants a series listed only once it
+// has something to count resolves it on first use, not ahead of time. Everything that already has an authoritative
 // source of truth — store stats, schedule-cache hit rates, DP solve
 // aggregates, breaker states — is exported through
 // GaugeFunc callbacks evaluated at scrape time, so /metrics and

@@ -162,15 +162,18 @@ func (t *Tracer) Dropped() uint64 {
 
 type traceKey struct{}
 
-// NewTraceID mints a 16-hex-char random trace ID.
+// NewTraceID mints a 16-hex-char random trace ID. The edge mints one for
+// every request that arrives without one, so it allocates only the string.
 func NewTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
+	var buf [24]byte // the random bytes in the tail, their hex form in front
+	raw := buf[16:]
+	if _, err := rand.Read(raw); err != nil {
 		// crypto/rand failing means the platform is broken; a fixed ID keeps
 		// serving rather than panicking in a telemetry path.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	hex.Encode(buf[:16], raw)
+	return string(buf[:16])
 }
 
 // WithTrace returns ctx carrying the trace ID.

@@ -32,31 +32,32 @@ func NewAPI(b Backend) *API {
 // Handler returns the HTTP handler. Wrong methods on known paths yield a
 // JSON 405 (with Allow set by the mux), unknown paths a JSON 404.
 func (a *API) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/sessions", a.handleCreate)
-	mux.HandleFunc("GET /api/sessions", a.handleList)
-	mux.HandleFunc("GET /api/sessions/{id}", a.homed(a.handleGet))
-	mux.HandleFunc("DELETE /api/sessions/{id}", a.homed(a.handleDelete))
-	mux.HandleFunc("POST /api/sessions/{id}/bags", a.homed(a.handleBags))
-	mux.HandleFunc("POST /api/sessions/{id}/estimate", a.homed(a.handleEstimate))
-	mux.HandleFunc("POST /api/sessions/{id}/run", a.homed(a.handleRun))
-	mux.HandleFunc("POST /api/sessions/{id}/cancel", a.homed(a.handleCancel))
-	mux.HandleFunc("GET /api/sessions/{id}/events", a.homed(a.handleEvents))
-	mux.HandleFunc("GET /api/sessions/{id}/report", a.homed(a.handleReport))
-	mux.HandleFunc("GET /api/sessions/{id}/jobs", a.homed(a.handleJobs))
-	mux.HandleFunc("GET /api/sessions/{id}/vms", a.homed(a.handleVMs))
-	mux.HandleFunc("POST /api/models", a.handleModelCreate)
-	mux.HandleFunc("GET /api/models", a.handleModelList)
-	mux.HandleFunc("GET /api/models/{name}", a.handleModelGet)
-	mux.HandleFunc("POST /api/models/{name}/observations", a.handleModelObservations)
-	mux.HandleFunc("POST /api/models/{name}/refit", a.handleModelRefit)
-	mux.HandleFunc("POST /api/sweep", a.handleSweep)
-	mux.HandleFunc("GET /api/stats", a.handleStats)
-	mux.HandleFunc("GET /api/trace/{id}", a.handleTrace)
-	// The edge middleware wraps the whole surface: it owns trace extraction
-	// and the per-route request metrics, labelled by the pattern the mux
-	// matched so the route label never echoes raw request paths.
-	return instrumentHTTP(jsonErrors(mux))
+	// The edge wraps the whole surface: it owns trace extraction, the JSON
+	// form of the mux's errors and the per-route request metrics, labelled
+	// by the pattern the mux matched so the route label never echoes raw
+	// request paths.
+	e := newEdge()
+	e.handle("POST /api/sessions", a.handleCreate)
+	e.handle("GET /api/sessions", a.handleList)
+	e.handle("GET /api/sessions/{id}", a.homed(a.handleGet))
+	e.handle("DELETE /api/sessions/{id}", a.homed(a.handleDelete))
+	e.handle("POST /api/sessions/{id}/bags", a.homed(a.handleBags))
+	e.handle("POST /api/sessions/{id}/estimate", a.homed(a.handleEstimate))
+	e.handle("POST /api/sessions/{id}/run", a.homed(a.handleRun))
+	e.handle("POST /api/sessions/{id}/cancel", a.homed(a.handleCancel))
+	e.handle("GET /api/sessions/{id}/events", a.homed(a.handleEvents))
+	e.handle("GET /api/sessions/{id}/report", a.homed(a.handleReport))
+	e.handle("GET /api/sessions/{id}/jobs", a.homed(a.handleJobs))
+	e.handle("GET /api/sessions/{id}/vms", a.homed(a.handleVMs))
+	e.handle("POST /api/models", a.handleModelCreate)
+	e.handle("GET /api/models", a.handleModelList)
+	e.handle("GET /api/models/{name}", a.handleModelGet)
+	e.handle("POST /api/models/{name}/observations", a.handleModelObservations)
+	e.handle("POST /api/models/{name}/refit", a.handleModelRefit)
+	e.handle("POST /api/sweep", a.handleSweep)
+	e.handle("GET /api/stats", a.handleStats)
+	e.handle("GET /api/trace/{id}", a.handleTrace)
+	return e
 }
 
 // decodeStrict decodes one JSON value, rejecting unknown fields and
@@ -87,6 +88,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// errorBody is the stable {"error": ...} payload every error response from
+// this package carries.
+type errorBody struct {
+	Error string `json:"error"`
+}
+
 // writeErr emits the structured error payload; every error response from
 // this package carries the stable "error" key. Backpressure errors (503
 // degraded, 429 admission) carry a Retry-After hint.
@@ -95,11 +102,12 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	if errors.As(err, &ae) && ae.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
 // jsonErrors converts the mux's plain-text error responses (404, 405) into
-// the same structured payload the handlers emit.
+// the same structured payload the handlers emit; the API's edge does the
+// same for its own mux.
 func jsonErrors(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(&errorRewriter{ResponseWriter: w}, r)
@@ -107,11 +115,12 @@ func jsonErrors(h http.Handler) http.Handler {
 }
 
 // errorRewriter intercepts error statuses written without a JSON body (the
-// mux writes text/plain) and substitutes the structured payload.
+// mux writes text/plain) and substitutes the structured payload. It keeps
+// the first status written, for the edge's request metrics.
 type errorRewriter struct {
 	http.ResponseWriter
-	rewrote     bool
-	wroteHeader bool
+	code    int // 0 until a status is written
+	rewrote bool
 }
 
 // Unwrap exposes the underlying writer so http.NewResponseController can
@@ -119,7 +128,9 @@ type errorRewriter struct {
 func (w *errorRewriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *errorRewriter) WriteHeader(code int) {
-	w.wroteHeader = true
+	if w.code == 0 {
+		w.code = code
+	}
 	if code >= 400 && !strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
 		w.rewrote = true
 		w.Header().Set("Content-Type", "application/json")
@@ -132,7 +143,7 @@ func (w *errorRewriter) WriteHeader(code int) {
 }
 
 func (w *errorRewriter) Write(b []byte) (int, error) {
-	if !w.wroteHeader {
+	if w.code == 0 {
 		w.WriteHeader(http.StatusOK)
 	}
 	if w.rewrote {
@@ -203,12 +214,29 @@ func (a *API) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// The bags, run and delete replies. Their fields are declared in sorted
+// key order, the order encoding/json writes a map's keys in, which is the
+// wire form clients read (TestSmallReplyBytes pins it).
+type (
+	bagsReply struct {
+		MeanRuntime float64 `json:"mean_runtime"`
+		Submitted   int     `json:"submitted"`
+	}
+	runReply struct {
+		ID    string `json:"id"`
+		State State  `json:"state"`
+	}
+	deleteReply struct {
+		Deleted string `json:"deleted"`
+	}
+)
+
 func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if err := a.b.Delete(r.PathValue("id")); err != nil {
 		writeErr(w, httpCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("id")})
+	writeJSON(w, http.StatusOK, deleteReply{Deleted: r.PathValue("id")})
 }
 
 func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
@@ -226,10 +254,7 @@ func (a *API) handleBags(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, httpCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"submitted":    n,
-		"mean_runtime": mean,
-	})
+	writeJSON(w, http.StatusAccepted, bagsReply{MeanRuntime: mean, Submitted: n})
 }
 
 func (a *API) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -264,10 +289,7 @@ func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, httpCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{
-		"id":    s.ID(),
-		"state": string(StateRunning),
-	})
+	writeJSON(w, http.StatusAccepted, runReply{ID: s.ID(), State: StateRunning})
 }
 
 func (a *API) handleReport(w http.ResponseWriter, r *http.Request) {

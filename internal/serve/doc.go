@@ -44,11 +44,13 @@
 // from its own seed — so a session's report is byte-identical whether it
 // runs alone or alongside any number of concurrent sessions.
 //
-// While running, the session publishes full snapshots (progress with
-// per-job-class summaries, per-job statuses, live VMs) every ProgressEvery
-// engine steps; GET .../jobs and .../vms serve from the latest snapshot
-// instead of conflicting, and GET .../events streams the progress as
-// Server-Sent Events so clients do not busy-poll.
+// While running, the session publishes a progress snapshot (with
+// per-job-class summaries) at the run's start and end and every
+// ProgressEvery engine steps; a snapshot carries the per-job statuses and
+// live VMs only when a GET .../jobs or .../vms asked since the last one,
+// and that request waits for it instead of conflicting with the run. GET
+// .../events streams the progress as Server-Sent Events so clients do not
+// busy-poll.
 //
 // The expensive derived artifacts (DP checkpoint planners, reuse
 // schedulers) are NOT per-session: they come from the process-wide schedule
@@ -150,7 +152,10 @@
 // fetches, forwarded GETs, event-stream connects) retry transient transport failures with exponential backoff
 // plus jitter; creates, sweep groups, runs, cancels,
 // deletes and other mutations never retry — the caller gets an immediate
-// 503 with Retry-After and decides. A per-shard circuit breaker trips open after a
+// 503 with Retry-After and decides. Each attempt carries its deadline, and
+// the shard refuses to start a request that reaches it past that deadline
+// (a request that waited in a restarting shard's socket backlog), so a
+// mutation answered 503 is never applied afterwards. A per-shard circuit breaker trips open after a
 // run of consecutive transport failures, fails calls fast without touching
 // the network while open, and re-admits one probe after a cooldown
 // (half-open) — success closes it, failure re-opens it. Only transport

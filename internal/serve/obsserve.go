@@ -9,8 +9,10 @@ package serve
 // no-external-deps rationale.
 
 import (
+	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -214,74 +216,149 @@ func breakerStateValue(state string) float64 {
 	}
 }
 
-// statusWriter records the response status for the request metrics. It
-// unwraps so http.NewResponseController still reaches Flush (SSE).
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// instrumentHTTP is the API's edge middleware: it pulls the inbound
+// edge is the API's ServeMux together with each registered route's
+// request series. It is the API's edge middleware: it pulls the inbound
 // X-Trace-Id (minting one otherwise) into the request context, echoes it
-// on the response, and records per-route latency and status counts plus
-// one edge span per request. h must hand the request it is given to a
-// ServeMux, whose matched pattern becomes the route label, so label
-// cardinality stays bounded by the route table.
-func instrumentHTTP(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, traceID := obs.TraceFromRequest(r)
-		r = r.WithContext(ctx)
-		w.Header().Set(obs.TraceHeader, traceID)
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		h.ServeHTTP(sw, r)
-		elapsed := time.Since(start)
-		// The mux records the matched pattern on r itself; 404s and 405s
-		// match none.
-		route := "unmatched"
-		if r.Pattern != "" {
-			route = r.Pattern
-		}
-		code := sw.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		reg := obs.Default()
-		reg.Histogram("batchsvc_http_request_seconds",
-			"API request latency in seconds, by matched route.", nil,
-			"route", route).Observe(elapsed.Seconds())
-		reg.Counter("batchsvc_http_requests_total",
-			"API requests served, by matched route and status code.",
-			"route", route, "status", strconv.Itoa(code)).Inc()
-		obs.DefaultTracer().Emit(obs.Span{
-			TraceID:    traceID,
-			Component:  "api",
-			Name:       "http.request",
-			Shard:      -1,
-			Detail:     r.Method + " " + r.URL.Path + " -> " + strconv.Itoa(code),
-			Start:      start,
-			DurationMS: float64(elapsed) / float64(time.Millisecond),
-		})
+// on the response, turns the mux's plain-text 404s and 405s into the JSON
+// error payload, and records per-route latency and status counts plus one
+// edge span per request. The route label is the pattern the mux matched,
+// so label cardinality stays bounded by the route table.
+type edge struct {
+	mux       *http.ServeMux
+	routes    map[string]*routeMetrics // by pattern; read-only once built
+	unmatched *routeMetrics            // the mux's own 404s and 405s
+}
+
+func newEdge() *edge {
+	return &edge{
+		mux:       http.NewServeMux(),
+		routes:    map[string]*routeMetrics{},
+		unmatched: &routeMetrics{route: "unmatched"},
+	}
+}
+
+// handle registers h for pattern, with the route's request series.
+func (e *edge) handle(pattern string, h http.HandlerFunc) {
+	e.mux.HandleFunc(pattern, h)
+	e.routes[pattern] = &routeMetrics{route: pattern}
+}
+
+func (e *edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	ctx, traceID := obs.TraceFromRequest(r)
+	r = r.WithContext(ctx)
+	w.Header().Set(obs.TraceHeader, traceID)
+	ew := &errorRewriter{ResponseWriter: w}
+	start := time.Now()
+	e.mux.ServeHTTP(ew, r)
+	elapsed := time.Since(start)
+	// The mux records the matched pattern on r itself; 404s and 405s
+	// match none.
+	rm, ok := e.routes[r.Pattern]
+	if !ok {
+		rm = e.unmatched
+	}
+	code := ew.code
+	if code == 0 {
+		code = http.StatusOK
+	}
+	seconds, requests := rm.series(code)
+	seconds.Observe(elapsed.Seconds())
+	requests.Inc()
+	obs.DefaultTracer().Emit(obs.Span{
+		TraceID:    traceID,
+		Component:  "api",
+		Name:       "http.request",
+		Shard:      -1,
+		Detail:     r.Method + " " + r.URL.Path + " -> " + strconv.Itoa(code),
+		Start:      start,
+		DurationMS: float64(elapsed) / float64(time.Millisecond),
 	})
+}
+
+// routeMetrics is one route's request series: its latency histogram and a
+// counter per status code it has answered. Each series is looked up in the
+// registry on the route's first request with that outcome, not when the
+// handler is built, so /metrics lists exactly the series requests have
+// touched; from then on a request pays an atomic load and a short scan.
+type routeMetrics struct {
+	route string
+	cur   atomic.Pointer[routeSeries]
+	mu    sync.Mutex // serialises lookups that grow cur
+}
+
+// routeSeries is an immutable set of one route's resolved series; a new
+// status code replaces it with a copy one counter longer.
+type routeSeries struct {
+	seconds *obs.Histogram
+	codes   []statusCount
+}
+
+// statusCount is a route's request counter for one status code.
+type statusCount struct {
+	code int
+	n    *obs.Counter
+}
+
+// series returns the route's latency histogram and its request counter
+// for code.
+func (rm *routeMetrics) series(code int) (*obs.Histogram, *obs.Counter) {
+	if rs := rm.cur.Load(); rs != nil {
+		if n := rs.count(code); n != nil {
+			return rs.seconds, n
+		}
+	}
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	next := &routeSeries{}
+	if rs := rm.cur.Load(); rs != nil {
+		if n := rs.count(code); n != nil {
+			return rs.seconds, n
+		}
+		*next = *rs
+	}
+	reg := obs.Default()
+	if next.seconds == nil {
+		next.seconds = reg.Histogram("batchsvc_http_request_seconds",
+			"API request latency in seconds, by matched route.", nil,
+			"route", rm.route)
+	}
+	n := reg.Counter("batchsvc_http_requests_total",
+		"API requests served, by matched route and status code.",
+		"route", rm.route, "status", strconv.Itoa(code))
+	next.codes = append(slices.Clip(next.codes), statusCount{code, n})
+	rm.cur.Store(next)
+	return next.seconds, n
+}
+
+// count returns the counter for code, nil while it is unresolved.
+func (rs *routeSeries) count(code int) *obs.Counter {
+	for _, sc := range rs.codes {
+		if sc.code == code {
+			return sc.n
+		}
+	}
+	return nil
 }
 
 // withShardTrace lifts the shard protocol's X-Trace-Id header into the
 // request context for the /shard endpoints (the mounted /api surface does
-// its own extraction in instrumentHTTP).
+// its own extraction at its edge). It also refuses, with a 503 and nothing
+// applied, a request that starts after the deadline its router stamped on
+// it (deadlineHeader): the router has already answered it, so a mutation
+// that waited out its deadline in a restarting shard's socket backlog must
+// not reach the next incarnation. Requests without the header are served.
 func withShardTrace(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if id := r.Header.Get(obs.TraceHeader); id != "" {
 			r = r.WithContext(obs.WithTrace(r.Context(), id))
 			w.Header().Set(obs.TraceHeader, id)
+		}
+		if v := r.Header.Get(deadlineHeader); v != "" {
+			if ns, err := strconv.ParseInt(v, 10, 64); err == nil && time.Now().UnixNano() > ns {
+				writeErr(w, http.StatusServiceUnavailable, shardUnavailable(
+					fmt.Errorf("%s %s arrived after its router's deadline; not applied", r.Method, r.URL.Path)))
+				return
+			}
 		}
 		h.ServeHTTP(w, r)
 	})

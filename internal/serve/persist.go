@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/store"
@@ -273,8 +274,7 @@ func parseStoreRecords(recs []store.Record) (*parsedStore, error) {
 			ps.sessions[rec.ID] = &pendingSession{name: cr.Name, cfg: cr.Config, pinned: cr.Params, traceID: cr.TraceID}
 			// Track the id sequence across every session ever created —
 			// including ones later deleted — so new ids never collide.
-			var n int
-			if _, err := fmt.Sscanf(rec.ID, "s-%d", &n); err == nil && n > ps.maxSeq {
+			if n, ok := ids.Parse("s-", rec.ID); ok && n > ps.maxSeq {
 				ps.maxSeq = n
 			}
 		case kindBag:
@@ -392,11 +392,11 @@ func sortSessionIDs(order []string) {
 	sort.Slice(order, func(i, j int) bool { return sessionIDLess(order[i], order[j]) })
 }
 
-// sessionIDLess orders session ids by their sequence number.
+// sessionIDLess orders session ids by their sequence number (0 for an id
+// that carries none), then by the ids themselves.
 func sessionIDLess(x, y string) bool {
-	var a, b int
-	fmt.Sscanf(x, "s-%d", &a)
-	fmt.Sscanf(y, "s-%d", &b)
+	a, _ := ids.Parse("s-", x)
+	b, _ := ids.Parse("s-", y)
 	if a != b {
 		return a < b
 	}

@@ -158,12 +158,6 @@ func shardUnavailable(err error) error {
 	}
 }
 
-// errorBody is the stable {"error": ...} payload every error response from
-// this package carries.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // do issues method path with a JSON body (in, nil for none), decoding a
 // 2xx response into out (nil to discard). Each attempt runs under its own
 // OpTimeout deadline (see open); a GET retries, a mutation does not (see
@@ -268,10 +262,17 @@ func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body 
 	return nil
 }
 
-// send issues one request, forwarding the trace ID, and reports the
-// transport outcome to the circuit breaker: any HTTP status is a live
-// shard.
-func (rb *RemoteBackend) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+// deadlineHeader carries an attempt's deadline, in Unix nanoseconds, to
+// the shard, which refuses to start a request that arrives past it (see
+// withShardTrace): the router has answered that request 503 by then, and
+// a client that retries must not have it applied twice. The router and
+// its shards run on one host and read one clock.
+const deadlineHeader = "X-Shard-Deadline"
+
+// send issues one request, forwarding the trace ID and the attempt's
+// deadline, and reports the transport outcome to the circuit breaker: any
+// HTTP status is a live shard.
+func (rb *RemoteBackend) send(ctx context.Context, method, path string, body []byte, deadline time.Time) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, rb.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "building %s %s: %v", method, path, err)
@@ -282,6 +283,7 @@ func (rb *RemoteBackend) send(ctx context.Context, method, path string, body []b
 	if tid := obs.TraceID(ctx); tid != "" {
 		req.Header.Set(obs.TraceHeader, tid)
 	}
+	req.Header.Set(deadlineHeader, strconv.FormatInt(deadline.UnixNano(), 10))
 	resp, err := rb.client.Do(req)
 	if err != nil {
 		rb.breaker.failure()
@@ -436,8 +438,9 @@ func (rb *RemoteBackend) forward(w http.ResponseWriter, r *http.Request) {
 // where it covers only the wait for the headers and ctx bounds the rest.
 func (rb *RemoteBackend) open(ctx context.Context, method, path string, body []byte) (*http.Response, func(), error) {
 	reqCtx, cancel := context.WithCancel(ctx)
+	deadline := time.Now().Add(rb.opts.OpTimeout)
 	timer := time.AfterFunc(rb.opts.OpTimeout, cancel)
-	res, err := rb.send(reqCtx, method, path, body)
+	res, err := rb.send(reqCtx, method, path, body, deadline)
 	if (err != nil || isEventStream(res) || path == shardSweepPath) && !timer.Stop() {
 		// The deadline fired before (or as) the headers arrived.
 		if err == nil {

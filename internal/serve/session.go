@@ -105,11 +105,11 @@ type Session struct {
 	// bags retains the submissions for store compaction.
 	bags []BagRequest
 	// wantDetail records that a /jobs or /vms request arrived since the
-	// last periodic snapshot, so the run loop pays for the per-job and VM
-	// listings only while someone is actually looking; detailWait is
+	// last snapshot, so the run loop pays for the per-job and VM listings
+	// (at run start and end too) only while someone is looking; detailWait is
 	// created lazily by the first waiting request and closed (then cleared)
 	// when a detailed snapshot lands, letting those requests block until
-	// the refresh instead of serving data from run start.
+	// the refresh instead of serving a stale or empty listing.
 	wantDetail atomic.Bool
 	detailWait chan struct{}
 	// restored marks a session rebuilt from the store after a restart.
@@ -373,12 +373,10 @@ func (s *Session) Jobs() ([]batch.JobStatus, error) {
 		s.awaitDetail()
 	}
 	if s.state == StateRunning {
-		if !s.hasSnap {
-			// Still queued on the worker pool; the first snapshot lands
-			// when the simulation actually starts.
-			return []batch.JobStatus{}, nil
-		}
-		return append([]batch.JobStatus(nil), s.snap.Jobs...), nil
+		// The latest detailed snapshot's listing; empty, not null, while
+		// none has landed (the run still queued for a worker slot, or the
+		// wait timed out before the run loop's next snapshot).
+		return append([]batch.JobStatus{}, s.snap.Jobs...), nil
 	}
 	return s.svc.JobStatuses(), nil
 }
@@ -388,7 +386,7 @@ type VMState = batch.VMInfo
 
 // VMs lists the session's live VMs. While the simulation is running the
 // listing comes from a detail refresh at the run loop's next progress
-// interval.
+// interval, as Jobs does.
 func (s *Session) VMs() ([]VMState, error) {
 	if s.receipt != nil {
 		return nil, errRemoteHomed(s.id)
@@ -402,10 +400,7 @@ func (s *Session) VMs() ([]VMState, error) {
 		s.awaitDetail()
 	}
 	if s.state == StateRunning {
-		if !s.hasSnap {
-			return []VMState{}, nil
-		}
-		return append([]VMState(nil), s.snap.VMs...), nil
+		return append([]VMState{}, s.snap.VMs...), nil
 	}
 	return s.svc.VMInfos(), nil
 }
@@ -639,8 +634,7 @@ func (m *Manager) createSession(ctx context.Context, id, name string, cfg Sessio
 			delete(m.creating, id)
 			m.mu.Unlock()
 		}()
-		var n int
-		if _, err := fmt.Sscanf(id, "s-%d", &n); err == nil && n > m.seq {
+		if n, ok := ids.Parse("s-", id); ok && n > m.seq {
 			m.seq = n
 		}
 	}
@@ -970,8 +964,8 @@ func (m *Manager) releaseRun() {
 func (s *Session) publishSnapshot(snap batch.Snapshot) {
 	s.mu.Lock()
 	if snap.Jobs == nil {
-		// A progress-only snapshot: keep the last detailed listings (the
-		// initial and final snapshots always carry them).
+		// A progress-only snapshot: keep the last detailed listings, if
+		// any was asked for.
 		snap.Jobs, snap.VMs = s.snap.Jobs, s.snap.VMs
 	} else if s.detailWait != nil {
 		// A detailed snapshot: release any /jobs or /vms request waiting

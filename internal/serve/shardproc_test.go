@@ -698,6 +698,79 @@ func TestRequestDuringRespawnWaits(t *testing.T) {
 	}
 }
 
+// TestTimedOutMutationNotAppliedAfterRespawn sends a bag submission for a
+// remote-homed session while its shard process restarts and holds the next
+// incarnation back past the router's per-op deadline. The router answers
+// 503 + Retry-After; the request still sits in the supervisor's socket
+// backlog, and the incarnation that accepts it must refuse it as past its
+// deadline, so the session shows no jobs and the client's retry is the
+// only submission applied.
+func TestTimedOutMutationNotAppliedAfterRespawn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test")
+	}
+	gate := &shardGate{}
+	t.Cleanup(gate.release)
+	sup, addr := superviseShard(t, store.ShardDir(t.TempDir(), 1), gate, &SupervisorOptions{
+		PingInterval:   50 * time.Millisecond,
+		RestartBackoff: 50 * time.Millisecond,
+		ReadyTimeout:   15 * time.Second,
+	})
+	r, err := NewRouterTopology([]string{"", addr}, 2, &RemoteOptions{
+		OpTimeout: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var id string
+	for id == "" {
+		s, err := r.Create("stale", testConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placement.Shard(s.ID(), 2) == 1 {
+			id = s.ID()
+		}
+	}
+	h := NewAPI(r).Handler()
+	p := "/api/sessions/" + id
+	bag := BagRequest{App: "shapes", Jobs: 7, Seed: 1}
+
+	gate.close()
+	pid := sup.Pid(0)
+	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the next incarnation to spawn", func() bool {
+		n := sup.Pid(0)
+		return n != 0 && n != pid
+	})
+	rec := call(t, h, http.MethodPost, p+"/bags", bag)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("bag past the deadline answered %d (Retry-After %q), want 503 with Retry-After: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+
+	gate.release()
+	waitUntil(t, "the next incarnation to serve", func() bool {
+		return call(t, h, http.MethodGet, p, nil).Code == http.StatusOK
+	})
+	// The timed-out bag was accepted from the backlog before the status
+	// read; give its handler time to run, and check it applied nothing.
+	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		if st := statusOf(t, h, id); st.JobsSubmitted != 0 {
+			t.Fatalf("the restarted shard applied the bag the router answered 503: %d jobs submitted", st.JobsSubmitted)
+		}
+	}
+	if rec := call(t, h, http.MethodPost, p+"/bags", bag); rec.Code != http.StatusAccepted {
+		t.Fatalf("the client's retry answered %d, want 202: %s", rec.Code, rec.Body)
+	}
+	if st := statusOf(t, h, id); st.JobsSubmitted != 7 {
+		t.Fatalf("after the retry the session holds %d jobs, want 7", st.JobsSubmitted)
+	}
+}
+
 // TestSupervisorStartFailsFastOnEarlyExit starts a shard that exits before
 // it serves (its data dir cannot be made). Its readiness ping waits in the
 // socket's backlog, where nothing will answer it, so Start must end that

@@ -76,7 +76,13 @@
 // 127.0.0.1:(-shard-port-base + i) once and hands it to every
 // incarnation of the child (fd 3, LISTEN_FDS=1), so a shard is ready as
 // soon as it serves and requests sent while it restarts wait for it
-// instead of being refused. The supervisor health-checks each shard and
+// instead of being refused. Start-up overlaps the processes: this one
+// binds -addr first (a taken port fails the boot before any child
+// exists), spawns the children without waiting, builds its topology,
+// replays its local WALs and builds the API while they boot, and serves
+// once every child has answered its readiness ping and the boot id sync.
+// A client connecting meanwhile waits in the listen backlog rather than
+// being refused. The supervisor health-checks each shard and
 // restarts it if it crashes or hangs — WAL replay makes the restart safe
 // — while the router wraps every cross-process call in deadlines,
 // retries, and a per-shard circuit breaker. Model references are resolved once, on the control plane in
@@ -180,6 +186,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "batchsvc: %v\n", err)
 		os.Exit(1)
 	}
+	// The ring is allocated as spans arrive, so sizing it costs nothing here.
 	obs.DefaultTracer().SetCapacity(*traceBuffer)
 	logger := obs.Logger("batchsvc")
 	if *shards < 1 {
@@ -189,43 +196,18 @@ func main() {
 		fatal(logger, "-distribute needs -shards of at least 2", "shards", *shards)
 	}
 
-	policy.SetSharedCacheCapacity(*cacheCap)
-	policy.SetDefaultPlannerParallelism(*plannerParallelism)
-	if *pprofPort > 0 {
-		// Profiling stays off the public listener: its own mux on a
-		// loopback-only port, so deployments never expose /debug/pprof by
-		// accident.
-		pprofAddr := fmt.Sprintf("127.0.0.1:%d", *pprofPort)
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// Metrics ride the same loopback mux, so a deployment that keeps the
-		// public listener lean can still be scraped via the -pprof port.
-		mux.Handle("GET /metrics", obs.Default().Handler())
-		go func() {
-			logger.Info("pprof listening", "url", fmt.Sprintf("http://%s/debug/pprof/", pprofAddr))
-			if err := http.ListenAndServe(pprofAddr, mux); err != nil {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
-	}
-
 	storeOpts := store.Options{CompactAtBytes: *compactBytes}
-	openShard := func(dir string) *store.Log {
+	openShard := func(dir string) (*store.Log, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatal(logger, "creating store dir failed", "dir", dir, "err", err)
+			return nil, err
 		}
-		st, err := store.OpenOptions(dir, storeOpts)
-		if err != nil {
-			fatal(logger, "opening store failed", "dir", dir, "err", err)
-		}
-		return st
+		return store.OpenOptions(dir, storeOpts)
 	}
 
 	if *shardServer != "" {
+		policy.SetSharedCacheCapacity(*cacheCap)
+		policy.SetDefaultPlannerParallelism(*plannerParallelism)
+		servePprof(logger, *pprofPort)
 		runShardServer(shardServerConfig{
 			addr:            *shardServer,
 			index:           *shardIndex,
@@ -240,10 +222,34 @@ func main() {
 		return
 	}
 
+	// The public socket is bound before anything else, so a taken -addr
+	// fails the boot before any shard is spawned or WAL replayed, and a
+	// client that connects while the service boots waits in the backlog
+	// instead of being refused.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(logger, "listening failed", "addr", *addr, "err", err)
+	}
+	// Signals are caught from here on: one that arrives while the service
+	// boots is handled once it serves, by the same drain that reaps the
+	// shard processes.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	// Build the shard topology: all-local by default; with -distribute,
-	// shards 1..N-1 live behind loopback addresses owned by the supervisor.
+	// shards 1..N-1 live behind loopback addresses owned by the supervisor,
+	// which spawns them now and lets them boot while this process builds
+	// its own state.
 	topology := make([]string, *shards)
 	var sup *serve.Supervisor
+	// fail is fatal for a boot that may have spawned shard processes: it
+	// reaps them first, so none outlives this process holding its port.
+	fail := func(msg string, args ...any) {
+		if sup != nil {
+			sup.Kill()
+		}
+		fatal(logger, msg, args...)
+	}
 	if *distribute {
 		for i := 1; i < *shards; i++ {
 			topology[i] = fmt.Sprintf("127.0.0.1:%d", *shardPortBase+i)
@@ -284,15 +290,17 @@ func main() {
 			return cmd
 		}
 		sup = serve.NewSupervisor(topology[1:], spawn, nil)
-		if err := sup.Start(); err != nil {
+		if err := sup.Spawn(); err != nil {
 			fatal(logger, "starting shard processes failed", "err", err)
 		}
-		logger.Info("supervising shard processes", "count", *shards-1,
-			"port_first", *shardPortBase+1, "port_last", *shardPortBase+*shards-1)
 	}
+
+	policy.SetSharedCacheCapacity(*cacheCap)
+	policy.SetDefaultPlannerParallelism(*plannerParallelism)
+	servePprof(logger, *pprofPort)
 	mgr, err := serve.NewRouterTopology(topology, *parallelism, nil)
 	if err != nil {
-		fatal(logger, "building shard topology failed", "err", err)
+		fail("building shard topology failed", "err", err)
 	}
 	mgr.SetMaxSessions(*maxSessions)
 	mgr.SetQueueDepth(*queueDepth)
@@ -304,7 +312,11 @@ func main() {
 				// A remote shard replays its own WAL in its own process.
 				continue
 			}
-			st := openShard(store.ShardDir(*dataDir, i))
+			dir := store.ShardDir(*dataDir, i)
+			st, err := openShard(dir)
+			if err != nil {
+				fail("opening store failed", "dir", dir, "err", err)
+			}
 			defer st.Close()
 			stores[i] = st
 		}
@@ -315,7 +327,7 @@ func main() {
 		// refuses the migration rather than doing it half-way.
 		extraIdx, err := store.FindShardDirs(*dataDir)
 		if err != nil {
-			fatal(logger, "scanning shard dirs failed", "err", err)
+			fail("scanning shard dirs failed", "err", err)
 		}
 		var extras []serve.Store
 		for _, i := range extraIdx {
@@ -323,25 +335,24 @@ func main() {
 				continue
 			}
 			if *distribute {
-				fatal(logger, "data dir holds shard dirs beyond the configured count; "+
+				fail("data dir holds shard dirs beyond the configured count; "+
 					"boot all-local (without -distribute) once to migrate the topology change",
 					"data_dir", *dataDir, "shards", *shards)
 			}
-			st := openShard(store.ShardDir(*dataDir, i))
+			dir := store.ShardDir(*dataDir, i)
+			st, err := openShard(dir)
+			if err != nil {
+				fail("opening store failed", "dir", dir, "err", err)
+			}
 			defer st.Close()
 			extras = append(extras, st)
 		}
 		if err := mgr.Restore(stores, extras...); err != nil {
-			fatal(logger, "restoring sessions failed", "err", err)
+			fail("restoring sessions failed", "err", err)
 		}
 		if n := len(mgr.List()); n > 0 {
 			logger.Info("restored sessions", "count", n, "data_dir", *dataDir, "shards", *shards)
 		}
-	}
-	if *distribute {
-		// Adopt the shards' restored id high-water marks before serving, so
-		// the first create never races the first id tick.
-		mgr.SyncRemotes()
 	}
 	defer mgr.Close()
 	// Every request context derives from connCtx, so cancelling it before
@@ -356,26 +367,38 @@ func main() {
 	publicMux.Handle("/", serve.NewAPI(mgr).Handler())
 	publicMux.Handle("GET /metrics", obs.Default().Handler())
 	srv := &http.Server{
-		Addr:        *addr,
 		Handler:     publicMux,
 		BaseContext: func(net.Listener) context.Context { return connCtx },
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if sup != nil {
+		// Adopt the shards' restored id high-water marks before serving, so
+		// the first create never races the first id tick. The sync waits in
+		// each shard's socket backlog until the shard serves, alongside the
+		// supervisor's readiness pings; Ready fails at once if a shard exits
+		// before serving, and the sync still waiting on it dies with us.
+		synced := make(chan struct{})
+		go func() {
+			mgr.SyncRemotes()
+			close(synced)
+		}()
+		if err := sup.Ready(); err != nil {
+			fatal(logger, "starting shard processes failed", "err", err)
+		}
+		<-synced
+		logger.Info("supervising shard processes", "count", *shards-1,
+			"port_first", *shardPortBase+1, "port_last", *shardPortBase+*shards-1)
+	}
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("serving", "addr", *addr, "shards", *shards, "parallelism", *parallelism)
-		errc <- srv.ListenAndServe()
+		logger.Info("serving", "addr", ln.Addr().String(), "shards", *shards, "parallelism", *parallelism)
+		errc <- srv.Serve(ln)
 	}()
 
 	select {
 	case err := <-errc:
-		if sup != nil {
-			sup.Kill()
-		}
-		fatal(logger, "server failed", "err", err)
+		fail("server failed", "err", err)
 	case <-ctx.Done():
 	}
 
@@ -426,6 +449,32 @@ func main() {
 	logger.Info("bye")
 }
 
+// servePprof serves net/http/pprof and /metrics on 127.0.0.1:port in the
+// background; port 0 disables it. Profiling stays off the public listener:
+// its own mux on a loopback-only port, so deployments never expose
+// /debug/pprof by accident.
+func servePprof(logger *slog.Logger, port int) {
+	if port <= 0 {
+		return
+	}
+	pprofAddr := fmt.Sprintf("127.0.0.1:%d", port)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	// Metrics ride the same loopback mux, so a deployment that keeps the
+	// public listener lean can still be scraped via the -pprof port.
+	mux.Handle("GET /metrics", obs.Default().Handler())
+	go func() {
+		logger.Info("pprof listening", "url", fmt.Sprintf("http://%s/debug/pprof/", pprofAddr))
+		if err := http.ListenAndServe(pprofAddr, mux); err != nil {
+			logger.Error("pprof server failed", "err", err)
+		}
+	}()
+}
+
 // shardServerConfig carries the -shard-server flag set.
 type shardServerConfig struct {
 	addr            string
@@ -436,7 +485,7 @@ type shardServerConfig struct {
 	queueDepth      int
 	probeInterval   time.Duration
 	shutdownTimeout time.Duration
-	openShard       func(dir string) *store.Log
+	openShard       func(dir string) (*store.Log, error)
 }
 
 // runShardServer is the -shard-server mode: one executor shard (a Manager
@@ -453,7 +502,10 @@ func runShardServer(cfg shardServerConfig) {
 	m.SetQueueDepth(cfg.queueDepth)
 	m.SetProbeInterval(cfg.probeInterval)
 	if cfg.dataDir != "" {
-		st := cfg.openShard(cfg.dataDir)
+		st, err := cfg.openShard(cfg.dataDir)
+		if err != nil {
+			fatal(logger, "opening store failed", "dir", cfg.dataDir, "err", err)
+		}
 		defer st.Close()
 		if err := m.Restore(st); err != nil {
 			fatal(logger, "restoring sessions failed", "err", err)

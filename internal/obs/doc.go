@@ -53,10 +53,13 @@
 // X-Trace-Id header), carried via context.Context, and propagated over
 // the shard protocol in the same header. Instrumented hops emit Span
 // records into a bounded ring buffer (default 4096 spans, batchsvc
-// -trace-buffer); GET /api/trace/{id} on the router merges its own
-// buffer with each shard's /shard/trace/{id}, reconstructing the path
-// edge → router → shard → WAL persist → terminal state for any recent
-// request. Untraced work (benchmarks or libraries driving a Manager
+// -trace-buffer). The ring is paid for as spans arrive: a tracer holds no
+// storage until its first span, then doubles its slice as it fills, up to
+// exactly the limit, so a process boots without allocating it and a full
+// ring holds no spare capacity. GET /api/trace/{id} on the router merges
+// its own buffer with each shard's /shard/trace/{id}, reconstructing the
+// path edge → router → shard → WAL persist → terminal state for any
+// recent request. Untraced work (benchmarks or libraries driving a Manager
 // directly) emits nothing: span helpers are no-ops for an empty trace
 // ID, and every metric type is nil-receiver-safe so optional
 // instrumentation points cost one branch when unwired.

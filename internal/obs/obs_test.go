@@ -175,6 +175,90 @@ func TestTracerIgnoresUntraced(t *testing.T) {
 	}
 }
 
+// emitShards emits spans of trace "t" whose Shard fields count up from
+// first.
+func emitShards(tr *Tracer, first, n int) {
+	for i := first; i < first+n; i++ {
+		tr.Emit(Span{TraceID: "t", Shard: i})
+	}
+}
+
+// checkRing checks the ring's storage is exactly wantCap spans with
+// wantLen of them held, and that Spans walks them oldest-first from the
+// span with Shard == first.
+func checkRing(t *testing.T, tr *Tracer, wantLen, wantCap, first int) {
+	t.Helper()
+	if len(tr.buf) != wantLen || cap(tr.buf) != wantCap {
+		t.Fatalf("ring len %d cap %d, want len %d cap %d", len(tr.buf), cap(tr.buf), wantLen, wantCap)
+	}
+	spans := tr.Spans("t")
+	if len(spans) != wantLen {
+		t.Fatalf("Spans returned %d, want %d", len(spans), wantLen)
+	}
+	for i, s := range spans {
+		if s.Shard != first+i {
+			t.Fatalf("span %d has shard %d, want %d (oldest first)", i, s.Shard, first+i)
+		}
+	}
+}
+
+// TestTracerRingAllocatedOnFirstEmit pins that a tracer pays for no span
+// storage until a span arrives: not when built, and not when resized.
+func TestTracerRingAllocatedOnFirstEmit(t *testing.T) {
+	tr := NewTracer(0)
+	if tr.buf != nil {
+		t.Fatalf("fresh tracer holds storage for %d spans", cap(tr.buf))
+	}
+	tr.SetCapacity(1000)
+	if tr.buf != nil {
+		t.Fatalf("resized tracer holds storage for %d spans", cap(tr.buf))
+	}
+	tr.Emit(Span{})
+	if tr.buf != nil {
+		t.Fatal("an untraced span allocated the ring")
+	}
+	emitShards(tr, 0, 1)
+	checkRing(t, tr, 1, minTraceGrowth, 0)
+}
+
+// TestTracerRingGrowsToExactLimit fills a ring whose limit is no power of
+// two past its limit: it grows oldest-first, then holds exactly limit
+// spans with no spare capacity, wraps oldest-first, and counts every
+// overwritten span as dropped.
+func TestTracerRingGrowsToExactLimit(t *testing.T) {
+	const limit, k = 300, 7
+	tr := NewTracer(limit)
+	emitShards(tr, 0, minTraceGrowth+1)
+	checkRing(t, tr, minTraceGrowth+1, 2*minTraceGrowth, 0)
+	emitShards(tr, minTraceGrowth+1, limit-minTraceGrowth-1)
+	checkRing(t, tr, limit, limit, 0)
+	if tr.Dropped() != 0 {
+		t.Fatalf("dropped %d before the ring was full", tr.Dropped())
+	}
+	emitShards(tr, limit, k)
+	checkRing(t, tr, limit, limit, k)
+	if tr.Dropped() != k {
+		t.Fatalf("dropped = %d, want %d", tr.Dropped(), k)
+	}
+}
+
+// TestTracerSetCapacityResetsRing resizes a tracer after traffic: the
+// buffered spans and their storage go, and the next spans fill a new ring
+// of the new limit.
+func TestTracerSetCapacityResetsRing(t *testing.T) {
+	tr := NewTracer(8)
+	emitShards(tr, 0, 11)
+	tr.SetCapacity(5)
+	if tr.buf != nil || tr.Spans("t") != nil {
+		t.Fatalf("resize kept %d spans in storage for %d", len(tr.buf), cap(tr.buf))
+	}
+	emitShards(tr, 100, 6)
+	checkRing(t, tr, 5, 5, 101)
+	if tr.Dropped() != 3+1 {
+		t.Fatalf("dropped = %d, want 4 (3 before the resize, 1 after)", tr.Dropped())
+	}
+}
+
 func TestTraceContext(t *testing.T) {
 	ctx := context.Background()
 	if TraceID(ctx) != "" {

@@ -37,14 +37,18 @@ type Span struct {
 	DurationMS float64   `json:"duration_ms"`
 }
 
-// Tracer is a fixed-capacity ring buffer of spans. Emission overwrites
-// the oldest span once full; retrieval scans the buffer. The mutex is
+// Tracer is a bounded ring buffer of spans. Emission overwrites the
+// oldest span once full; retrieval scans the buffer. The ring's storage
+// is paid for as spans arrive: a fresh tracer holds none, the first Emit
+// allocates a small slice, and each time it fills it is copied into one
+// twice as large, clamped to the limit, so a full ring holds exactly limit
+// spans and a process that never traces never allocates one. The mutex is
 // fine here — spans are emitted per request hop, not per simulation step.
 type Tracer struct {
 	mu    sync.Mutex
+	limit int
 	buf   []Span
-	next  int
-	full  bool
+	next  int // the oldest span's index once len(buf) == limit
 	drops uint64
 }
 
@@ -52,13 +56,16 @@ type Tracer struct {
 // batchsvc's -trace-buffer flag).
 const DefaultTraceBuffer = 4096
 
+// minTraceGrowth is the ring's first allocation, in spans.
+const minTraceGrowth = 64
+
 // NewTracer builds a tracer holding up to capacity spans (<=0 selects
-// DefaultTraceBuffer).
+// DefaultTraceBuffer). It allocates no span storage until the first Emit.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceBuffer
 	}
-	return &Tracer{buf: make([]Span, 0, capacity)}
+	return &Tracer{limit: capacity}
 }
 
 var (
@@ -73,16 +80,16 @@ func DefaultTracer() *Tracer {
 	return defaultTracer
 }
 
-// SetCapacity resizes the ring, dropping buffered spans (it is called
-// once at startup, before traffic).
+// SetCapacity sets the ring's limit and drops the buffered spans and their
+// storage; the next Emit starts a new ring. The drop count is kept.
 func (t *Tracer) SetCapacity(capacity int) {
 	if t == nil || capacity <= 0 {
 		return
 	}
 	t.mu.Lock()
-	t.buf = make([]Span, 0, capacity)
+	t.limit = capacity
+	t.buf = nil
 	t.next = 0
-	t.full = false
 	t.mu.Unlock()
 }
 
@@ -94,14 +101,18 @@ func (t *Tracer) Emit(s Span) {
 		return
 	}
 	t.mu.Lock()
-	if !t.full {
-		t.buf = append(t.buf, s)
-		if len(t.buf) == cap(t.buf) {
-			t.full = true
+	if n := len(t.buf); n < t.limit {
+		if n == cap(t.buf) {
+			// Grow by copying into an exact-size slice, not by append, whose
+			// rounding up to a size class would overshoot the limit.
+			grown := make([]Span, n, min(max(2*n, minTraceGrowth), t.limit))
+			copy(grown, t.buf)
+			t.buf = grown
 		}
+		t.buf = append(t.buf, s)
 	} else {
 		t.buf[t.next] = s
-		t.next = (t.next + 1) % len(t.buf)
+		t.next = (t.next + 1) % n
 		t.drops++
 	}
 	t.mu.Unlock()
@@ -137,11 +148,9 @@ func (t *Tracer) Spans(traceID string) []Span {
 	var out []Span
 	n := len(t.buf)
 	for i := 0; i < n; i++ {
-		// Oldest-first walk: the ring's oldest entry sits at next once full.
-		j := i
-		if t.full {
-			j = (t.next + i) % n
-		}
+		// Oldest-first walk: the ring's oldest entry sits at next, which
+		// stays 0 until the ring is full.
+		j := (t.next + i) % n
 		if t.buf[j].TraceID == traceID {
 			out = append(out, t.buf[j])
 		}

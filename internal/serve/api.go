@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -105,52 +106,55 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// jsonErrors converts the mux's plain-text error responses (404, 405) into
-// the same structured payload the handlers emit; the API's edge does the
-// same for its own mux.
-func jsonErrors(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(&errorRewriter{ResponseWriter: w}, r)
+// jsonMux is a ServeMux that answers the requests none of its routes
+// serve with the structured error payload itself: "/" answers an unknown
+// path with a JSON 404, and every path registered under a method gets a
+// method-less twin that answers the path's other methods with a JSON 405,
+// its Allow header listing what the path serves as net/http's own 405
+// would (HEAD with GET). Every pattern is registered before it serves.
+type jsonMux struct {
+	*http.ServeMux
+	methods map[string][]string // by path: the methods registered on it
+}
+
+func newJSONMux() *jsonMux {
+	m := &jsonMux{ServeMux: http.NewServeMux(), methods: map[string][]string{}}
+	m.ServeMux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
+		writeStatus(w, http.StatusNotFound)
 	})
+	return m
 }
 
-// errorRewriter intercepts error statuses written without a JSON body (the
-// mux writes text/plain) and substitutes the structured payload. It keeps
-// the first status written, for the edge's request metrics.
-type errorRewriter struct {
-	http.ResponseWriter
-	code    int // 0 until a status is written
-	rewrote bool
-}
-
-// Unwrap exposes the underlying writer so http.NewResponseController can
-// reach Flush (needed by the SSE endpoint) through the wrapper.
-func (w *errorRewriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *errorRewriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	if code >= 400 && !strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
-		w.rewrote = true
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Del("X-Content-Type-Options")
-		w.ResponseWriter.WriteHeader(code)
-		_, _ = fmt.Fprintf(w.ResponseWriter, "{\"error\":%q}\n", http.StatusText(code))
+// Handle registers h for pattern, and a "METHOD /path" pattern's method as
+// one the path allows.
+func (m *jsonMux) Handle(pattern string, h http.Handler) {
+	m.ServeMux.Handle(pattern, h)
+	method, path, ok := strings.Cut(pattern, " ")
+	if !ok {
 		return
 	}
-	w.ResponseWriter.WriteHeader(code)
+	if _, seen := m.methods[path]; !seen {
+		m.ServeMux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Allow", strings.Join(m.methods[path], ", "))
+			writeStatus(w, http.StatusMethodNotAllowed)
+		})
+	}
+	methods := append(m.methods[path], method)
+	if method == http.MethodGet {
+		methods = append(methods, http.MethodHead)
+	}
+	slices.Sort(methods)
+	m.methods[path] = slices.Compact(methods)
 }
 
-func (w *errorRewriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	if w.rewrote {
-		// Swallow the original plain-text error body.
-		return len(b), nil
-	}
-	return w.ResponseWriter.Write(b)
+// HandleFunc registers h for pattern, as Handle does.
+func (m *jsonMux) HandleFunc(pattern string, h func(http.ResponseWriter, *http.Request)) {
+	m.Handle(pattern, http.HandlerFunc(h))
+}
+
+// writeStatus answers with code, its status text as the error payload.
+func writeStatus(w http.ResponseWriter, code int) {
+	writeJSON(w, code, errorBody{Error: http.StatusText(code)})
 }
 
 // session resolves the {id} path value, writing the error itself on miss.

@@ -222,13 +222,18 @@
 //
 // In distributed mode (`batchsvc -distribute`), a Supervisor owns the
 // shard subprocesses. It binds each shard's listening socket once, in
-// Start (on port 0 it takes a free port, which Addrs reports), and passes
+// Spawn (on port 0 it takes a free port, which Addrs reports), and passes
 // it to every incarnation of the shard as fd 3 with LISTEN_FDS=1, as
 // systemd socket activation does; the child takes it with ShardListener,
-// which binds the -shard-server address itself when run by hand. A
-// shard is ready at its first answered ping: the ping waits in the
-// socket's backlog until the child serves, and is dropped at once if the
-// child exits first. The supervisor health-checks each shard with
+// which binds the -shard-server address itself when run by hand. Spawn
+// does not wait for the children: batchsvc builds its router, replays its
+// local WALs and builds its API while they boot, then calls Ready. A
+// shard is ready at its first answered ping: the ping, sent at spawn,
+// waits in the socket's backlog until the child serves, and is dropped at
+// once if the child exits first, which fails Ready. The router's boot id
+// sync (Router.SyncRemotes) waits in the same backlog, so a distributed
+// boot takes about as long as its slowest child, not the router's set-up
+// plus the children's. The supervisor health-checks each shard with
 // periodic pings, SIGKILLs and respawns (with linear backoff) any that
 // exit or stop answering, and on shutdown fans SIGTERM out, reaps every
 // child and only then closes the sockets. Process death is a restart,
@@ -300,8 +305,10 @@
 //	GET    /api/stats                   sessions + models + caches + store + health
 //
 // All POST bodies are decoded strictly (unknown fields rejected), wrong
-// methods yield a JSON 405, and every error payload carries a stable
-// "error" key.
+// methods yield a JSON 405 (with Allow) and unknown paths a JSON 404,
+// both written once by the API's and the shard protocol's mux rather than
+// rewritten from net/http's plain-text errors, and every error payload
+// carries a stable "error" key.
 //
 // # Degraded mode, admission, and panic isolation
 //

@@ -30,8 +30,9 @@ func (w *discardWriter) WriteHeader(int)             {}
 // TestEdgeRequestAllocs pins the allocations of one request through the
 // API handler: a session status read, a handler 404 and a mux 404. The
 // route's series are resolved on its first request, the edge wraps the
-// writer once, and a minted trace id is one string, so the counts are what
-// the handler and net/http's mux cost.
+// writer once, a minted trace id is one string, and the mux writes its 404
+// as JSON once, so the counts are what the handler and net/http's routing
+// cost.
 func TestEdgeRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -49,7 +50,7 @@ func TestEdgeRequestAllocs(t *testing.T) {
 	}{
 		{http.MethodGet, "/api/sessions/" + s.ID(), 11},
 		{http.MethodGet, "/api/sessions/s-nope", 16},
-		{http.MethodGet, "/api/no-such-route", 34},
+		{http.MethodGet, "/api/no-such-route", 19},
 	} {
 		req := httptest.NewRequest(c.method, c.path, nil)
 		w := &discardWriter{h: http.Header{}}
@@ -98,6 +99,41 @@ func TestSmallReplyBytes(t *testing.T) {
 		}
 		if c.path == p+"/run" {
 			m.Wait()
+		}
+	}
+}
+
+// TestMuxErrorsAreJSON sends requests no route serves to the API and to
+// the shard protocol: each answers the status and Allow header net/http's
+// own mux answers, with the structured payload as its body.
+func TestMuxErrorsAreJSON(t *testing.T) {
+	m := NewShardManager(1)
+	defer m.Close()
+	api, shard := NewAPI(m).Handler(), ShardHandler(m)
+	for _, c := range []struct {
+		h            http.Handler
+		method, path string
+		code         int
+		allow        string
+	}{
+		{api, http.MethodDelete, "/api/stats", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{api, http.MethodPut, "/api/sessions/s-001", http.StatusMethodNotAllowed, "DELETE, GET, HEAD"},
+		{api, http.MethodGet, "/api/sweep", http.StatusMethodNotAllowed, "POST"},
+		{api, http.MethodHead, "/api/sessions/s-001/run", http.StatusMethodNotAllowed, "POST"},
+		{api, http.MethodGet, "/api/sessions/s-001/", http.StatusNotFound, ""},
+		{api, http.MethodGet, "/nope", http.StatusNotFound, ""},
+		{shard, http.MethodGet, "/shard/sessions", http.StatusMethodNotAllowed, "POST"},
+		{shard, http.MethodPost, "/metrics", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{shard, http.MethodPut, "/api/stats", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{shard, http.MethodGet, "/shard/nope", http.StatusNotFound, ""},
+	} {
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		body := `{"error":"` + http.StatusText(c.code) + "\"}\n"
+		if rec.Code != c.code || rec.Header().Get("Allow") != c.allow || rec.Body.String() != body ||
+			rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s %s: %d Allow %q Content-Type %q %q, want %d Allow %q application/json %q", c.method, c.path,
+				rec.Code, rec.Header().Get("Allow"), rec.Header().Get("Content-Type"), rec.Body.String(), c.code, c.allow, body)
 		}
 	}
 }

@@ -219,19 +219,19 @@ func breakerStateValue(state string) float64 {
 // edge is the API's ServeMux together with each registered route's
 // request series. It is the API's edge middleware: it pulls the inbound
 // X-Trace-Id (minting one otherwise) into the request context, echoes it
-// on the response, turns the mux's plain-text 404s and 405s into the JSON
-// error payload, and records per-route latency and status counts plus one
-// edge span per request. The route label is the pattern the mux matched,
-// so label cardinality stays bounded by the route table.
+// on the response, and records per-route latency and status counts plus
+// one edge span per request; its mux answers unknown routes and methods
+// with the JSON error payload itself. The route label is the pattern the
+// mux matched, so label cardinality stays bounded by the route table.
 type edge struct {
-	mux       *http.ServeMux
+	mux       *jsonMux
 	routes    map[string]*routeMetrics // by pattern; read-only once built
 	unmatched *routeMetrics            // the mux's own 404s and 405s
 }
 
 func newEdge() *edge {
 	return &edge{
-		mux:       http.NewServeMux(),
+		mux:       newJSONMux(),
 		routes:    map[string]*routeMetrics{},
 		unmatched: &routeMetrics{route: "unmatched"},
 	}
@@ -239,7 +239,7 @@ func newEdge() *edge {
 
 // handle registers h for pattern, with the route's request series.
 func (e *edge) handle(pattern string, h http.HandlerFunc) {
-	e.mux.HandleFunc(pattern, h)
+	e.mux.Handle(pattern, h)
 	e.routes[pattern] = &routeMetrics{route: pattern}
 }
 
@@ -247,7 +247,7 @@ func (e *edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx, traceID := obs.TraceFromRequest(r)
 	r = r.WithContext(ctx)
 	w.Header().Set(obs.TraceHeader, traceID)
-	ew := &errorRewriter{ResponseWriter: w}
+	ew := &statusWriter{ResponseWriter: w}
 	start := time.Now()
 	e.mux.ServeHTTP(ew, r)
 	elapsed := time.Since(start)
@@ -273,6 +273,31 @@ func (e *edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		Start:      start,
 		DurationMS: float64(elapsed) / float64(time.Millisecond),
 	})
+}
+
+// statusWriter keeps the first status written through it, for the edge's
+// request metrics.
+type statusWriter struct {
+	http.ResponseWriter
+	code int // 0 until a status is written
+}
+
+// Unwrap exposes the underlying writer so http.NewResponseController can
+// reach Flush (needed by the SSE endpoint) through the wrapper.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return w.ResponseWriter.Write(b)
 }
 
 // routeMetrics is one route's request series: its latency histogram and a

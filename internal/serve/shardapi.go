@@ -84,7 +84,7 @@ type shardAPI struct {
 // `batchsvc -shard-server` serves, and what a RemoteBackend speaks to.
 func ShardHandler(m *Manager) http.Handler {
 	sa := &shardAPI{m: m}
-	mux := http.NewServeMux()
+	mux := newJSONMux()
 	mux.Handle("/api/", NewAPI(m).Handler())
 	mux.HandleFunc("POST /shard/sessions", sa.handleCreate)
 	mux.HandleFunc("POST "+shardSweepPath, sa.handleSweep)
@@ -94,7 +94,7 @@ func ShardHandler(m *Manager) http.Handler {
 	// per-process; withShardTrace threads the router's X-Trace-Id into the
 	// /shard endpoints (the mounted /api surface extracts its own).
 	mux.Handle("GET /metrics", obs.Default().Handler())
-	return withShardTrace(jsonErrors(mux))
+	return withShardTrace(mux)
 }
 
 func (sa *shardAPI) handleCreate(w http.ResponseWriter, r *http.Request) {

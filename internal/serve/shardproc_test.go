@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -150,10 +152,13 @@ func shardSpawn(dir string, gate *shardGate) func(int, string) *exec.Cmd {
 func superviseShard(t testing.TB, dir string, gate *shardGate, opts *SupervisorOptions) (*Supervisor, string) {
 	t.Helper()
 	sup := NewSupervisor([]string{"127.0.0.1:0"}, shardSpawn(dir, gate), opts)
-	if err := sup.Start(); err != nil {
+	if err := sup.Spawn(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sup.Kill)
+	if err := sup.Ready(); err != nil {
+		t.Fatal(err)
+	}
 	return sup, sup.Addrs()[0]
 }
 
@@ -414,10 +419,13 @@ func TestRemoteRunsDrainAtShutdown(t *testing.T) {
 
 	// Stop closed the socket, so a new supervisor can bind the same address.
 	sup = NewSupervisor([]string{addr}, shardSpawn(dir, nil), opts)
-	if err := sup.Start(); err != nil {
+	if err := sup.Spawn(); err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Kill()
+	if err := sup.Ready(); err != nil {
+		t.Fatal(err)
+	}
 	var st SessionStatus
 	waitUntil(t, "respawned shard to serve the session", func() bool {
 		rec := call(t, h, "GET", p, nil)
@@ -771,10 +779,68 @@ func TestTimedOutMutationNotAppliedAfterRespawn(t *testing.T) {
 	}
 }
 
+// TestSupervisorSpawnReturnsBeforeReady holds a shard back from serving
+// (a shut gate): Spawn returns with the process started, a connection
+// made meanwhile waits in the socket's backlog, Ready returns only once
+// the gate opens, and the waiting connection is then served.
+func TestSupervisorSpawnReturnsBeforeReady(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test")
+	}
+	gate := &shardGate{}
+	gate.close()
+	sup := NewSupervisor([]string{"127.0.0.1:0"}, shardSpawn("", gate), &SupervisorOptions{ReadyTimeout: 15 * time.Second})
+	if err := sup.Spawn(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Kill)
+	if sup.Pid(0) == 0 {
+		t.Fatal("Spawn returned without starting the shard")
+	}
+	ready := make(chan error, 1)
+	go func() { ready <- sup.Ready() }()
+	conn, err := net.Dial("tcp", sup.Addrs()[0])
+	if err != nil {
+		t.Fatalf("dialing the held shard: %v", err)
+	}
+	defer conn.Close()
+	select {
+	case err := <-ready:
+		t.Fatalf("Ready returned (%v) while the shard was held back", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	gate.release()
+	select {
+	case err := <-ready:
+		if err != nil {
+			t.Fatalf("Ready: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("Ready did not return within 15s of the shard's release")
+	}
+	conn.SetDeadline(time.Now().Add(15 * time.Second))
+	req, err := http.NewRequest(http.MethodGet, "http://"+sup.Addrs()[0]+"/shard/ping", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), req)
+	if err != nil {
+		t.Fatalf("reading the ping sent while the shard was held: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ping sent while the shard was held: %s", resp.Status)
+	}
+}
+
 // TestSupervisorStartFailsFastOnEarlyExit starts a shard that exits before
-// it serves (its data dir cannot be made). Its readiness ping waits in the
-// socket's backlog, where nothing will answer it, so Start must end that
-// wait when the process exits, not after PingTimeout or ReadyTimeout.
+// it serves (its data dir cannot be made). Spawn returns once the process
+// is started; the readiness ping waits in the socket's backlog, where
+// nothing will answer it, so Ready must end that wait when the process
+// exits, not after PingTimeout or ReadyTimeout.
 func TestSupervisorStartFailsFastOnEarlyExit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -788,16 +854,22 @@ func TestSupervisorStartFailsFastOnEarlyExit(t *testing.T) {
 		ReadyTimeout: 10 * time.Second,
 	})
 	start := time.Now()
-	err := sup.Start()
+	if err := sup.Spawn(); err != nil {
+		t.Fatalf("Spawn: %v, want the process started", err)
+	}
+	err := sup.Ready()
 	elapsed := time.Since(start)
 	if err == nil {
 		sup.Kill()
-		t.Fatal("Start succeeded for a shard that cannot open its data dir")
+		t.Fatal("Ready succeeded for a shard that cannot open its data dir")
 	}
 	if !strings.Contains(err.Error(), "exited before ready") {
-		t.Fatalf("Start: %v, want an exited-before-ready error", err)
+		t.Fatalf("Ready: %v, want an exited-before-ready error", err)
 	}
 	if elapsed > time.Second {
-		t.Fatalf("Start took %v to notice the exit, want under 1s", elapsed)
+		t.Fatalf("Spawn and Ready took %v to notice the exit, want under 1s", elapsed)
+	}
+	if sup.Pid(0) != 0 && syscall.Kill(sup.Pid(0), 0) == nil {
+		t.Fatalf("shard pid %d still signalable after Ready failed", sup.Pid(0))
 	}
 }

@@ -18,13 +18,15 @@ import (
 // This file implements the shard supervisor: the piece of the distributed
 // deployment that owns the shard subprocesses. The router treats a shard
 // as an address; the supervisor is what makes that address keep answering.
-// It binds each shard's listening socket itself, once, in Start, and hands
+// It binds each shard's listening socket itself, once, in Spawn, and hands
 // it to every incarnation of the shard process as fd 3 with LISTEN_FDS=1
 // (systemd's socket-activation convention; ShardListener is the child's
 // half). Because the socket outlives every child, a connection made while
 // a shard boots or restarts waits in the backlog instead of being refused:
 // readiness is the first answered ping, with no poll, and requests sent
-// during a respawn are served by the next incarnation. The supervisor
+// during a respawn are served by the next incarnation. Spawn returns as
+// soon as the children are started, so the router builds its own state
+// while they boot, and Ready waits for the first pings. The supervisor
 // health-checks each process over /shard/ping, restarts it when it crashes
 // or stops responding (the shard's WAL replay makes a restart safe:
 // Restore rebuilds every session the crash interrupted), and tears the
@@ -49,7 +51,7 @@ type SupervisorOptions struct {
 	RestartBackoff time.Duration
 	// ReadyTimeout bounds how long each incarnation may take from spawn to
 	// its first answered ping, replay included (default 15s). Past it,
-	// Start fails, and a respawned process is killed as hung.
+	// Ready fails, and a respawned process is killed as hung.
 	ReadyTimeout time.Duration
 }
 
@@ -139,6 +141,10 @@ type Supervisor struct {
 	procs     []*shardProc
 	restarts  []int
 
+	// readyc carries each shard's first readiness outcome, one per shard,
+	// to Ready.
+	readyc chan error
+
 	// ctx ends when Stop or Kill begins; stop ends it.
 	ctx    context.Context
 	stop   context.CancelFunc
@@ -147,8 +153,8 @@ type Supervisor struct {
 }
 
 // NewSupervisor builds a supervisor for the given shard addresses. An
-// address with port 0 gets a free port when Start binds it; Addrs reports
-// it. Nothing runs until Start.
+// address with port 0 gets a free port when Spawn binds it; Addrs reports
+// it. Nothing runs until Spawn.
 func NewSupervisor(addrs []string, spawn func(i int, addr string) *exec.Cmd, opts *SupervisorOptions) *Supervisor {
 	var o SupervisorOptions
 	if opts != nil {
@@ -163,13 +169,14 @@ func NewSupervisor(addrs []string, spawn func(i int, addr string) *exec.Cmd, opt
 		listeners: make([]*os.File, len(addrs)),
 		procs:     make([]*shardProc, len(addrs)),
 		restarts:  make([]int, len(addrs)),
+		readyc:    make(chan error, len(addrs)),
 		ctx:       ctx,
 		stop:      stop,
 		client:    &http.Client{Transport: &shardTransport{}},
 	}
 }
 
-// Addrs returns the shard addresses, with the ports Start bound in place
+// Addrs returns the shard addresses, with the ports Spawn bound in place
 // of any port 0.
 func (sv *Supervisor) Addrs() []string { return append([]string(nil), sv.addrs...) }
 
@@ -295,12 +302,13 @@ func (sv *Supervisor) ready(i int, p *shardProc) error {
 	return fmt.Errorf("shard %d (%s): not ready within %s", i, sv.addrs[i], sv.opts.ReadyTimeout)
 }
 
-// Start binds every shard's socket, spawns every shard, and blocks until
-// each answers its first ping. If a bind or spawn fails, a shard exits
-// before it serves (a config error, which a respawn would only repeat), or
-// ReadyTimeout passes, the fleet is torn down and Start fails. After Start
-// returns, a monitor goroutine per shard keeps it alive until Stop.
-func (sv *Supervisor) Start() error {
+// Spawn binds every shard's socket and spawns every shard, without waiting
+// for any to serve: each shard's first ping is sent at once and waits in
+// its socket's backlog while the process boots, so a caller can build its
+// own state meanwhile and then call Ready. If a bind or spawn fails, the
+// fleet is torn down and Spawn fails. A shard that answers its first ping
+// is kept alive until Stop.
+func (sv *Supervisor) Spawn() error {
 	for i := range sv.addrs {
 		if err := sv.listen(i); err != nil {
 			sv.Kill()
@@ -308,29 +316,46 @@ func (sv *Supervisor) Start() error {
 		}
 	}
 	for i := range sv.addrs {
-		if _, err := sv.start(i); err != nil {
+		p, err := sv.start(i)
+		if err != nil {
 			sv.Kill()
 			return err
 		}
-	}
-	for i := range sv.addrs {
-		if err := sv.ready(i, sv.proc(i)); err != nil {
-			sv.Kill()
-			return err
-		}
-	}
-	for i := range sv.addrs {
 		sv.wg.Add(1)
-		go sv.monitor(i)
+		go sv.supervise(i, p)
 	}
 	return nil
+}
+
+// Ready blocks until every shard spawned by Spawn answers its first ping.
+// If one exits before it serves (a config error, which a respawn would
+// only repeat), or ReadyTimeout passes, the fleet is torn down and Ready
+// fails as soon as that shard's wait ends. Call it once.
+func (sv *Supervisor) Ready() error {
+	for range sv.addrs {
+		if err := <-sv.readyc; err != nil {
+			sv.Kill()
+			return err
+		}
+	}
+	return nil
+}
+
+// supervise waits for shard i's first incarnation p to serve, reports the
+// outcome to Ready, and monitors the shard from then on.
+func (sv *Supervisor) supervise(i int, p *shardProc) {
+	defer sv.wg.Done()
+	err := sv.ready(i, p)
+	sv.readyc <- err
+	if err == nil {
+		sv.monitor(i)
+	}
 }
 
 // monitor keeps shard i alive: it watches for process exit and for ping
 // failures (a hung process is killed and takes the exit path), restarting
 // with linear backoff until Stop.
 func (sv *Supervisor) monitor(i int) {
-	defer sv.wg.Done()
 	ticker := time.NewTicker(sv.opts.PingInterval)
 	defer ticker.Stop()
 	pingFailures := 0
@@ -437,7 +462,7 @@ func (sv *Supervisor) Stop(ctx context.Context) {
 }
 
 // Kill force-terminates the fleet immediately, reaps every process and
-// closes the listening sockets — the second-SIGTERM path, and Start's
+// closes the listening sockets — the second-SIGTERM path, and Ready's
 // cleanup when a shard never becomes ready.
 func (sv *Supervisor) Kill() {
 	sv.stop()

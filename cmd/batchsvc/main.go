@@ -373,7 +373,7 @@ func main() {
 
 	if sup != nil {
 		// Adopt the shards' restored id high-water marks before serving, so
-		// the first create never races the first id tick. The sync waits in
+		// ids keep creation order across a restart. The sync waits in
 		// each shard's socket backlog until the shard serves, alongside the
 		// supervisor's readiness pings; Ready fails at once if a shard exits
 		// before serving, and the sync still waiting on it dies with us.

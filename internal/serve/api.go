@@ -90,20 +90,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // errorBody is the stable {"error": ...} payload every error response from
-// this package carries.
+// this package carries; a shard's 409 adds its id high-water mark.
 type errorBody struct {
 	Error string `json:"error"`
+	IDSeq int    `json:"id_seq,omitempty"`
 }
 
 // writeErr emits the structured error payload; every error response from
 // this package carries the stable "error" key. Backpressure errors (503
 // degraded, 429 admission) carry a Retry-After hint.
 func writeErr(w http.ResponseWriter, code int, err error) {
+	body := errorBody{Error: err.Error()}
 	var ae *apiError
-	if errors.As(err, &ae) && ae.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
+	if errors.As(err, &ae) {
+		if ae.retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
+		}
+		body.IDSeq = ae.idSeq
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	writeJSON(w, code, body)
 }
 
 // jsonMux is a ServeMux that answers the requests none of its routes

@@ -43,14 +43,13 @@ func countConns(t *testing.T, h http.Handler) (*httptest.Server, *connCount) {
 // default client. Run and delete replies carry bodies nobody reads; unless
 // they are drained, each such exchange costs the connection, and the shard
 // sees about two new connections per remote-homed session. Kept alive, the
-// lifecycles share one connection. The id tick's /shard/info may need a
-// second when it runs beside a request. The shard transport dials only for
-// a caller that finds the pool empty, and that caller uses the connection
-// it dialed, so connections never outnumber calls in flight: one lifecycle
-// call plus one id-tick call. The count stays at that bound after every
-// lifecycle, whatever K is.
+// lifecycles share one connection: the router sends the shard nothing but
+// the lifecycles' calls, one at a time, and the shard transport dials only
+// for a caller that finds the pool empty, so connections never outnumber
+// calls in flight. The count stays at one after every lifecycle, whatever
+// K is.
 func TestRemoteLifecyclesReuseShardConnections(t *testing.T) {
-	const k, maxConns = 20, 2
+	const k, maxConns = 20, 1
 	m := NewShardManager(2)
 	m.SetShardIndex(1)
 	t.Cleanup(m.Close)

@@ -138,10 +138,10 @@
 // /shard/sessions (a create under a router-minted id, with a model_ref's
 // pinned parameters), POST /shard/sweep (a sweep group, run to
 // completion), GET /shard/ping (liveness) and GET /shard/info (counters,
-// health, id high-water mark). A create or sweep group naming an id the
-// shard holds answers 409: the router's id sequence is behind the
-// shard's, so the router adopts the shard's mark and tries once more
-// under fresh ids.
+// health, id high-water mark). A shard owns its id space: it admits a
+// create or sweep group only above its id high-water mark, which it
+// raises, and answers anything else 409 with the mark (id_seq); the
+// router adopts it and retries under fresh ids.
 //
 // A RemoteBackend fills each remote slot: it creates, lists, fetches info
 // and traces, runs sweep groups and forwards requests, and no more —

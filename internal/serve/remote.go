@@ -242,16 +242,7 @@ func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body 
 	defer stop()
 	defer drainClose(resp.Body)
 	if resp.StatusCode >= 400 {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		retryAfter := 0
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			retryAfter, _ = strconv.Atoi(ra)
-		}
-		return &apiError{code: resp.StatusCode, retryAfter: retryAfter, err: errors.New(msg)}
+		return replyError(resp)
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -260,6 +251,24 @@ func (rb *RemoteBackend) attempt(ctx context.Context, method, path string, body 
 		}
 	}
 	return nil
+}
+
+// replyError decodes a shard's error reply as writeErr wrote it: status,
+// Retry-After (whole seconds, else none) and the errorBody (else the
+// status line).
+func replyError(resp *http.Response) error {
+	var eb errorBody
+	if json.NewDecoder(resp.Body).Decode(&eb) != nil {
+		eb = errorBody{}
+	}
+	if eb.Error == "" {
+		eb.Error = resp.Status
+	}
+	retryAfter, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || retryAfter < 0 {
+		retryAfter = 0
+	}
+	return &apiError{code: resp.StatusCode, retryAfter: retryAfter, idSeq: eb.IDSeq, err: errors.New(eb.Error)}
 }
 
 // deadlineHeader carries an attempt's deadline, in Unix nanoseconds, to

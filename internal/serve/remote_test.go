@@ -717,13 +717,12 @@ func TestRemoteSessionLifecycleOverHTTP(t *testing.T) {
 }
 
 // TestRouterResyncsIDsOnConflict builds routers over a shard that already
-// holds s-001 to s-008, each with the shard partitioned while it starts,
-// so its first id tick fails and its id sequence starts behind the
-// shard's. Right after the heal, with no SyncRemotes call, every create
-// through the API answers 201: the shard refuses an id it holds with 409,
-// and the router adopts the shard's high-water mark and creates once more
-// under a fresh id. A sweep through a second such router completes the
-// same way, its refused group run again under fresh ids.
+// holds s-001 to s-008 and syncs neither, so each router's id sequence
+// starts behind the shard's. Every create through the API answers 201: the
+// shard refuses an id at or below its high-water mark with 409, and the
+// router adopts the mark and creates again under a fresh id. A sweep
+// through a second such router completes the same way, its refused group
+// run again under fresh ids.
 func TestRouterResyncsIDsOnConflict(t *testing.T) {
 	m, srv := startShard(t, 2)
 	for i := 1; i <= 8; i++ {
@@ -733,15 +732,11 @@ func TestRouterResyncsIDsOnConflict(t *testing.T) {
 	}
 	behind := func() (*Router, http.Handler) {
 		t.Helper()
-		inj := faultnet.Wrap(&shardTransport{})
-		inj.Partition(hostOf(srv))
-		r, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
+		r, err := NewRouterTopology([]string{"", srv.URL}, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(r.Close)
-		waitUntil(t, "the first id tick to fail", func() bool { return len(inj.Trips()) > 0 })
-		inj.Heal(hostOf(srv))
 		return r, NewAPI(r).Handler()
 	}
 
@@ -778,5 +773,128 @@ func TestRouterResyncsIDsOnConflict(t *testing.T) {
 	}
 	if rep.Partial || remote == 0 {
 		t.Fatalf("sweep behind the shard's id sequence: partial=%v with %d remote cells done", rep.Partial, remote)
+	}
+}
+
+// TestRouterBehindNeverRemintsDeletedID has a shard create and delete the
+// first three ids homed on it, so it holds nothing. A router whose
+// transport refuses GET /shard/info, so only a create's answer can tell it
+// the shard's mark, then creates through the API until its sequence is
+// past those ids. Every create answers 201 under an id no session has had
+// before: the shard refuses an id it created and deleted as it refuses
+// one it holds.
+func TestRouterBehindNeverRemintsDeletedID(t *testing.T) {
+	m, srv := startShard(t, 2)
+	deleted := map[string]bool{}
+	last := 0
+	for n := 1; len(deleted) < 3; n++ {
+		id := ids.Padded("s-", n, 3)
+		if placement.Shard(id, 2) != 1 {
+			continue
+		}
+		if _, err := m.createSession(context.Background(), id, "gone", testConfig(uint64(n)), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		deleted[id], last = true, n
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("shard holds %d sessions, want 0", n)
+	}
+
+	inj := faultnet.Wrap(&shardTransport{})
+	inj.Script(faultnet.Rule{Method: http.MethodGet, Path: "/shard/info"})
+	r, err := NewRouterTopology([]string{"", srv.URL}, 2, fastRemoteOptions(inj.Client()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	h := NewAPI(r).Handler()
+	seen := map[string]bool{}
+	for i := 0; i < last; i++ {
+		rec := call(t, h, "POST", "/api/sessions", createRequest{Config: testConfig(uint64(40 + i))})
+		var st SessionStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusCreated {
+			t.Fatalf("create %d behind the shard: %d %s", i, rec.Code, rec.Body)
+		}
+		if deleted[st.ID] || seen[st.ID] {
+			t.Fatalf("create %d answered 201 under %s, an id already used", i, st.ID)
+		}
+		seen[st.ID] = true
+	}
+	if trips := inj.Trips(); len(trips) != 0 {
+		t.Fatalf("the router asked the shard for its info %d times; nothing but SyncRemotes should", len(trips))
+	}
+}
+
+// TestRouterConcurrentCreatesAndSweepKeepIDsUnique sends 32 API creates and
+// one sweep through one Router{1 local + 1 remote} at once. Creates race
+// each other to the remote shard, so some reach it behind a higher id and
+// are refused; each must still answer 201, every sweep cell must run, and
+// no id may be handed out twice.
+func TestRouterConcurrentCreatesAndSweepKeepIDsUnique(t *testing.T) {
+	_, srv := startShard(t, 2)
+	r, err := NewRouterTopology([]string{"", srv.URL}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	h := NewAPI(r).Handler()
+
+	const creates, cells = 32, 6 // cells: 3 VM types × 2 policies
+	got := make(chan string, creates+cells)
+	var wg sync.WaitGroup
+	for i := 0; i < creates; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec := call(t, h, "POST", "/api/sessions", createRequest{Config: testConfig(uint64(i + 1))})
+			var st SessionStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusCreated {
+				t.Errorf("concurrent create %d: %d %s", i, rec.Code, rec.Body)
+				return
+			}
+			got <- st.ID
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rec := call(t, h, "POST", "/api/sweep", SweepRequest{
+			VMTypes:  []string{"n1-highcpu-4", "n1-highcpu-8", "n1-highcpu-16"},
+			Policies: []string{PolicyReuse, PolicyMemoryless},
+			VMs:      16,
+			Seed:     1,
+			Model:    &ModelParams{A: 0.45, Tau1: 1.0, Tau2: 0.8, B: 24, L: 24},
+			Bag:      BagRequest{App: "shapes", Jobs: 4, Seed: 1},
+		})
+		var rep SweepReport
+		if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || rec.Code != http.StatusOK {
+			t.Errorf("concurrent sweep: %d %s", rec.Code, rec.Body)
+			return
+		}
+		for _, c := range rep.Cells {
+			if c.Error != "" || c.Report == nil {
+				t.Errorf("sweep cell %s/%s (%s): %q", c.VMType, c.Policy, c.SessionID, c.Error)
+			}
+			got <- c.SessionID
+		}
+	}()
+	wg.Wait()
+	close(got)
+	seen, remote := map[string]bool{}, 0
+	for id := range got {
+		if seen[id] {
+			t.Errorf("id %s handed out twice", id)
+		}
+		seen[id] = true
+		if placement.Shard(id, 2) == 1 {
+			remote++
+		}
+	}
+	if len(seen) != creates+cells || remote == 0 {
+		t.Fatalf("%d distinct ids (%d remote-homed), want %d with some remote", len(seen), remote, creates+cells)
 	}
 }

@@ -21,9 +21,7 @@ import (
 // and the shard stays the authority over its sessions.
 
 // countingTransport records the requests a RemoteBackend sends, then
-// passes each to the shard transport the default client uses. The
-// router's background id tick (/shard/info) is not a per-request cost and
-// is left out.
+// passes each to the shard transport the default client uses.
 type countingTransport struct {
 	inner shardTransport
 	mu    sync.Mutex
@@ -31,11 +29,9 @@ type countingTransport struct {
 }
 
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != "/shard/info" {
-		c.mu.Lock()
-		c.reqs = append(c.reqs, req.Method+" "+req.URL.Path)
-		c.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.reqs = append(c.reqs, req.Method+" "+req.URL.Path)
+	c.mu.Unlock()
 	return c.inner.RoundTrip(req)
 }
 
@@ -276,6 +272,50 @@ func TestRemoteSessionOneRoundTripPerRequest(t *testing.T) {
 	if rec.Body.String() != want.String() || shardSession.Status().State != StateCancelled {
 		t.Errorf("cancel answered %s, want the shard's cancelled status %s", rec.Body, want.String())
 	}
+}
+
+// TestRouterBootAsksEachShardOnce builds a router over two shard servers
+// that record every request they serve. Building it sends nothing to
+// either; SyncRemotes then sends each exactly one GET /shard/info, and
+// closing the router sends nothing more.
+func TestRouterBootAsksEachShardOnce(t *testing.T) {
+	var mu sync.Mutex
+	served := map[int][]string{}
+	topology := []string{""}
+	for i := 1; i <= 2; i++ {
+		m := NewShardManager(1)
+		m.SetShardIndex(i)
+		t.Cleanup(m.Close)
+		h := ShardHandler(m)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			mu.Lock()
+			served[i] = append(served[i], req.Method+" "+req.URL.Path)
+			mu.Unlock()
+			h.ServeHTTP(w, req)
+		}))
+		t.Cleanup(srv.Close)
+		topology = append(topology, srv.URL)
+	}
+	check := func(when string, want []string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 1; i <= 2; i++ {
+			if strings.Join(served[i], ",") != strings.Join(want, ",") {
+				t.Errorf("%s, shard %d served %q, want %q", when, i, served[i], want)
+			}
+		}
+	}
+	r, err := NewRouterTopology(topology, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after NewRouterTopology", nil)
+	r.SyncRemotes()
+	check("after SyncRemotes", []string{"GET /shard/info"})
+	r.Close()
+	r.Close()
+	check("after Close", []string{"GET /shard/info"})
 }
 
 // TestRemoteShardStaysAuthoritative deletes a remote-homed session on the

@@ -129,10 +129,6 @@ type Router struct {
 
 	mu  sync.Mutex
 	seq int
-
-	tickStop  chan struct{}
-	tickWG    sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // NewRouter builds a router over nshards in-process executor shards whose
@@ -178,10 +174,9 @@ func NewRouterTopology(topology []string, parallelism int, opts *RemoteOptions) 
 	per := (parallelism + nlocal - 1) / nlocal
 
 	r := &Router{
-		slots:    make([]shardSlot, nshards),
-		locals:   make([]*Manager, nshards),
-		remotes:  make([]*RemoteBackend, nshards),
-		tickStop: make(chan struct{}),
+		slots:   make([]shardSlot, nshards),
+		locals:  make([]*Manager, nshards),
+		remotes: make([]*RemoteBackend, nshards),
 	}
 	// All local shards share one fit cache: fitting is deterministic in the
 	// recipe, so a session on shard 2 reuses the registry a session on
@@ -212,61 +207,42 @@ func NewRouterTopology(topology []string, parallelism int, opts *RemoteOptions) 
 		r.remotes[i] = rb
 		r.slots[i] = rb
 	}
-	for _, rb := range r.remotes {
-		if rb != nil {
-			r.tickWG.Add(1)
-			go r.idTick(rb)
-		}
-	}
 	return r, nil
 }
 
-// idSyncInterval paces the id tick: how often the router re-reads each
-// remote shard's id high-water mark.
-const idSyncInterval = time.Second
-
-// idTick keeps the router's id sequence at or past one remote shard's,
-// which covers a shard that restored its WAL while the router could not
-// reach it.
-func (r *Router) idTick(rb *RemoteBackend) {
-	defer r.tickWG.Done()
-	t := time.NewTicker(idSyncInterval)
-	defer t.Stop()
-	for {
-		r.syncRemote(rb)
-		select {
-		case <-r.tickStop:
-			return
-		case <-t.C:
+// SyncRemotes starts the router's id sequence past every remote shard's
+// id high-water mark (one GET /shard/info each; a shard that does not
+// answer is skipped), so ids keep creation order across a router restart.
+// Uniqueness does not rest on it (see adopt).
+func (r *Router) SyncRemotes() {
+	for _, rb := range r.remotes {
+		if rb == nil {
+			continue
+		}
+		if info, err := rb.shardInfo(); err == nil {
+			r.raiseSeq(info.IDSeq)
 		}
 	}
 }
 
-// syncRemote adopts one remote shard's id high-water mark, so a reconnect
-// after a shard-side restore never re-mints an id. A failure is dropped;
-// the next tick retries.
-func (r *Router) syncRemote(rb *RemoteBackend) {
-	info, err := rb.shardInfo()
-	if err != nil {
-		return
-	}
+// raiseSeq lifts the router's id sequence to at least n.
+func (r *Router) raiseSeq(n int) {
 	r.mu.Lock()
-	if info.IDSeq > r.seq {
-		r.seq = info.IDSeq
-	}
+	r.seq = max(r.seq, n)
 	r.mu.Unlock()
 }
 
-// SyncRemotes runs one blocking id sync against every remote shard —
-// called after the shard processes are known to be up (batchsvc runs it
-// once the supervisor reports readiness) so the router's id sequence
-// starts past every shard's instead of one tick behind.
-func (r *Router) SyncRemotes() {
-	for _, rb := range r.remotes {
-		if rb != nil {
-			r.syncRemote(rb)
-		}
+// adopt raises the router's id sequence to the mark a shard's 409 carries
+// (see claimIDs) and reports whether that mark refused id, the request's
+// lowest: then fresh ids are above it, and the request is retried.
+func (r *Router) adopt(err error, id string) bool {
+	ae, ok := err.(*apiError)
+	if !ok || ae.code != http.StatusConflict {
+		return false
 	}
+	n, _ := ids.Parse("s-", id)
+	r.raiseSeq(ae.idSeq)
+	return ae.idSeq >= n
 }
 
 // control returns the control-plane shard (shard 0), which owns the model
@@ -349,17 +325,16 @@ func (r *Router) Create(name string, cfg SessionConfig) (*Session, error) {
 // mints a global id, places the session by consistent hash, and hands it
 // to the owning shard with the pinned model parameters. A create the shard
 // refuses burns the id — exactly the gap semantics a standalone Manager
-// has for a failed durable append. A remote shard refuses a create with
-// 409 only for an id it already holds, which means this router's id
-// sequence is behind the shard's (it has not yet read the shard's
-// high-water mark); the router then adopts that mark and creates once more
-// under a fresh id. A remote-homed create returns a receipt (see receipt).
+// has for a failed durable append. A remote shard answers 409 to an id at
+// or below its id high-water mark (this router is behind, or a concurrent
+// higher id got there first); the router adopts the mark and creates again
+// under a fresh id (see adopt). A remote-homed create returns a receipt.
 func (r *Router) CreateCtx(ctx context.Context, name string, cfg SessionConfig) (*Session, error) {
 	cfg, pinned, err := r.control().resolveModel(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for retried := false; ; retried = true {
+	for {
 		id := r.nextID()
 		shard := placement.Shard(id, len(r.slots))
 		// The routing decision, as its own span. The router never mints
@@ -371,11 +346,9 @@ func (r *Router) CreateCtx(ctx context.Context, name string, cfg SessionConfig) 
 		}
 		s, err := r.slots[shard].createSession(ctx, id, name, cfg, pinned)
 		end()
-		rb := r.remotes[shard]
-		if retried || rb == nil || httpCode(err) != http.StatusConflict {
+		if !r.adopt(err, id) {
 			return s, err
 		}
-		r.syncRemote(rb)
 	}
 }
 
@@ -494,12 +467,10 @@ func (r *Router) Wait() {
 	}
 }
 
-// Close stops the id ticks and every shard's background workers (for
-// remote shards: its idle connections — the shard process itself belongs
-// to its supervisor).
+// Close stops every shard's background workers (for remote shards: its
+// idle connections — the shard process itself belongs to its supervisor).
+// It is safe to call twice.
 func (r *Router) Close() {
-	r.closeOnce.Do(func() { close(r.tickStop) })
-	r.tickWG.Wait()
 	for _, sl := range r.slots {
 		sl.Close()
 	}
@@ -646,17 +617,13 @@ func (r *Router) Restore(stores []Store, extras ...Store) error {
 	}
 	// Every shard's durable seq record carries the global high-water mark,
 	// so any single surviving store is enough to never re-mint an id.
-	// (Remote shards report theirs through /shard/info on every id tick.)
+	// (Remote shards guard their own: see claimIDs.)
 	for _, m := range r.locals {
 		if m != nil {
 			m.bumpSeq(maxSeq)
 		}
 	}
-	r.mu.Lock()
-	if maxSeq > r.seq {
-		r.seq = maxSeq
-	}
-	r.mu.Unlock()
+	r.raiseSeq(maxSeq)
 
 	// 4. Compact high-to-low, then drain the extras (see the doc comment
 	// for why this order is what makes a mid-migration crash recoverable).

@@ -42,6 +42,7 @@ func (s State) terminal() bool {
 type apiError struct {
 	code       int
 	retryAfter int
+	idSeq      int // the id high-water mark a shard's 409 carries (see claimIDs)
 	err        error
 }
 
@@ -451,9 +452,6 @@ type Manager struct {
 	seq      int
 	sessions map[string]*Session
 	order    []string
-	// creating holds router-minted ids whose create is in flight, so a
-	// second create under the same id is refused before either persists.
-	creating map[string]bool
 	// store is what sessions persist through: the raw store until Restore
 	// attaches one, then the degraded-mode guard around it (innerStore
 	// keeps the unguarded handle for recovery and compaction).
@@ -506,7 +504,6 @@ func NewManager(parallelism int) *Manager {
 		registry:      registry.New(),
 		sem:           make(chan struct{}, parallelism),
 		sessions:      make(map[string]*Session),
-		creating:      make(map[string]bool),
 		refitInFlight: make(map[string]bool),
 		unpersisted:   make(map[string]bool),
 		probeEvery:    time.Second,
@@ -589,8 +586,8 @@ func (m *Manager) resolveModel(cfg SessionConfig) (SessionConfig, *ModelParams, 
 // standalone path); a Router instead mints globally-sequential ids on its
 // control plane and passes them in, and the owning shard adopts the id
 // into its sequence so each shard's durable seq record preserves the
-// global high-water mark. An id the shard already holds, or is creating,
-// is refused with 409.
+// global high-water mark. A remote shard claims the id first (claimIDs);
+// an in-process one takes its router's ids as they come.
 func (m *Manager) createSession(ctx context.Context, id, name string, cfg SessionConfig, pinned *ModelParams) (*Session, error) {
 	traceID := obs.TraceID(ctx)
 	start := time.Now()
@@ -623,20 +620,8 @@ func (m *Manager) createSession(ctx context.Context, id, name string, cfg Sessio
 	if id == "" {
 		m.seq++
 		id = ids.Padded("s-", m.seq, 3)
-	} else {
-		if m.sessions[id] != nil || m.creating[id] {
-			m.mu.Unlock()
-			return nil, errf(http.StatusConflict, "session %s already exists on shard %d", id, m.shard)
-		}
-		m.creating[id] = true
-		defer func() {
-			m.mu.Lock()
-			delete(m.creating, id)
-			m.mu.Unlock()
-		}()
-		if n, ok := ids.Parse("s-", id); ok && n > m.seq {
-			m.seq = n
-		}
+	} else if n, ok := ids.Parse("s-", id); ok && n > m.seq {
+		m.seq = n
 	}
 	st := m.store
 	m.mu.Unlock()

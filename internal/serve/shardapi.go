@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 
+	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -37,14 +39,13 @@ func (m *Manager) SetShardIndex(i int) {
 
 // ShardInfo is the GET /shard/info payload: one shard's counters, health,
 // and id high-water mark, consumed by the router's scatter-gather stats
-// and its id tick.
+// and its boot id sync (Router.SyncRemotes).
 type ShardInfo struct {
 	Sessions map[State]int `json:"sessions"`
 	Health   Health        `json:"health"`
 	Store    *store.Stats  `json:"store,omitempty"`
 	// IDSeq is the shard's session-id high-water mark (restored from its
-	// WAL), so a router reconnecting to a restarted shard never re-mints an
-	// id the shard already knows.
+	// WAL): the highest id it ever created or claimed (see claimIDs).
 	IDSeq int `json:"id_seq"`
 }
 
@@ -103,8 +104,13 @@ func (sa *shardAPI) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.ID == "" {
-		writeErr(w, http.StatusBadRequest, errf(http.StatusBadRequest, "shard create needs a router-minted id"))
+	n, ok := ids.Parse("s-", req.ID)
+	if !ok {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("shard create needs a router-minted id, got %q", req.ID))
+		return
+	}
+	if err := sa.m.claimIDs(n, n); err != nil {
+		writeErr(w, httpCode(err), err)
 		return
 	}
 	s, err := sa.m.createSession(r.Context(), req.ID, req.Name, req.Config, req.Params)
@@ -115,17 +121,32 @@ func (sa *shardAPI) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.Status())
 }
 
+// claimIDs admits router-minted ids first..last only above the shard's id
+// high-water mark, and raises the mark to last in the same critical
+// section, so no id is admitted twice, deleted ones included; otherwise it
+// answers 409 with the mark, which the router adopts (Router.adopt).
+func (m *Manager) claimIDs(first, last int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if first <= m.seq {
+		return &apiError{code: http.StatusConflict, idSeq: m.seq,
+			err: fmt.Errorf("session id %s is at or below shard %d's id high-water mark %d", ids.Padded("s-", first, 3), m.shard, m.seq)}
+	}
+	m.seq = last
+	return nil
+}
+
 // shardSweepPath is the route a sweep group is sent to.
 const shardSweepPath = "/shard/sweep"
 
 // handleSweep is POST /shard/sweep: it runs one sweep group — creates under
 // router-minted ids, the bag, the runs — and answers with each cell's
 // outcome in request order. A group is refused whole, before anything is
-// created, for an invalid bag, a missing id or a cell larger than the size
-// bounds (400) and for an id this shard already holds (409: the router's
-// id sequence is behind this shard's). The headers go out once every cell is created and started,
-// which is all the router's per-op deadline bounds; the body follows when
-// the runs are over.
+// created, for an invalid bag, an oversized cell or ids that are not
+// router-minted and strictly rising (400), and for ids at or below the
+// shard's id high-water mark (409, see claimIDs). The headers go out once
+// every cell is created and started, which is all the router's per-op
+// deadline bounds; the body follows when the runs are over.
 func (sa *shardAPI) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req shardSweepRequest
 	if err := decodeStrict(r, &req); err != nil {
@@ -143,7 +164,8 @@ func (sa *shardAPI) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string][]cellOutcome{"cells": finish()})
 }
 
-// checkSweepGroup refuses a sweep group this shard cannot run as sent.
+// checkSweepGroup refuses a sweep group this shard cannot run as sent, and
+// claims the group's ids when it can.
 func (m *Manager) checkSweepGroup(req shardSweepRequest) error {
 	_, err := validateBagRequest(req.Bag)
 	if err == nil {
@@ -152,20 +174,22 @@ func (m *Manager) checkSweepGroup(req shardSweepRequest) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "bag: %v", err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range req.Cells {
-		if c.ID == "" {
-			return errf(http.StatusBadRequest, "shard sweep needs a router-minted id for every cell")
+	last := 0
+	for k, c := range req.Cells {
+		n, ok := ids.Parse("s-", c.ID)
+		if !ok || n <= last {
+			return errf(http.StatusBadRequest, "shard sweep needs strictly rising router-minted ids: cell %d has %q", k, c.ID)
 		}
 		if err := c.Config.checkSizes(); err != nil {
 			return errf(http.StatusBadRequest, "cell %s: %v", c.ID, err)
 		}
-		if m.sessions[c.ID] != nil || m.creating[c.ID] {
-			return errf(http.StatusConflict, "session %s already exists on shard %d", c.ID, m.shard)
-		}
+		last = n
 	}
-	return nil
+	if len(req.Cells) == 0 {
+		return nil
+	}
+	first, _ := ids.Parse("s-", req.Cells[0].ID)
+	return m.claimIDs(first, last)
 }
 
 // handlePing is GET /shard/ping: the supervisor's liveness check. It

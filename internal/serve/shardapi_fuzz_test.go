@@ -6,48 +6,83 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/ids"
 )
 
+// fuzzShard starts a fresh shard for one fuzz input — a Manager with a
+// store behind ShardHandler, holding s-001, so its id high-water mark is 1
+// — and returns it with a poster for its handler. A fresh shard per input
+// keeps a 201 reachable after the fuzzer has sent a large id, which raises
+// a shard's mark for good. The shards of one fuzz target share models, so
+// a fit recipe is fitted once, as it is on a long-lived shard.
+func fuzzShard(t testing.TB, models *modelCache, runHook func(context.Context, *batch.Service) (batch.Report, error)) (*Manager, func(path string, body []byte) *httptest.ResponseRecorder) {
+	t.Helper()
+	m := NewShardManager(1)
+	t.Cleanup(m.Close)
+	m.models = models
+	m.runHook = runHook
+	if err := m.Restore(openStore(t, t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	h := ShardHandler(m)
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	held, _ := json.Marshal(shardCreateRequest{ID: "s-001", Config: testConfig(1)})
+	if rec := post("/shard/sessions", held); rec.Code != http.StatusCreated {
+		t.Fatalf("creating the held session = %d, want 201", rec.Code)
+	}
+	return m, post
+}
+
+// markOf reads a shard's id high-water mark.
+func markOf(m *Manager) int {
+	info, _ := m.shardInfo()
+	return info.IDSeq
+}
+
+// checkRefusal fails t unless a 409 answered with the shard's pre-request
+// id high-water mark and appended nothing.
+func checkRefusal(t *testing.T, rec *httptest.ResponseRecorder, mark, appended int) {
+	t.Helper()
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.IDSeq != mark {
+		t.Fatalf("409 %s: want id_seq %d", rec.Body, mark)
+	}
+	if appended != 0 {
+		t.Fatalf("refused request (409) appended %d records", appended)
+	}
+}
+
 // FuzzShardCreate feeds arbitrary bodies to POST /shard/sessions, the
-// create a router sends a shard, through the shard's own handler:
-// decodeStrict, then createSession with the pinned model parameters the
-// body carries. Nothing may panic. A 201 comes only for a config that
-// passes Validate whose parameters — pinned ones for a model_ref, inline
-// ones otherwise — build a model; anything else answers a 4xx and appends
-// nothing to the shard's store. The seeds are a valid inline-model create,
-// a pinned model_ref with its parameters, a model_ref without them, a zero
-// tau1, parameters with no mass before the deadline, an empty id, a
-// checkpointed session whose deadline is shorter than the default
-// checkpoint step, unknown fields, and an id the shard already holds.
+// create a router sends a shard, through a fresh shard's own handler:
+// decodeStrict, the id claim, then createSession with the pinned model
+// parameters the body carries. Nothing may panic. A 201 comes only for an
+// id above the shard's id high-water mark, which it raises to that id, and
+// for a config that passes Validate whose parameters — pinned ones for a
+// model_ref, inline ones otherwise — build a model. A well-formed create
+// under an id at or below the mark answers 409 with the mark, and anything
+// not acknowledged answers a 4xx and appends nothing to the shard's store.
+// The seeds are a valid inline-model create, a pinned model_ref with its
+// parameters, a model_ref without them, a zero tau1, parameters with no
+// mass before the deadline, an empty id, a checkpointed session whose
+// deadline is shorter than the default checkpoint step, unknown fields, the
+// id the shard holds, and that id written another way.
 //
 //	go test -run '^$' -fuzz '^FuzzShardCreate$' -fuzztime 20s ./internal/serve
 func FuzzShardCreate(f *testing.F) {
-	m := NewShardManager(1)
-	f.Cleanup(m.Close)
-	if err := m.Restore(openStore(f, f.TempDir())); err != nil {
-		f.Fatal(err)
-	}
-	h := ShardHandler(m)
-	post := func(body []byte) int {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/sessions", bytes.NewReader(body)))
-		return rec.Code
-	}
 	body := func(req shardCreateRequest) []byte {
 		raw, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return raw
-	}
-	// s-001 stays on the shard for the whole run: every create reusing it
-	// must be refused.
-	held := body(shardCreateRequest{ID: "s-001", Config: testConfig(1)})
-	if code := post(held); code != http.StatusCreated {
-		f.Fatalf("creating the held session = %d, want 201", code)
 	}
 	p := testModelParams()
 	zeroTau1 := p
@@ -66,28 +101,42 @@ func FuzzShardCreate(f *testing.F) {
 		{ID: "s-006", Config: refConfig(6, "east@v1"), Params: &noMass},
 		{ID: "", Config: testConfig(7)},
 		{ID: "s-008", Config: checkpointed, Params: &short},
+		{ID: "s-001", Config: testConfig(1)},
+		{ID: "s-1", Config: testConfig(1)},
 	} {
 		f.Add(body(req))
 	}
 	f.Add([]byte(`{"id":"s-009","config":{"vm_type":"n1-highcpu-16","zone":"us-east1-b","vms":4,"model_ref":"east@v1"},"params":{"a":0.45,"tau1":1,"tau2":0.8,"b":24,"l":24},"epoch":7}`))
-	f.Add(held)
 
+	models := newModelCache()
 	f.Fuzz(func(t *testing.T, in []byte) {
-		before := m.StoreStats().Appended
-		code := post(in)
+		m, post := fuzzShard(t, models, nil)
+		mark, before := markOf(m), m.StoreStats().Appended
+		rec := post("/shard/sessions", in)
 		appended := m.StoreStats().Appended - before
-		if code != http.StatusCreated {
-			if code < 400 || code >= 500 {
-				t.Fatalf("create answered %d, want 201 or a 4xx", code)
+		var req shardCreateRequest
+		wellFormed := decodeStrict(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(in)), &req) == nil
+		n, minted := ids.Parse("s-", req.ID)
+		if rec.Code == http.StatusConflict {
+			checkRefusal(t, rec, mark, appended)
+		}
+		if wellFormed && minted && n <= mark && rec.Code != http.StatusConflict {
+			t.Fatalf("create of %s at or below the mark %d answered %d, want 409", req.ID, mark, rec.Code)
+		}
+		if rec.Code != http.StatusCreated {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("create answered %d, want 201 or a 4xx", rec.Code)
 			}
 			if appended != 0 {
-				t.Fatalf("refused create (%d) appended %d records", code, appended)
+				t.Fatalf("refused create (%d) appended %d records", rec.Code, appended)
 			}
 			return
 		}
-		var req shardCreateRequest
-		if err := json.Unmarshal(in, &req); err != nil {
-			t.Fatalf("201 for a body that does not decode: %v", err)
+		if !wellFormed || !minted || n <= mark {
+			t.Fatalf("201 for id %q (well-formed %v) with the mark at %d", req.ID, wellFormed, mark)
+		}
+		if got := markOf(m); got != n {
+			t.Fatalf("201 for %s left the mark at %d", req.ID, got)
 		}
 		cfg := req.Config.withDefaults()
 		if err := cfg.Validate(); err != nil {
@@ -104,44 +153,26 @@ func FuzzShardCreate(f *testing.F) {
 		if appended != 1 {
 			t.Fatalf("acknowledged create appended %d records, want 1", appended)
 		}
-		// Keep the shard to the held session across inputs.
-		if err := m.Delete(req.ID); err != nil {
-			t.Fatal(err)
-		}
 	})
 }
 
 // FuzzShardSweep feeds arbitrary bodies to POST /shard/sweep, the one
 // request a router sends a remote shard for a sweep's group of cells,
-// through the shard's own handler, with runs that finish at once. Nothing
-// may panic. A 2xx answers one cell per requested cell, in request order
-// (a cell that ran carries the id it was sent under); anything else is a
-// 4xx that appends nothing to the shard's store. The seeds are a valid
-// two-cell group, a pinned model_ref with its parameters, one without
-// them, an empty id, an id twice in one group, an id the shard already
-// holds, a bag with no jobs, and unknown fields.
+// through a fresh shard's own handler, with runs that finish at once.
+// Nothing may panic. A 2xx answers one cell per requested cell, in request
+// order (a cell that ran carries the id it was sent under), and comes only
+// for ids that rise strictly from above the shard's id high-water mark,
+// which it raises to the last of them. A group naming an id at or below
+// the mark never runs: it answers 409 with the mark, or 400. Anything but
+// a 2xx is a 4xx that appends nothing to the shard's store. The seeds are
+// a valid two-cell group, a pinned model_ref with its parameters, one
+// without them, an empty id, an id twice in one group, falling ids, the id
+// the shard holds, a bag with no jobs, and unknown fields.
 //
 //	go test -run '^$' -fuzz '^FuzzShardSweep$' -fuzztime 20s ./internal/serve
 func FuzzShardSweep(f *testing.F) {
-	m := NewShardManager(1)
-	f.Cleanup(m.Close)
-	m.runHook = func(context.Context, *batch.Service) (batch.Report, error) {
+	instant := func(context.Context, *batch.Service) (batch.Report, error) {
 		return batch.Report{JobsCompleted: 1}, nil
-	}
-	if err := m.Restore(openStore(f, f.TempDir())); err != nil {
-		f.Fatal(err)
-	}
-	h := ShardHandler(m)
-	post := func(path string, body []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		return rec
-	}
-	// s-001 stays on the shard for the whole run: every group naming it
-	// must be refused.
-	held, _ := json.Marshal(shardCreateRequest{ID: "s-001", Config: testConfig(1)})
-	if rec := post("/shard/sessions", held); rec.Code != http.StatusCreated {
-		f.Fatalf("creating the held session = %d, want 201", rec.Code)
 	}
 	bag := BagRequest{App: "shapes", Jobs: 3, Seed: 1}
 	p := testModelParams()
@@ -151,6 +182,7 @@ func FuzzShardSweep(f *testing.F) {
 		{Cells: []shardCreateRequest{{ID: "s-005", Config: refConfig(5, "east@v1")}}, Bag: bag},
 		{Cells: []shardCreateRequest{{ID: "", Config: testConfig(6)}}, Bag: bag},
 		{Cells: []shardCreateRequest{{ID: "s-007", Config: testConfig(7)}, {ID: "s-007", Config: testConfig(8)}}, Bag: bag},
+		{Cells: []shardCreateRequest{{ID: "s-009", Config: testConfig(9)}, {ID: "s-008", Config: testConfig(8)}}, Bag: bag},
 		{Cells: []shardCreateRequest{{ID: "s-001", Config: testConfig(9)}}, Bag: bag},
 		{Cells: []shardCreateRequest{{ID: "s-010", Config: testConfig(10)}}, Bag: BagRequest{App: "shapes"}},
 	} {
@@ -161,6 +193,7 @@ func FuzzShardSweep(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Add([]byte(`{"cells":[{"id":"s-011","config":{"vm_type":"n1-highcpu-16","zone":"us-east1-b","vms":4,"model":{"a":0.45,"tau1":1,"tau2":0.8,"b":24,"l":24}},"epoch":7}],"bag":{"app":"shapes","jobs":2},"group":1}`))
+	models := newModelCache()
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// The shard allocates what a group asks for, up to the size
@@ -176,9 +209,25 @@ func FuzzShardSweep(f *testing.F) {
 		if len(req.Cells) > 8 || req.Bag.Jobs > 1000 {
 			return
 		}
-		before := m.StoreStats().Appended
+		m, post := fuzzShard(t, models, instant)
+		mark, before := markOf(m), m.StoreStats().Appended
 		rec := post(shardSweepPath, in)
 		appended := m.StoreStats().Appended - before
+		// rising reports whether the cells' ids rise strictly from above
+		// the pre-request mark; low whether one is at or below it.
+		rising, low, prev := true, false, mark
+		for _, c := range req.Cells {
+			n, ok := ids.Parse("s-", c.ID)
+			rising = rising && ok && n > prev
+			low = low || ok && n <= mark
+			prev = n
+		}
+		if rec.Code == http.StatusConflict {
+			checkRefusal(t, rec, mark, appended)
+		}
+		if low && rec.Code != http.StatusConflict && rec.Code != http.StatusBadRequest {
+			t.Fatalf("group naming an id at or below the mark %d answered %d, want 409 or 400", mark, rec.Code)
+		}
 		if rec.Code/100 != 2 {
 			if rec.Code < 400 || rec.Code >= 500 {
 				t.Fatalf("sweep group answered %d, want a 2xx or a 4xx", rec.Code)
@@ -190,6 +239,12 @@ func FuzzShardSweep(f *testing.F) {
 		}
 		if decodeErr != nil {
 			t.Fatalf("%d for a body that does not decode: %v", rec.Code, decodeErr)
+		}
+		if !rising {
+			t.Fatalf("%d for a group whose ids do not rise strictly from above the mark %d", rec.Code, mark)
+		}
+		if len(req.Cells) > 0 && markOf(m) != prev {
+			t.Fatalf("%d left the mark at %d, want %d", rec.Code, markOf(m), prev)
 		}
 		var out struct {
 			Cells []cellOutcome `json:"cells"`
@@ -207,12 +262,62 @@ func FuzzShardSweep(f *testing.F) {
 			if (c.Error == "") == (c.Report == nil) {
 				t.Fatalf("cell %d answered error %q and report %v; want exactly one", k, c.Error, c.Report)
 			}
-			if c.Report != nil {
-				// Keep the shard to the held session across inputs.
-				if err := m.Delete(c.SessionID); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
+	})
+}
+
+// FuzzRemoteError feeds arbitrary shard error replies — a status, a
+// Retry-After header and a body — to replyError, the router's decode of
+// them. Nothing may panic. The error keeps the shard's status; from an
+// {"error": ...} body it takes the message and the id_seq, from a
+// non-negative whole-seconds Retry-After the hint; and written back out
+// with writeErr, as the router's API answers its client, it decodes to the
+// same error again. The seeds are a 409 with id_seq, a 503 with
+// Retry-After, a non-JSON body, and a negative Retry-After.
+//
+//	go test -run '^$' -fuzz '^FuzzRemoteError$' -fuzztime 20s ./internal/serve
+func FuzzRemoteError(f *testing.F) {
+	f.Add(uint16(409), "", []byte(`{"error":"session id s-004 is at or below shard 1's id high-water mark 9","id_seq":9}`))
+	f.Add(uint16(503), "1", []byte(`{"error":"shard degraded"}`))
+	f.Add(uint16(502), "", []byte("upstream connect error\n"))
+	f.Add(uint16(429), "-3", []byte(`{"error":"session limit reached"}`))
+
+	// reply serves one error reply through a recorder and decodes it.
+	reply := func(code int, retryAfter string, body []byte) *apiError {
+		rec := httptest.NewRecorder()
+		if retryAfter != "" {
+			rec.Header().Set("Retry-After", retryAfter)
+		}
+		rec.WriteHeader(code)
+		rec.Write(body)
+		ae, ok := replyError(rec.Result()).(*apiError)
+		if !ok {
+			panic("replyError returned a non-apiError")
+		}
+		return ae
+	}
+	f.Fuzz(func(t *testing.T, status uint16, retryAfter string, body []byte) {
+		code := 400 + int(status)%200
+		got := reply(code, retryAfter, body)
+		if got.code != code || got.Error() == "" {
+			t.Fatalf("reply %d decoded as %d %q", code, got.code, got.Error())
+		}
+		var eb errorBody
+		if json.Unmarshal(body, &eb) == nil && eb.Error != "" && (got.Error() != eb.Error || got.idSeq != eb.IDSeq) {
+			t.Fatalf("body %q decoded as %q id_seq %d", body, got.Error(), got.idSeq)
+		}
+		if n, err := strconv.Atoi(retryAfter); err == nil && n >= 0 && got.retryAfter != n {
+			t.Fatalf("Retry-After %q decoded as %d", retryAfter, got.retryAfter)
+		}
+		if got.retryAfter < 0 {
+			t.Fatalf("Retry-After %q decoded as %d", retryAfter, got.retryAfter)
+		}
+		rec := httptest.NewRecorder()
+		writeErr(rec, got.code, got)
+		again := reply(rec.Code, rec.Header().Get("Retry-After"), rec.Body.Bytes())
+		if again.code != got.code || again.Error() != got.Error() || again.retryAfter != got.retryAfter || again.idSeq != got.idSeq {
+			t.Fatalf("written back out, %d %q (retry %d, id_seq %d) reads %d %q (retry %d, id_seq %d)",
+				got.code, got.Error(), got.retryAfter, got.idSeq, again.code, again.Error(), again.retryAfter, again.idSeq)
 		}
 	})
 }

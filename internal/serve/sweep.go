@@ -101,17 +101,17 @@ func (m *Manager) SweepCtx(ctx context.Context, req SweepRequest) (SweepReport, 
 // the ids single creates would get, then runs each home shard's cells as
 // one group, all groups at once: a local group on its Manager, a remote
 // one as a single POST /shard/sweep. A group whose shard cannot be reached
-// marks its cells and the report partial. A remote shard holding one of
-// its group's ids refuses the group (409: this router's id sequence is
-// behind the shard's); the router adopts the shard's high-water mark and
-// runs those cells once more under fresh ids.
+// marks its cells and the report partial. A remote shard refuses a group
+// whose ids are not above its id high-water mark (409, as for a create);
+// the router adopts the mark and runs those cells again under fresh ids,
+// for as long as each refusal is the mark's doing (see Router.adopt).
 func (r *Router) SweepCtx(ctx context.Context, req SweepRequest) (SweepReport, error) {
 	cells, todo, err := expandSweep(r.control(), req)
 	if err != nil {
 		return SweepReport{}, err
 	}
 	partial := false
-	for retried := false; len(todo) > 0; retried = true {
+	for len(todo) > 0 {
 		groups := make(map[int][]shardCreateRequest) // by home shard, grid order
 		for _, c := range todo {
 			c.ID = r.nextID()
@@ -126,11 +126,7 @@ func (r *Router) SweepCtx(ctx context.Context, req SweepRequest) (SweepReport, e
 			go func() {
 				defer wg.Done()
 				outs, err := r.slots[shard].sweep(ctx, shardSweepRequest{Cells: group, Bag: req.Bag})
-				rb := r.remotes[shard]
-				refused := rb != nil && !retried && httpCode(err) == http.StatusConflict
-				if refused {
-					r.syncRemote(rb)
-				}
+				refused := r.adopt(err, group[0].ID)
 				mu.Lock()
 				defer mu.Unlock()
 				switch {

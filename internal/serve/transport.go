@@ -38,11 +38,10 @@ type shardTransport struct {
 }
 
 // maxIdlePerShard caps the idle connections kept per shard address; a
-// connection released beyond it is closed. Two matches the measured
-// concurrency per shard, one lifecycle call plus the id tick's /shard/info
-// (TestRemoteLifecyclesReuseShardConnections pins it), and the stdlib's
-// default per-host idle cap the router used before. Raise it only with a
-// workload that measures more concurrent callers.
+// connection released beyond it is closed. Two is the stdlib's default
+// per-host idle cap the router used before. A sequential client needs one
+// (TestRemoteLifecyclesReuseShardConnections pins it); change the cap only
+// with a workload that measures how many callers a shard sees at once.
 const maxIdlePerShard = 2
 
 // shardConn is one keep-alive connection with its buffered reader and

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -73,7 +72,7 @@ func TestDegradedFlipServesReadOnlyAndRecovers(t *testing.T) {
 	if err := m.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewAPI(m).Handler())
+	srv := newLoopServer(t, NewAPI(m).Handler())
 	defer srv.Close()
 
 	// One session completes while the disk is healthy.
@@ -444,7 +443,7 @@ func TestSSETerminalFrameOnPanic(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		panic("mid-run panic")
 	}
-	srv := httptest.NewServer(NewAPI(mgr).Handler())
+	srv := newLoopServer(t, NewAPI(mgr).Handler())
 	defer srv.Close()
 
 	s, err := mgr.Create("sse-panic", slowConfig(1))
@@ -497,7 +496,7 @@ func TestSSETerminalFrameWhileDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	srv := httptest.NewServer(NewAPI(m).Handler())
+	srv := newLoopServer(t, NewAPI(m).Handler())
 	defer srv.Close()
 
 	s := startSlowSession(t, m, slowSessionJobs)

@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"net"
 	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/placement"
@@ -15,27 +12,11 @@ import (
 // connection back to the shard transport's pool, so the router dials a
 // shard a bounded number of times however many requests it sends.
 
-// connCount counts the TCP connections a test server accepts and closes.
-type connCount struct {
-	opened, closed atomic.Int64
-}
-
-// countConns starts a test server for h that counts its connections.
-func countConns(t *testing.T, h http.Handler) (*httptest.Server, *connCount) {
+// countConns serves h on the loop server and counts its connections.
+func countConns(t *testing.T, h http.Handler) (*loopServer, *connCount) {
 	t.Helper()
-	var c connCount
-	srv := httptest.NewUnstartedServer(h)
-	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		switch s {
-		case http.StateNew:
-			c.opened.Add(1)
-		case http.StateClosed:
-			c.closed.Add(1)
-		}
-	}
-	srv.Start()
-	t.Cleanup(srv.Close)
-	return srv, &c
+	ls := newLoopServer(t, h)
+	return ls, &ls.conns
 }
 
 // TestRemoteLifecyclesReuseShardConnections drives K full lifecycles
@@ -83,9 +64,9 @@ func TestSupervisorPingReusesConnection(t *testing.T) {
 	m := NewShardManager(1)
 	t.Cleanup(m.Close)
 	srv, conns := countConns(t, ShardHandler(m))
-	sv := NewSupervisor([]string{hostOf(srv)}, nil, nil)
+	sv := NewSupervisor([]string{hostOf(srv.URL)}, nil, nil)
 	for i := 0; i < 50; i++ {
-		if err := sv.ping(context.Background(), hostOf(srv)); err != nil {
+		if err := sv.ping(context.Background(), hostOf(srv.URL)); err != nil {
 			t.Fatalf("ping %d: %v", i, err)
 		}
 	}

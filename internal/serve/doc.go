@@ -310,6 +310,44 @@
 // rewritten from net/http's plain-text errors, and every error payload
 // carries a stable "error" key.
 //
+// # Serving connections
+//
+// batchsvc serves its public listener and its -shard-server listener with
+// Server (httpserver.go), not net/http.Server; only the -pprof debug
+// listener stays on net/http. Server has http.Server's shape (Handler,
+// BaseContext, Serve, Shutdown), and runs each keep-alive connection as
+// one loop on one goroutine: read a request from the connection's
+// buffered reader (request headers capped at net/http's 1 MiB default),
+// call the handler, write the reply, read the next request. A reply is
+// buffered in a buffer the connection reuses; one that is not flushed and
+// stays within 2 KiB goes out as status line, headers, Content-Length and
+// body in one write. The first Flush, or a body past 2 KiB while the
+// handler runs, switches the reply to chunked framing, at the same bytes
+// where net/http switches.
+//
+// The watcher rule: a client that leaves is seen once its request streams
+// (flushes) or has run for 1 ms (watchAfter, a constant). Only then does
+// a watcher goroutine peek one byte on the connection's buffered reader.
+// An error other than the stop deadline cancels r.Context(). A byte that
+// arrives is kept, so a pipelined request is served next. The watcher is
+// stopped with a read deadline before the next request is read. net/http
+// starts and aborts such a read on every request, which on this service's
+// ~1 ms requests cost more CPU than the handlers.
+//
+// Clients see what net/http.Server sends: Date, Content-Type sniffing,
+// 100 Continue, HTTP/1.0 and Connection: close semantics, bodiless HEAD,
+// 204 and 304 replies, chunked request bodies, net/http's own 400, 431,
+// 501 and 505 replies to requests it refuses, OPTIONS *, panic recovery
+// (logged, connection closed; silent for http.ErrAbortHandler) and a
+// Shutdown that closes idle connections at once and waits for busy ones.
+// TestServeConnMatchesNetHTTP and FuzzServeConn hold the two servers to
+// byte-identical replies (Date aside) on the same request bytes.
+// Informational (1xx) replies, trailers, Hijack and ResponseController
+// deadlines are not supported.
+// perfbench's reference service and its traced half still run
+// net/http.Server, so its api.* spans and trace.overhead_ratio do not
+// show the loop's saving; the untraced service's CPU per operation does.
+//
 // # Degraded mode, admission, and panic isolation
 //
 // If the attached store starts failing persistently (disk full, I/O

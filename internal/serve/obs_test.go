@@ -104,7 +104,7 @@ func TestHTTPRouteLabels(t *testing.T) {
 }
 
 func TestShardHandlerServesMetrics(t *testing.T) {
-	srv := httptest.NewServer(ShardHandler(NewShardManager(1)))
+	srv := newLoopServer(t, ShardHandler(NewShardManager(1)))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

@@ -27,12 +27,12 @@ import (
 // instead of hangs or wrong results.
 
 // startShard brings up one shard server (a Manager behind ShardHandler) on
-// a loopback httptest listener.
-func startShard(t *testing.T, parallelism int) (*Manager, *httptest.Server) {
+// a loopback listener served by the loop batchsvc serves shards with.
+func startShard(t *testing.T, parallelism int) (*Manager, *loopServer) {
 	t.Helper()
 	m := NewShardManager(parallelism)
 	m.SetShardIndex(1)
-	srv := httptest.NewServer(ShardHandler(m))
+	srv := newLoopServer(t, ShardHandler(m))
 	t.Cleanup(func() {
 		srv.Close()
 		m.Close()
@@ -62,10 +62,10 @@ func statusOn(rb *RemoteBackend, id string) (SessionStatus, error) {
 	return st, err
 }
 
-// hostOf strips the scheme from an httptest server URL, for faultnet's
+// hostOf strips the scheme from a test server's URL, for faultnet's
 // host-scoped partition rules.
-func hostOf(srv *httptest.Server) string {
-	return strings.TrimPrefix(srv.URL, "http://")
+func hostOf(url string) string {
+	return strings.TrimPrefix(url, "http://")
 }
 
 // TestRemoteShardReportsByteIdentical is the tentpole equivalence gate
@@ -180,7 +180,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj.Partition(hostOf(srv))
+	inj.Partition(hostOf(srv.URL))
 	for i := 0; i < 3; i++ {
 		if _, err := statusOn(rb, s.ID()); err == nil {
 			t.Fatalf("read %d through a partition succeeded", i)
@@ -200,7 +200,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	// Heal; after the cooldown the half-open probe succeeds and closes it.
-	inj.Heal(hostOf(srv))
+	inj.Heal(hostOf(srv.URL))
 	time.Sleep(60 * time.Millisecond)
 	if _, err := statusOn(rb, s.ID()); err != nil {
 		t.Fatalf("half-open probe after heal failed: %v", err)
@@ -235,7 +235,7 @@ func TestRouterPartialScatterGather(t *testing.T) {
 		t.Fatalf("placement put all %d sessions on one shard; partial test needs both", n)
 	}
 
-	inj.Partition(hostOf(srv))
+	inj.Partition(hostOf(srv.URL))
 
 	// ListPartial: survivors plus one error entry naming the dead shard.
 	sessions, shardErrs := r.ListPartial()
@@ -315,7 +315,7 @@ func TestRouterPartialScatterGather(t *testing.T) {
 
 	// Heal: scatter-gather goes whole again (the breaker needs its cooldown
 	// to admit the probe).
-	inj.Heal(hostOf(srv))
+	inj.Heal(hostOf(srv.URL))
 	waitUntil(t, "scatter-gather to go whole after heal", func() bool {
 		_, errs := r.ListPartial()
 		return len(errs) == 0
@@ -472,7 +472,7 @@ func TestRouterStatsMixedShardFailure(t *testing.T) {
 	if !r.Shard(1).Health().Degraded {
 		t.Fatal("shard 1 not degraded after its WAL fsync failed")
 	}
-	inj.Partition(hostOf(srv))
+	inj.Partition(hostOf(srv.URL))
 
 	rec := httptest.NewRecorder()
 	NewAPI(r).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
@@ -508,7 +508,7 @@ func TestRouterSweepPartial(t *testing.T) {
 	}
 	defer r.Close()
 
-	inj.Partition(hostOf(srv))
+	inj.Partition(hostOf(srv.URL))
 	rep, err := r.Sweep(SweepRequest{
 		VMTypes:  []string{"n1-highcpu-4", "n1-highcpu-8", "n1-highcpu-16"},
 		Policies: []string{PolicyReuse, PolicyMemoryless},
@@ -582,7 +582,7 @@ func TestRouterModelUsableAfterPartitionHeals(t *testing.T) {
 	}
 	defer r.Close()
 
-	inj.Partition(hostOf(srv))
+	inj.Partition(hostOf(srv.URL))
 	if _, err := r.RegisterModel(ModelCreateRequest{
 		Name: "west", VMType: "n1-highcpu-16", Zone: "us-east1-b",
 		Model: &ModelParams{A: 0.45, Tau1: 1.0, Tau2: 0.8, B: 24, L: 24},
@@ -611,7 +611,7 @@ func TestRouterModelUsableAfterPartitionHeals(t *testing.T) {
 		}
 	}
 
-	inj.Heal(hostOf(srv))
+	inj.Heal(hostOf(srv.URL))
 	waitUntil(t, "a remote-homed create after the heal", create)
 }
 

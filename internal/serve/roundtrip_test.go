@@ -287,7 +287,7 @@ func TestRouterBootAsksEachShardOnce(t *testing.T) {
 		m.SetShardIndex(i)
 		t.Cleanup(m.Close)
 		h := ShardHandler(m)
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		srv := newLoopServer(t, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			mu.Lock()
 			served[i] = append(served[i], req.Method+" "+req.URL.Path)
 			mu.Unlock()
@@ -385,7 +385,7 @@ func TestRemoteShardStaysAuthoritative(t *testing.T) {
 
 	id = createRemote()
 	events := "/api/sessions/" + id + "/events"
-	inj.Partition(hostOf(srv))
+	inj.Partition(hostOf(srv.URL))
 	for i := 0; i < opts.BreakerThreshold; i++ {
 		rec := call(t, h, "GET", events, nil)
 		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {

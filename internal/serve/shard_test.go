@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -480,7 +479,7 @@ func TestModelRefByteIdenticalAcrossTopologiesAndRestart(t *testing.T) {
 					if err := sm.Restore(st); err != nil {
 						t.Fatal(err)
 					}
-					srv := httptest.NewServer(ShardHandler(sm))
+					srv := newLoopServer(t, ShardHandler(sm))
 					topology = append(topology, srv.URL)
 					stops = append(stops, srv.Close, sm.Close, func() { st.Close() })
 				}

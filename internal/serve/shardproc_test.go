@@ -70,7 +70,7 @@ func runShardProcess(addr, dir string) {
 		die(err)
 	}
 	_, _ = io.Copy(io.Discard, os.Stdin)
-	srv := &http.Server{Handler: ShardHandler(m)}
+	srv := &Server{Handler: ShardHandler(m)}
 	go srv.Serve(ln)
 
 	sig := make(chan os.Signal, 1)
@@ -480,7 +480,7 @@ func TestShardProcessTracePropagation(t *testing.T) {
 	// as one call: the router records one client-side remote span for it,
 	// and the forwarded X-Trace-Id puts the shard's request span in the
 	// trace.
-	api := httptest.NewServer(NewAPI(r).Handler())
+	api := newLoopServer(t, NewAPI(r).Handler())
 	defer api.Close()
 	base := "/api/sessions/" + sid
 	traced := func(method, path string, body any, wantCode int) {

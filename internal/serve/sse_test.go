@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +49,7 @@ func readSSE(t *testing.T, r *bufio.Reader, limit int) []sseEvent {
 // connection and checks the stream shape: state, progress*, state(done).
 func TestSSEStreamsProgressToCompletion(t *testing.T) {
 	mgr := NewManager(1)
-	srv := httptest.NewServer(NewAPI(mgr).Handler())
+	srv := newLoopServer(t, NewAPI(mgr).Handler())
 	defer srv.Close()
 
 	s, err := mgr.Create("sse", slowConfig(1))
@@ -129,7 +128,7 @@ func TestSSEStreamsProgressToCompletion(t *testing.T) {
 // being chunked flush by flush.
 func TestSSEOnTerminalSessionClosesImmediately(t *testing.T) {
 	mgr := NewManager(1)
-	srv := httptest.NewServer(NewAPI(mgr).Handler())
+	srv := newLoopServer(t, NewAPI(mgr).Handler())
 	defer srv.Close()
 
 	s, err := mgr.Create("", testConfig(1))
@@ -184,7 +183,7 @@ func TestSSEOnTerminalSessionClosesImmediately(t *testing.T) {
 // torn down.
 func TestSSEClientDisconnectReleasesSubscription(t *testing.T) {
 	mgr := NewManager(1)
-	srv := httptest.NewServer(NewAPI(mgr).Handler())
+	srv := newLoopServer(t, NewAPI(mgr).Handler())
 	defer srv.Close()
 
 	s := startSlowSession(t, mgr, slowSessionJobs)

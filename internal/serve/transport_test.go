@@ -22,6 +22,26 @@ import (
 // fully read reply.
 
 // idleConns reports how many idle connections tr holds for host:port.
+// countStdConns starts an httptest server for h that counts its
+// connections. The transport tests use it rather than the loop server:
+// they need a server that hijacks and drops client connections.
+func countStdConns(t *testing.T, h http.Handler) (*httptest.Server, *connCount) {
+	t.Helper()
+	var c connCount
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			c.opened.Add(1)
+		case http.StateClosed:
+			c.closed.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv, &c
+}
+
 func idleConns(tr *shardTransport, addr string) int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -89,7 +109,7 @@ func TestShardTransportStaleConnection(t *testing.T) {
 			t.Cleanup(m.Close)
 			var bags atomic.Int64
 			h := countBags(ShardHandler(m), &bags)
-			srv, conns := countConns(t, h)
+			srv, conns := countStdConns(t, h)
 			rb := NewRemoteBackend(srv.URL, fastRemoteOptions(nil))
 			defer rb.Close()
 			tr := transportOf(t, rb)
@@ -98,7 +118,7 @@ func TestShardTransportStaleConnection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := idleConns(tr, hostOf(srv)); n != 1 {
+			if n := idleConns(tr, hostOf(srv.URL)); n != 1 {
 				t.Fatalf("after the create the pool holds %d connections, want 1", n)
 			}
 			if restart {
@@ -141,7 +161,7 @@ func TestShardTransportNeverResends(t *testing.T) {
 	t.Cleanup(m.Close)
 	var bags atomic.Int64
 	inner := ShardHandler(m)
-	srv, _ := countConns(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv, _ := countStdConns(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/bags") {
 			bags.Add(1)
 			conn, _, err := http.NewResponseController(w).Hijack()
@@ -177,7 +197,7 @@ func TestShardTransportCancelledStreamNotPooled(t *testing.T) {
 	m := NewShardManager(1)
 	m.SetShardIndex(1)
 	t.Cleanup(m.Close)
-	srv, conns := countConns(t, ShardHandler(m))
+	srv, conns := countStdConns(t, ShardHandler(m))
 	rb := NewRemoteBackend(srv.URL, fastRemoteOptions(nil))
 	defer rb.Close()
 	tr := transportOf(t, rb)
@@ -207,14 +227,14 @@ func TestShardTransportCancelledStreamNotPooled(t *testing.T) {
 			break
 		}
 	}
-	if n := idleConns(tr, hostOf(srv)); n != 0 {
+	if n := idleConns(tr, hostOf(srv.URL)); n != 0 {
 		t.Fatalf("the pool holds %d connections while the stream is open, want 0", n)
 	}
 	cancel()
 	resp.Body.Close()
 
 	waitClosed(t, conns, 1)
-	if n := idleConns(tr, hostOf(srv)); n != 0 {
+	if n := idleConns(tr, hostOf(srv.URL)); n != 0 {
 		t.Fatalf("the pool holds %d connections after the cancelled stream, want 0", n)
 	}
 	if _, err := rb.shardInfo(); err != nil {
@@ -231,7 +251,7 @@ func TestShardTransportCancelledStreamNotPooled(t *testing.T) {
 // the body was closed each cost their connection; a reply read to EOF
 // keeps it.
 func TestShardTransportReusesOnlyCleanReplies(t *testing.T) {
-	srv, conns := countConns(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv, conns := countStdConns(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/close":
 			w.Header().Set("Connection", "close")
@@ -281,7 +301,7 @@ func TestShardTransportReusesOnlyCleanReplies(t *testing.T) {
 		}
 		resp.Body.Close()
 		cancel()
-		if n := idleConns(tr, hostOf(srv)); n != c.wantIdle {
+		if n := idleConns(tr, hostOf(srv.URL)); n != c.wantIdle {
 			t.Fatalf("%s: the pool holds %d connections, want %d", c.name, n, c.wantIdle)
 		}
 		if n := conns.opened.Load(); n != int64(i+1) {
@@ -350,7 +370,7 @@ func TestShardTransportConcurrentCallers(t *testing.T) {
 	var arrived sync.WaitGroup
 	arrived.Add(n)
 	release := make(chan struct{})
-	srv, conns := countConns(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv, conns := countStdConns(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		arrived.Done()
 		<-release
 		io.WriteString(w, "ok")
@@ -387,7 +407,7 @@ func TestShardTransportConcurrentCallers(t *testing.T) {
 	if got := conns.opened.Load(); got != n {
 		t.Fatalf("server accepted %d connections, want %d", got, n)
 	}
-	if got := idleConns(tr, hostOf(srv)); got != maxIdlePerShard {
+	if got := idleConns(tr, hostOf(srv.URL)); got != maxIdlePerShard {
 		t.Fatalf("the pool holds %d connections, want %d", got, maxIdlePerShard)
 	}
 	waitClosed(t, conns, n-maxIdlePerShard)
@@ -399,8 +419,8 @@ func TestRemoteBackendCloseIsPerBackend(t *testing.T) {
 	ma, mb := NewShardManager(1), NewShardManager(1)
 	t.Cleanup(ma.Close)
 	t.Cleanup(mb.Close)
-	srvA, _ := countConns(t, ShardHandler(ma))
-	srvB, connsB := countConns(t, ShardHandler(mb))
+	srvA, _ := countStdConns(t, ShardHandler(ma))
+	srvB, connsB := countStdConns(t, ShardHandler(mb))
 	a := NewRemoteBackend(srvA.URL, fastRemoteOptions(nil))
 	b := NewRemoteBackend(srvB.URL, fastRemoteOptions(nil))
 	defer b.Close()
@@ -411,7 +431,7 @@ func TestRemoteBackendCloseIsPerBackend(t *testing.T) {
 		}
 	}
 	a.Close()
-	if n := idleConns(transportOf(t, a), hostOf(srvA)); n != 0 {
+	if n := idleConns(transportOf(t, a), hostOf(srvA.URL)); n != 0 {
 		t.Fatalf("closed backend still pools %d connections", n)
 	}
 	if _, err := b.shardInfo(); err != nil {

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 	_ "unsafe" // for go:linkname
 
@@ -37,10 +38,15 @@ import (
 // that passes 2 KiB before the handler returns, sends the headers with
 // chunked framing, as net/http does at the same points; what a client reads
 // is byte for byte what net/http writes, Date aside (serveconn_test.go
-// holds the two servers to that). A client that leaves is seen once its
-// request streams (flushes) or has run for watchAfter: then a watcher
-// peeks at the connection, and an error cancels the request's context,
-// while a byte that arrives stays buffered for the next request.
+// holds the two servers to that). A client that leaves is seen by a
+// request that observes its context, once it flushes or has run
+// watchAfter. A request that waits on Done (or a context derived from
+// it), or that flushes, gets a watcher that peeks at the connection, and
+// an error cancels the request's context, while a byte that arrives stays
+// buffered for the next request. A request past watchAfter that only
+// polls Err gets one non-blocking peek per poll instead. A handler that
+// never looks at its context arms no timer and starts no goroutine: it
+// could not act on a cancellation anyway.
 // Informational (1xx) replies, trailers, Hijack and the ResponseController
 // deadlines are not supported, and the request context carries no
 // http.ServerContextKey or http.LocalAddrContextKey value.
@@ -72,8 +78,10 @@ const (
 	// maxPostHandlerReadBytes is how much of an unread request body is
 	// read past a finished handler to keep the connection, as in net/http.
 	maxPostHandlerReadBytes = 256 << 10
-	// watchAfter is how long a request runs before a watcher looks for
-	// its client leaving (a request that flushes is watched at once).
+	// watchAfter is how long a request that observes its context runs
+	// before its client leaving is looked for: a watcher for one that
+	// waits on Done, a peek per Err poll. One that flushes is watched at
+	// once.
 	watchAfter = time.Millisecond
 	// rstAvoidanceDelay is how long a connection closed mid-request-body
 	// lingers half-closed, so the client reads the reply before a reset.
@@ -220,8 +228,9 @@ type conn struct {
 	created int64 // Unix seconds
 	state   atomic.Uint32
 
-	ctx        context.Context // per connection; cancelled when it closes
-	cancelConn context.CancelFunc
+	base       context.Context // what request contexts derive from
+	stopBase   func() bool     // ends the AfterFunc that relays base's cancellation
+	raw        syscall.RawConn // nil if nc has no descriptor to peek at
 	lr         limitReader
 	br         *bufio.Reader
 	bw         *bufio.Writer
@@ -232,22 +241,24 @@ type conn struct {
 	w    response
 	body reqBody
 
-	// The disconnect watcher, guarded by mu. It starts once the request
-	// wants watching (it flushed, or has run for watchAfter) and its body
-	// is done with the buffered reader, and is stopped before the next
-	// read.
+	// The disconnect watcher, guarded by mu, as is the state of every
+	// reqContext of the connection. It starts once the request wants
+	// watching (it flushed, or waited on its context's Done and has run
+	// for watchAfter) and its body is done with the buffered reader, and
+	// is stopped before the next read.
 	mu        sync.Mutex
-	cancelReq context.CancelFunc
+	cur       *reqContext // the request in flight, or the last one
+	baseErr   error       // base's error once it is cancelled
 	reqStart  time.Time
+	looked    bool // the request's Done was called
 	wantWatch bool
 	bodyDone  bool
 	reqDone   bool
 	watchDone chan struct{} // non-nil while a watcher runs
-	// timer checks the request in flight for its age. It is not stopped
-	// when a request ends: it re-arms for the next one's remaining time,
-	// or lapses when the connection is idle. Arming and stopping it per
-	// request would wake an idle P for each request, at a cost of about a
-	// tenth of the service's CPU.
+	// timer checks the age of a request whose Done was called. It is not
+	// stopped when a request ends: it re-arms for the next watched one's
+	// remaining time, or lapses. Arming and stopping it per request would
+	// wake an idle P each time.
 	timer *time.Timer
 	armed bool
 }
@@ -262,19 +273,23 @@ func (c *conn) serve(base context.Context) {
 				"remote", c.remote, "panic", fmt.Sprint(p), "stack", string(buf))
 		}
 		if inFlight {
-			c.cancelReq()
+			c.cur.cancel(context.Canceled)
 			c.stopWatch()
 			c.body.Close()
 		}
 		c.bw.Flush()
 		c.nc.Close()
-		c.cancelConn()
+		c.stopBase()
 		c.s.untrack(c)
 	}()
 	if ra := c.nc.RemoteAddr(); ra != nil {
 		c.remote = ra.String()
 	}
-	c.ctx, c.cancelConn = context.WithCancel(base)
+	if sc, ok := c.nc.(syscall.Conn); ok {
+		c.raw, _ = sc.SyscallConn()
+	}
+	c.base = base
+	c.stopBase = context.AfterFunc(base, c.baseDone)
 	c.lr.r = c.nc
 	c.br = bufio.NewReaderSize(&c.lr, 4<<10)
 	c.bw = bufio.NewWriterSize(connWriter{c}, 4<<10)
@@ -305,7 +320,7 @@ func (c *conn) serve(base context.Context) {
 		}
 		c.state.Store(stateActive)
 
-		ctx, cancel := context.WithCancel(c.ctx)
+		ctx := &reqContext{c: c}
 		req = req.WithContext(ctx)
 		req.RemoteAddr = c.remote
 		w, b := &c.w, &c.body
@@ -316,12 +331,9 @@ func (c *conn) serve(base context.Context) {
 			req.Body = b
 		}
 		c.mu.Lock()
-		c.cancelReq, c.reqStart = cancel, time.Now()
-		c.wantWatch, c.bodyDone, c.reqDone = false, !hasBody, false
-		if !c.armed {
-			c.armed = true
-			c.timer.Reset(watchAfter)
-		}
+		ctx.err = c.baseErr
+		c.cur, c.reqStart = ctx, time.Now()
+		c.looked, c.wantWatch, c.bodyDone, c.reqDone = false, false, !hasBody, false
 		c.mu.Unlock()
 
 		if expect := req.Header.Get("Expect"); hasToken(expect, "100-continue") {
@@ -332,9 +344,9 @@ func (c *conn) serve(base context.Context) {
 			w.header.Set("Connection", "close")
 			w.WriteHeader(http.StatusExpectationFailed)
 			w.finish()
+			ctx.cancel(context.Canceled)
 			c.stopWatch()
 			b.Close()
-			cancel()
 			return
 		}
 
@@ -345,7 +357,7 @@ func (c *conn) serve(base context.Context) {
 			h.ServeHTTP(w, req)
 		}
 		inFlight = false
-		cancel()
+		ctx.cancel(context.Canceled)
 		w.finish()
 		c.stopWatch()
 		b.Close()
@@ -463,14 +475,46 @@ func (c *conn) closeWriteAndWait() {
 	time.Sleep(rstAvoidanceDelay)
 }
 
-// timeUp is the timer: it asks for the watcher once the request in flight
-// has run for watchAfter, re-arms for a younger one, and lapses on an idle
-// connection.
+// baseDone relays the cancellation of the connection's base context to
+// the request in flight and to every later one.
+func (c *conn) baseDone() {
+	c.mu.Lock()
+	c.baseErr = c.base.Err()
+	ctx := c.cur
+	c.mu.Unlock()
+	if ctx != nil {
+		ctx.cancel(c.baseErr)
+	}
+}
+
+// look arms the watch for the request in flight, whose context's Done was
+// called: the watcher starts at once if the request has run watchAfter,
+// and the timer is armed for the rest of it if not. A request that has
+// flushed is watched already. c.mu is held.
+func (c *conn) look() {
+	if c.looked || c.wantWatch || c.reqDone {
+		return
+	}
+	c.looked = true
+	if age := time.Since(c.reqStart); age < watchAfter {
+		if !c.armed {
+			c.armed = true
+			c.timer.Reset(watchAfter - age)
+		}
+		return
+	}
+	c.wantWatch = true
+	c.tryWatch()
+}
+
+// timeUp is the timer: it asks for the watcher once the watched request in
+// flight has run for watchAfter, re-arms for a younger one, and lapses
+// when no request is watched.
 func (c *conn) timeUp() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.armed = false
-	if c.reqDone {
+	if c.reqDone || !c.looked {
 		return
 	}
 	if age := time.Since(c.reqStart); age < watchAfter {
@@ -507,17 +551,26 @@ func (c *conn) tryWatch() {
 	}
 	done := make(chan struct{})
 	c.watchDone = done
-	go c.watch(c.cancelReq, done)
+	go c.watch(c.cur, done)
 }
 
 // watch blocks in a one-byte peek: an error other than stopWatch's
 // deadline means the client left, and cancels the request's context. A
 // byte that arrives stays in the buffered reader for the next request.
-func (c *conn) watch(cancel context.CancelFunc, done chan struct{}) {
+func (c *conn) watch(ctx *reqContext, done chan struct{}) {
 	defer close(done)
 	if _, err := c.br.Peek(1); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		cancel()
+		ctx.cancel(context.Canceled)
 	}
+}
+
+// pollDue reports whether an Err poll may peek at the socket for the
+// request in flight: it has run watchAfter, its body is done, no watcher
+// reads and no pipelined byte waits in the buffered reader; c.mu is held.
+// While c.mu is held no watcher can start, so the peek reads alone.
+func (c *conn) pollDue() bool {
+	return c.raw != nil && !c.reqDone && c.bodyDone && c.watchDone == nil &&
+		c.br.Buffered() == 0 && time.Since(c.reqStart) >= watchAfter
 }
 
 // stopWatch ends the request's watch, waiting out a running watcher.
@@ -561,10 +614,117 @@ func (cw connWriter) Write(p []byte) (int, error) {
 	n, err := cw.c.nc.Write(p)
 	if err != nil && cw.c.werr == nil {
 		cw.c.werr = err
-		cw.c.cancelConn()
+		cw.c.cur.cancel(context.Canceled)
 	}
 	return n, err
 }
+
+// reqContext is a request's context: a child of the connection's base
+// context that is cancelled when its handler returns, when the client is
+// seen leaving, or when the base is cancelled. It implements Done and Err
+// itself so that looking at it is what arms the disconnect watch: Done
+// (which a derived context calls as it attaches) asks for the watcher,
+// and Err, once the request has run watchAfter, peeks at the socket
+// without waiting. Its state is guarded by its connection's mu.
+type reqContext struct {
+	c   *conn
+	err error
+	// inner is made by the first Done and cancelled with the request. Its
+	// Done channel is the request's, and the context package finds it
+	// through Value, so a derived context attaches to it, through any
+	// value contexts between, with no goroutine.
+	inner       context.Context
+	cancelInner context.CancelFunc
+}
+
+func (x *reqContext) Deadline() (time.Time, bool) { return x.c.base.Deadline() }
+
+func (x *reqContext) Done() <-chan struct{} {
+	c := x.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if x.inner == nil {
+		x.inner, x.cancelInner = context.WithCancel(context.Background())
+		if x.err != nil {
+			x.cancelInner()
+		}
+	}
+	if x.err == nil {
+		c.look()
+	}
+	return x.inner.Done()
+}
+
+func (x *reqContext) Err() error {
+	c := x.c
+	c.mu.Lock()
+	err, left := x.err, false
+	if err == nil && c.pollDue() {
+		left = peek(c.raw) == peekClosed
+	}
+	c.mu.Unlock()
+	if left {
+		x.cancel(context.Canceled)
+		return x.Err()
+	}
+	return err
+}
+
+// Value answers from the base context, except for the key context.Cause
+// and derived contexts look a cancelCtx up by: that is inner, or none
+// before the first Done, since this context's cancellation is its own.
+func (x *reqContext) Value(key any) any {
+	if key != cancelCtxKey {
+		return x.c.base.Value(key)
+	}
+	x.c.mu.Lock()
+	inner := x.inner
+	x.c.mu.Unlock()
+	if inner == nil {
+		return nil
+	}
+	return inner.Value(key)
+}
+
+// cancel ends the context with err, unless it has ended. inner is
+// cancelled under c.mu, so Err and Done never disagree; its children's
+// cancellation calls nothing of this context.
+func (x *reqContext) cancel(err error) {
+	c := x.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if x.err != nil {
+		return
+	}
+	x.err = err
+	if x.cancelInner != nil {
+		x.cancelInner()
+	}
+}
+
+// cancelCtxKey is the key the context package looks a cancelCtx up by
+// (context.Cause, and a derived context finding its parent's), caught
+// once from a probe context: it is not exported.
+var cancelCtxKey = func() any {
+	var p keyProbe
+	context.Cause(&p)
+	return p.key
+}()
+
+// keyProbe records the key of its first Value lookup.
+type keyProbe struct {
+	context.Context
+	key any
+}
+
+func (p *keyProbe) Value(key any) any {
+	if p.key == nil {
+		p.key = key
+	}
+	return nil
+}
+
+func (p *keyProbe) Err() error { return nil }
 
 // serveGlobalOptions answers "OPTIONS *" as net/http does.
 func serveGlobalOptions(w *response, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"sync/atomic"
+	"syscall"
 	"testing"
 )
 
@@ -76,4 +77,10 @@ func (c *countedConn) CloseWrite() error {
 		return cw.CloseWrite()
 	}
 	return nil
+}
+
+// SyscallConn keeps the descriptor the server peeks at when a request
+// polls its context.
+func (c *countedConn) SyscallConn() (syscall.RawConn, error) {
+	return c.Conn.(syscall.Conn).SyscallConn()
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -416,10 +417,9 @@ func TestServeConnAllocs(t *testing.T) {
 		t.Fatalf("reply %q", reply)
 	}
 	// The request parser's request, URL, header map and strings (7), the
-	// request's context with its cancel func (2), the request copy that
-	// carries it (1), and the handler's Header().Set (1). The reply itself
-	// allocates nothing.
-	const budget = 11
+	// request's context (1), the request copy that carries it (1), and the
+	// handler's Header().Set (1). The reply itself allocates nothing.
+	const budget = 10
 	if allocs > budget {
 		t.Fatalf("%.1f allocations per keep-alive GET, budget %d", allocs, budget)
 	}
@@ -503,14 +503,18 @@ func TestServeConnSweepRouterLeaves(t *testing.T) {
 }
 
 // TestServeConnPipelinedByteServed pipelines a second request while the
-// first runs past watchAfter: the watcher reads the new bytes, and they
-// are served as the next request, with the first request's context intact.
+// first waits on its context past watchAfter: the watcher reads the new
+// bytes, and they are served as the next request, with the first
+// request's context intact (a wrong cancel would end its wait early).
 func TestServeConnPipelinedByteServed(t *testing.T) {
 	release := make(chan struct{})
 	slowErr := make(chan error, 1)
 	ls := newLoopServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/slow" {
-			<-release
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
 			slowErr <- r.Context().Err()
 		}
 		io.WriteString(w, r.URL.Path)
@@ -538,6 +542,196 @@ func TestServeConnPipelinedByteServed(t *testing.T) {
 	if err := <-slowErr; err != nil {
 		t.Fatalf("the first request's context ended while it ran: %v", err)
 	}
+}
+
+// TestServeConnShortRequestsArmNothing serves keep-alive requests that
+// run past watchAfter without looking at their context: none arms the
+// timer or starts a watcher, since nothing could act on a cancellation.
+func TestServeConnShortRequestsArmNothing(t *testing.T) {
+	var ls *loopServer
+	armed := make(chan string, 1)
+	ls = newLoopServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(2 * watchAfter)
+		if timer, watcher := watchState(ls.srv); timer || watcher {
+			select {
+			case armed <- fmt.Sprintf("timer armed %v, watcher running %v", timer, watcher):
+			default:
+			}
+		}
+		io.WriteString(w, "ok")
+	}))
+	c := dialWire(t, strings.TrimPrefix(ls.URL, "http://"))
+	for i := 0; i < 50; i++ {
+		c.send("GET /short HTTP/1.1\r\nHost: svc\r\n\r\n")
+		c.expect("GET", 200)
+	}
+	select {
+	case got := <-armed:
+		t.Fatalf("a request that never looked at its context armed the watch: %s", got)
+	default:
+	}
+	if timer, watcher := watchState(ls.srv); timer || watcher {
+		t.Fatalf("after 50 requests: timer armed %v, watcher running %v", timer, watcher)
+	}
+}
+
+// watchState reads, as waitWatcher does, whether a connection of s has
+// armed its watch timer or runs a watcher.
+func watchState(s *Server) (timer, watcher bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.conns {
+		c.mu.Lock()
+		timer = timer || c.armed
+		watcher = watcher || c.watchDone != nil
+		c.mu.Unlock()
+	}
+	return timer, watcher
+}
+
+// TestServeConnPolledContextSeesClientLeave serves a handler that only
+// polls r.Context().Err() every millisecond, as a shard's sweep checks
+// its request between cells: the poll sees the client close, while bytes
+// of a pipelined request leave the context intact and are served next.
+func TestServeConnPolledContextSeesClientLeave(t *testing.T) {
+	started := make(chan struct{}, 1)
+	polled := make(chan error, 1)
+	ls := newLoopServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/next" {
+			started <- struct{}{}
+			deadline := time.Now().Add(10 * time.Second)
+			if r.URL.Path == "/brief" {
+				deadline = time.Now().Add(20 * watchAfter)
+			}
+			var err error
+			for err == nil && time.Now().Before(deadline) {
+				time.Sleep(watchAfter)
+				err = r.Context().Err()
+			}
+			polled <- err
+		}
+		io.WriteString(w, r.URL.Path)
+	}))
+	addr := strings.TrimPrefix(ls.URL, "http://")
+
+	leaving := dialWire(t, addr)
+	leaving.send("GET /poll HTTP/1.1\r\nHost: svc\r\n\r\n")
+	<-started
+	leaving.nc.Close()
+	if err := <-polled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err() = %v within 10s of the client leaving, want context.Canceled", err)
+	}
+
+	c := dialWire(t, addr)
+	c.send("GET /brief HTTP/1.1\r\nHost: svc\r\n\r\n")
+	<-started
+	c.send("GET /next HTTP/1.1\r\nHost: svc\r\n\r\n")
+	if err := <-polled; err != nil {
+		t.Fatalf("Err() = %v with a pipelined request waiting, want nil", err)
+	}
+	for _, want := range []string{"/brief", "/next"} {
+		resp, err := http.ReadResponse(c.br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		if string(got) != want {
+			t.Fatalf("reply %q, want %q", got, want)
+		}
+	}
+}
+
+// TestServeConnDerivedContextCancelled waits on a context derived from
+// r.Context() with a minute's timeout: the client leaving cancels it, and
+// deriving contexts, directly or through a value context as the edge's
+// trace id is carried, starts no goroutine per context.
+func TestServeConnDerivedContextCancelled(t *testing.T) {
+	const derived = 100
+	type key struct{}
+	grew := make(chan int, 1)
+	ended := make(chan error, 1)
+	ls := newLoopServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		before := runtime.NumGoroutine()
+		for i := 0; i < derived; i++ {
+			parent := r.Context()
+			if i%2 == 1 {
+				parent = context.WithValue(parent, key{}, i)
+			}
+			_, cancel := context.WithTimeout(parent, time.Minute)
+			defer cancel()
+		}
+		ctx, cancel := context.WithTimeout(context.WithValue(r.Context(), key{}, 0), time.Minute)
+		defer cancel()
+		grew <- runtime.NumGoroutine() - before
+		<-ctx.Done()
+		ended <- ctx.Err()
+	}))
+	c := dialWire(t, strings.TrimPrefix(ls.URL, "http://"))
+	c.send("GET /wait HTTP/1.1\r\nHost: svc\r\n\r\n")
+	// One watcher may start; a goroutine per derived context would add 101.
+	if n := <-grew; n > derived/2 {
+		t.Fatalf("deriving %d contexts started %d goroutines", derived+1, n)
+	}
+	c.nc.Close()
+	select {
+	case err := <-ended:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("derived context ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the derived context outlived its client by 10s")
+	}
+}
+
+// TestServeConnBaseCancelled serves with a cancellable base context. A
+// request whose client leaves is cancelled with that cause while the base
+// lives on; cancelling the base cancels the request in flight, and a
+// request read after that starts cancelled.
+func TestServeConnBaseCancelled(t *testing.T) {
+	base, cancelBase := context.WithCancel(context.Background())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiting := make(chan struct{}, 2)
+	ended := make(chan [2]error, 2)
+	srv := &Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			waiting <- struct{}{}
+			<-r.Context().Done()
+			ended <- [2]error{r.Context().Err(), context.Cause(r.Context())}
+		}),
+		BaseContext: func(net.Listener) context.Context { return base },
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	check := func(when string) {
+		t.Helper()
+		select {
+		case errs := <-ended:
+			if !errors.Is(errs[0], context.Canceled) || !errors.Is(errs[1], context.Canceled) {
+				t.Fatalf("request %s: Err %v, Cause %v; want context.Canceled", when, errs[0], errs[1])
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %s was not cancelled within 10s", when)
+		}
+	}
+
+	leaving := dialWire(t, ln.Addr().String())
+	leaving.send("GET /wait HTTP/1.1\r\nHost: svc\r\n\r\n")
+	<-waiting
+	leaving.nc.Close()
+	check("whose client left")
+
+	c := dialWire(t, ln.Addr().String())
+	c.send("GET /wait HTTP/1.1\r\nHost: svc\r\n\r\n")
+	<-waiting
+	cancelBase()
+	check("in flight as the base is cancelled")
+	c.expect("GET", 200)
+	c.send("GET /wait HTTP/1.1\r\nHost: svc\r\n\r\n")
+	check("read after the base is cancelled")
+	c.expect("GET", 200)
 }
 
 // waitWatcher waits until a connection of s runs a disconnect watcher, and

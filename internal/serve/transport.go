@@ -162,26 +162,46 @@ func (t *shardTransport) CloseIdleConnections() {
 	}
 }
 
-// alive reports whether an idle connection can carry a request: a
-// non-blocking MSG_PEEK read must find nothing to read. EOF (the shard
-// closed it or restarted), stray bytes, or any error mean it cannot.
+// alive reports whether an idle connection can carry a request: a peek
+// must find it open with nothing to read. EOF (the shard closed it or
+// restarted), stray bytes, or any error mean it cannot.
 func alive(c net.Conn) bool {
 	sc, ok := c.(syscall.Conn)
 	if !ok {
 		return false
 	}
 	raw, err := sc.SyscallConn()
-	if err != nil {
-		return false
-	}
-	live := false
-	err = raw.Read(func(fd uintptr) bool {
+	return err == nil && peek(raw) == peekEmpty
+}
+
+// peekState is what a peek finds on a connection.
+type peekState int
+
+const (
+	peekEmpty  peekState = iota // open, nothing to read
+	peekData                    // bytes wait to be read
+	peekClosed                  // EOF or an error: the peer left or the connection broke
+)
+
+// peek looks at a connection without reading from it or waiting: one
+// non-blocking MSG_PEEK read of one byte.
+func peek(raw syscall.RawConn) peekState {
+	state := peekClosed
+	err := raw.Read(func(fd uintptr) bool {
 		var b [1]byte
-		_, _, rerr := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-		live = errors.Is(rerr, syscall.EAGAIN)
+		n, _, rerr := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		switch {
+		case rerr == nil && n > 0:
+			state = peekData
+		case errors.Is(rerr, syscall.EAGAIN):
+			state = peekEmpty
+		}
 		return true // never wait for readability
 	})
-	return err == nil && live
+	if err != nil {
+		return peekClosed
+	}
+	return state
 }
 
 // shardBody is a response body that releases its connection on Close.

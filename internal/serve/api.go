@@ -63,30 +63,50 @@ func (a *API) Handler() http.Handler {
 
 // decodeStrict decodes one JSON value, rejecting unknown fields and
 // trailing garbage. An empty body decodes to the zero value, so endpoints
-// whose parameters are all optional accept bare POSTs.
+// whose parameters are all optional accept bare POSTs. A canonical create,
+// bag or shard create body is parsed by hand (parseWire); encoding/json
+// decides every other.
 func decodeStrict(r *http.Request, v any) error {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return fmt.Errorf("reading request body: %w", err)
 	}
-	if len(bytes.TrimSpace(body)) == 0 {
+	if len(bytes.TrimSpace(body)) == 0 || parseWire(body, v) {
 		return nil
 	}
+	return decodeJSON(body, v)
+}
+
+// decodeJSON decodes body into v with encoding/json, rejecting unknown
+// fields and anything but JSON whitespace after the value.
+func decodeJSON(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		return fmt.Errorf("decoding request: unexpected trailing data")
 	}
 	return nil
 }
 
+// writeJSON answers with v as json.Encoder writes it, newline included.
+// The lifecycle's replies are encoded by the codec in wirejson.go; a value
+// it cannot encode (a NaN) leaves the body empty, as Encode does.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	bp := wireBufs.Get().(*[]byte)
+	b, ok, err := appendWire((*bp)[:0], v)
+	switch {
+	case !ok:
+		_ = json.NewEncoder(w).Encode(v)
+	case err == nil:
+		b = append(b, '\n')
+		_, _ = w.Write(b)
+	}
+	putWireBuf(bp, b)
 }
 
 // errorBody is the stable {"error": ...} payload every error response from

@@ -15,8 +15,9 @@ import (
 // returns the config the body asked for, defaults applied. The bag goes to
 // the session the create made, or to a fresh valid one when the create
 // was refused; a 202 must report as submitted the jobs the body asked for.
-// The seeds are a valid create and bag, an unknown field, trailing data,
-// a wrong type, and a cluster at the VM bound.
+// The seeds are a valid create and bag, an unknown field, trailing data
+// (another value, and a closing bracket or brace), a wrong type, and a
+// cluster at the VM bound.
 //
 //	go test -run '^$' -fuzz '^FuzzSessionDecode$' -fuzztime 20s ./internal/serve
 func FuzzSessionDecode(f *testing.F) {
@@ -43,6 +44,8 @@ func FuzzSessionDecode(f *testing.F) {
 	f.Add([]byte(`{"config":{"vm_type":"n1-highcpu-16","zone":"us-east1-b","vms":4,"seed":1,"model":{"a":0.45,"tau1":1,"tau2":0.8,"b":24,"l":24},"replicas":2}}`),
 		[]byte(`{"app":"shapes","jobs":3,"priority":1}`))
 	f.Add(append(append([]byte{}, valid...), `{"config":{}}`...), append(append([]byte{}, bag...), `[]`...))
+	f.Add(append(append([]byte{}, valid...), ']'), append(append([]byte{}, bag...), '}'))
+	f.Add(append(append([]byte{}, valid...), '}'), append(append([]byte{}, bag...), ']'))
 	f.Add([]byte(`{"config":{"vm_type":"n1-highcpu-16","zone":"us-east1-b","vms":"4"}}`), []byte(`{"app":"shapes","jobs":"3"}`))
 	f.Add(marshal(createRequest{Config: atBound}), bag)
 

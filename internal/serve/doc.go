@@ -311,6 +311,24 @@
 // rewritten from net/http's plain-text errors, and every error payload
 // carries a stable "error" key.
 //
+// Wire JSON: a reply is encoding/json's bytes, and encoding/json decides
+// every body the lifecycle's parser does not take. The lifecycle's
+// replies (a session status with its config, model and progress, a
+// report, the bags, run and delete replies, a progress event) and the
+// router's shard create body are appended straight into a pooled buffer
+// by wirejson.go, byte for byte what json.Encoder.Encode (json.Marshal
+// for an event or a shard body) writes for them: field order, omitempty,
+// HTML-safe string escapes, invalid UTF-8 as an escaped U+FFFD, escaped
+// U+2028 and U+2029, float form, and the same error on a NaN or an
+// infinity. A create, bag or shard create body is parsed by hand only
+// when it is canonical: one object whose keys are their fields' exact
+// tags, none twice, strings without escapes, no null, numbers their Go
+// field holds, and nothing after the object but whitespace. Any other
+// body is handed to the encoding/json decoder, so every 400 reads as
+// before. Every other payload, the WAL's records and the router's reads
+// of shard replies stay on encoding/json. FuzzWireEncode and
+// FuzzWireDecode hold the codec to encoding/json.
+//
 // # Serving connections
 //
 // batchsvc serves its public listener and its -shard-server listener with

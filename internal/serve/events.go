@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"repro/internal/batch"
@@ -64,13 +62,17 @@ func offerLatest(ch chan batch.Progress, p batch.Progress) {
 	}
 }
 
-// writeSSE emits one Server-Sent Event with a JSON payload.
+// writeSSE emits one Server-Sent Event with a JSON payload, in one Write.
 func writeSSE(w http.ResponseWriter, event string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
+	bp := wireBufs.Get().(*[]byte)
+	b := append((*bp)[:0], "event: "...)
+	b = append(b, event...)
+	b = append(b, "\ndata: "...)
+	b, err := appendJSON(b, v)
+	if err == nil {
+		_, err = w.Write(append(b, "\n\n"...))
 	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	putWireBuf(bp, b)
 	return err
 }
 

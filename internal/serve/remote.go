@@ -172,7 +172,7 @@ func (rb *RemoteBackend) do(ctx context.Context, method, path string, in, out an
 	}
 	var body []byte
 	if in != nil {
-		raw, err := json.Marshal(in)
+		raw, err := appendJSON(make([]byte, 0, 512), in)
 		if err != nil {
 			return errf(http.StatusInternalServerError, "encoding %s %s request: %v", method, path, err)
 		}

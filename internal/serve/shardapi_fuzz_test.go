@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -318,6 +320,127 @@ func FuzzRemoteError(f *testing.F) {
 		if again.code != got.code || again.Error() != got.Error() || again.retryAfter != got.retryAfter || again.idSeq != got.idSeq {
 			t.Fatalf("written back out, %d %q (retry %d, id_seq %d) reads %d %q (retry %d, id_seq %d)",
 				got.code, got.Error(), got.retryAfter, got.idSeq, again.code, again.Error(), again.retryAfter, again.idSeq)
+		}
+	})
+}
+
+// fakeShardReply is a RoundTripper that answers every request with one
+// status and body, as a shard might, or as anything else listening on its
+// address might.
+type fakeShardReply struct {
+	status int
+	body   []byte
+}
+
+func (f fakeShardReply) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		_, _ = io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}
+	return &http.Response{
+		StatusCode: f.status, Status: strconv.Itoa(f.status) + " " + http.StatusText(f.status),
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header:  http.Header{"Content-Type": {"application/json"}},
+		Body:    io.NopCloser(bytes.NewReader(f.body)),
+		Request: r,
+	}, nil
+}
+
+// fuzzRemote returns a RemoteBackend whose every call gets status 100+n
+// (n mod 500) and body, with no retries.
+func fuzzRemote(status uint16, body []byte) *RemoteBackend {
+	return NewRemoteBackend("127.0.0.1:1", &RemoteOptions{
+		Client:  &http.Client{Transport: fakeShardReply{status: 100 + int(status)%500, body: body}},
+		Retries: -1,
+	})
+}
+
+// checkRemoteOutcome requires a call to end in a value for a success
+// status, or in an apiError, which is what the API turns into its reply.
+func checkRemoteOutcome(t *testing.T, status uint16, err error) {
+	t.Helper()
+	var ae *apiError
+	switch code := 100 + int(status)%500; {
+	case err != nil && !errors.As(err, &ae):
+		t.Fatalf("status %d: error %v is not an apiError", code, err)
+	case err == nil && code >= 400:
+		t.Fatalf("status %d answered without an error", code)
+	}
+}
+
+// FuzzRemoteListSessions feeds a fuzzed status and body to the router's
+// decoder of a shard's session listing (GET /api/sessions): it returns the
+// statuses or an apiError, and never panics.
+//
+//	go test -run '^$' -fuzz '^FuzzRemoteListSessions$' -fuzztime 20s ./internal/serve
+func FuzzRemoteListSessions(f *testing.F) {
+	listing, _ := json.Marshal(listResponse{Sessions: []SessionStatus{{ID: "s-001", State: StateDone, Config: testConfig(1)}}})
+	f.Add(uint16(100), listing)
+	f.Add(uint16(100), []byte(`{"sessions":null}`))
+	f.Add(uint16(100), []byte(`{"sessions":[{"progress":{"classes":[{}]}}]}`))
+	f.Add(uint16(100), []byte(`{"sessions":"s-001"}`))
+	f.Add(uint16(304), []byte(`{"error":"Not Found"}`))
+	f.Add(uint16(402), []byte("upstream connect error\n"))
+	f.Add(uint16(104), []byte{})
+	f.Fuzz(func(t *testing.T, status uint16, body []byte) {
+		_, err := fuzzRemote(status, body).listSessions()
+		checkRemoteOutcome(t, status, err)
+	})
+}
+
+// FuzzRemoteShardInfo feeds a fuzzed status and body to the router's
+// decoder of GET /shard/info: it returns the info or an apiError, and
+// never panics.
+//
+//	go test -run '^$' -fuzz '^FuzzRemoteShardInfo$' -fuzztime 20s ./internal/serve
+func FuzzRemoteShardInfo(f *testing.F) {
+	m := NewManager(1)
+	info, _ := m.shardInfo()
+	m.Close()
+	raw, _ := json.Marshal(info)
+	f.Add(uint16(100), raw)
+	f.Add(uint16(100), []byte(`{"sessions":{"done":-1,"":3},"health":{"degraded":true},"store":{},"id_seq":9}`))
+	f.Add(uint16(100), []byte(`{"id_seq":1e99}`))
+	f.Add(uint16(403), []byte(`{"error":"shard degraded","id_seq":4}`))
+	f.Add(uint16(304), []byte(`{"error":`))
+	f.Fuzz(func(t *testing.T, status uint16, body []byte) {
+		_, err := fuzzRemote(status, body).shardInfo()
+		checkRemoteOutcome(t, status, err)
+	})
+}
+
+// FuzzRemoteSweep feeds a fuzzed status and body to the router's decoder
+// of a sweep group's answer (POST /shard/sweep) for a group of n cells: it
+// returns one outcome per cell or an apiError, and never panics. A
+// success status whose cells decode but number other than the group's is
+// a 503, as an unreachable shard is.
+//
+//	go test -run '^$' -fuzz '^FuzzRemoteSweep$' -fuzztime 20s ./internal/serve
+func FuzzRemoteSweep(f *testing.F) {
+	rep := batch.Report{JobsCompleted: 3, TotalCost: 0.5}
+	two, _ := json.Marshal(map[string][]cellOutcome{"cells": {{SessionID: "s-001", Report: &rep}, {Error: "bag: no app"}}})
+	f.Add(uint16(100), uint8(2), two)
+	f.Add(uint16(100), uint8(3), two)
+	f.Add(uint16(100), uint8(0), []byte(`{"cells":[]}`))
+	f.Add(uint16(100), uint8(1), []byte(`{"cells":null}`))
+	f.Add(uint16(100), uint8(1), []byte(`{"cells":[{"report":{"jobs_completed":"x"}}]}`))
+	f.Add(uint16(309), uint8(1), []byte(`{"error":"session id s-004 is at or below shard 1's id high-water mark 9","id_seq":9}`))
+	f.Fuzz(func(t *testing.T, status uint16, n uint8, body []byte) {
+		req := shardSweepRequest{Bag: BagRequest{App: "shapes", Jobs: 3}}
+		for i := range int(n % 8) {
+			req.Cells = append(req.Cells, shardCreateRequest{ID: ids.Padded("s-", i+1, 3), Config: testConfig(1)})
+		}
+		out, err := fuzzRemote(status, body).sweep(context.Background(), req)
+		checkRemoteOutcome(t, status, err)
+		if err == nil && len(out) != len(req.Cells) {
+			t.Fatalf("%d outcomes for a group of %d", len(out), len(req.Cells))
+		}
+		var answer struct {
+			Cells []cellOutcome `json:"cells"`
+		}
+		if code := 100 + int(status)%500; code < 400 && json.NewDecoder(bytes.NewReader(body)).Decode(&answer) == nil &&
+			len(answer.Cells) != len(req.Cells) && httpCode(err) != http.StatusServiceUnavailable {
+			t.Fatalf("%d cells answered for a group of %d: error %v, want a 503", len(answer.Cells), len(req.Cells), err)
 		}
 	})
 }
